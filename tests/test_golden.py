@@ -1,10 +1,12 @@
 """Command-line outputs pinned byte for byte.
 
-Each file under ``tests/golden/`` is the exact stdout of one ``superband``
-command, recorded before the kernels were rewritten for speed.  The verify
-report carries only pass flags, so the table (every named product) and the
-annihilator basis pin the arithmetic itself.  A kernel rewrite must leave
-all of them unchanged.
+Each ``CASES`` file under ``tests/golden/`` is the exact stdout of one
+``superband`` command, recorded before the code it covers was rewritten.
+The verify report carries only pass flags, so the table (every named
+product), the annihilator basis, the resolvents (Laurent matrices and their
+defects) and the orbit (a parametric supervector) pin the arithmetic
+itself.  ``x0_n4.json`` is the orbit's input, not an output.  A rewrite
+must leave all of them unchanged.
 """
 
 import os
@@ -17,18 +19,38 @@ import pytest
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+ALPHA = "xi1 + xi2*xi3*xi4"
+
 CASES = {
     "verify_all_n4_seed42.json": (
         "verify", "--suite", "all", "--seed", "42", "--generators", "4",
         "--format", "json",
     ),
     "table_n4.json": (
-        "table", "--generators", "4", "--alpha", "xi1 + xi2*xi3*xi4",
-        "--format", "json",
+        "table", "--generators", "4", "--alpha", ALPHA, "--format", "json",
     ),
     "annihilator_n6.json": (
         "annihilator", "--generators", "6",
         "--alpha", "xi1*xi2*xi3 + 2 xi4 - 1/3 xi2*xi5*xi6", "--format", "json",
+    ),
+    **{
+        f"resolvent_{kind}_n4.json": (
+            "resolvent", "--family", kind, "--alpha", ALPHA, "--generators", "4",
+            "--format", "json",
+        )
+        for kind in "PQYT"
+    },
+    "resolvent_T_rrt_n4.json": (
+        "resolvent", "--family", "T", "--alpha", ALPHA, "--generators", "4",
+        "--check", "rrt", "--format", "json",
+    ),
+    "resolvent_P_rra_n4.json": (
+        "resolvent", "--family", "P", "--alpha", ALPHA, "--generators", "4",
+        "--check", "rra", "--format", "json",
+    ),
+    "orbit_P_n4.json": (
+        "orbit", "--x0", str(GOLDEN / "x0_n4.json"), "--family", "P",
+        "--alpha", ALPHA, "--generators", "4", "--format", "json",
     ),
 }
 
