@@ -55,9 +55,7 @@ from .families import (
     ParamSuperVector,
     cayley_table_verify,
     commutator,
-    compose,
     differential_sequence,
-    eval_family,
     generator_of,
     make_family,
     matrix_exp_nilpotent,
@@ -116,13 +114,11 @@ __all__ = [
     "commutativity_obstruction",
     "commutator",
     "components_of",
-    "compose",
     "create_algebra",
     "derivative_tail",
     "differential_sequence",
     "dumps",
     "equivalence_report",
-    "eval_family",
     "gamma_membership",
     "generator_of",
     "idempotent_strong_check",

@@ -204,6 +204,9 @@ class GrassmannElement:
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
 
+    def __reduce__(self):
+        return GrassmannElement, (self.ctx, self.terms)
+
     # -- basics -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -350,6 +353,9 @@ class GrassmannElement:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
+        # a scalar equals its Fraction, so it hashes like one
+        if not self.terms.keys() - {()}:
+            return hash(self.body())
         return hash((self.ctx, tuple(self.sorted_terms())))
 
     # -- structure ----------------------------------------------------

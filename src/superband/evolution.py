@@ -4,9 +4,10 @@ The orbit of an initial supervector under a family is computed symbolically,
 together with the defect of the first-order evolution equation it solves and
 the translational / moving-time classification of the family.  Resolvents
 are handled as formal Laplace images: the rule  t^m -> m!/z^(m+1)  is taken
-as the definition, and the resulting matrices live in a tiny Laurent algebra
-over the two central variables z and w, exact enough to verify the resolvent
-difference identities term by term.
+as the definition.  The resulting LaurentMatrix is the graded matrix of
+``supermatrix`` over a tiny Laurent algebra in the two central variables z
+and w, exact enough to verify the resolvent difference identities term by
+term.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from .algebra import GrassmannElement
 from .errors import ConfigError, ContextError, ParityError, ShapeError
 from .families import ParamSuperMatrix, ParamSuperVector, generator_of
 from .poly import GrassmannPoly
-from .supermatrix import SuperMatrix, SuperVector, _graded
+from .supermatrix import GradedMatrix, SuperVector
 
 _Rational = (int, Fraction)
 _LAURENT_VARS = ("z", "w")
@@ -149,6 +150,9 @@ class LaurentScalar:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its element, so it hashes like one
+        if not self.terms.keys() - {(0, 0)}:
+            return hash(self.coefficient())
         return hash((self.ctx, tuple(self.sorted_terms())))
 
     def __repr__(self):
@@ -170,130 +174,19 @@ class LaurentScalar:
         return " + ".join(bits)
 
 
-class LaurentMatrix:
-    """A (p|q) supermatrix of LaurentScalar entries, graded like
-    SuperMatrix: diagonal blocks even, off-diagonal blocks odd."""
+class LaurentMatrix(GradedMatrix):
+    """A (p|q) supermatrix of LaurentScalar entries in z and w, graded
+    coefficientwise."""
 
-    __slots__ = ("ctx", "p", "q", "rows")
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int, rows):
-        if p < 1 or q < 1:
-            raise ShapeError(f"block sizes must be at least 1, got ({p}|{q})")
-        grid = tuple(tuple(r) for r in rows)
-        d = p + q
-        if len(grid) != d or any(len(r) != d for r in grid):
-            raise ShapeError(f"expected a {d}x{d} grid for shape ({p}|{q})")
-        ctx = grid[0][0].ctx
-        for i in range(d):
-            for j in range(d):
-                x = grid[i][j]
-                if not isinstance(x, LaurentScalar):
-                    raise ShapeError("entries must be LaurentScalar values")
-                if x.ctx != ctx:
-                    raise ContextError("entries from different algebras")
-                diagonal_block = (i < p) == (j < p)
-                if diagonal_block and not x.is_even():
-                    raise ParityError(f"entry ({i},{j}) must have even coefficients")
-                if not diagonal_block and not x.is_odd():
-                    raise ParityError(f"entry ({i},{j}) must have odd coefficients")
-        self.ctx = ctx
-        self.p = p
-        self.q = q
-        self.rows = grid
-
-    @classmethod
-    def zero(cls, ctx, p: int, q: int):
-        z = LaurentScalar.zero(ctx)
-        d = p + q
-        return cls(p, q, [[z] * d for _ in range(d)])
-
-    @classmethod
-    def from_supermatrix(cls, m: SuperMatrix):
-        return _graded(
-            cls, m.p, m.q, [[LaurentScalar.constant(x) for x in row] for row in m.rows]
-        )
-
-    def same_shape(self, other) -> bool:
-        return self.p == other.p and self.q == other.q
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
-
-    def _check_peer(self, other):
-        if not isinstance(other, LaurentMatrix):
-            raise ShapeError("expected a LaurentMatrix")
-        if not self.same_shape(other):
-            raise ShapeError(
-                f"shape ({self.p}|{self.q}) does not match ({other.p}|{other.q})"
-            )
-        if self.ctx != other.ctx:
-            raise ContextError("matrices from different algebras")
-
-    def __add__(self, other):
-        self._check_peer(other)
-        return _graded(
-            LaurentMatrix,
-            self.p,
-            self.q,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        self._check_peer(other)
-        return _graded(
-            LaurentMatrix,
-            self.p,
-            self.q,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self):
-        return _graded(LaurentMatrix, self.p, self.q, [[-a for a in r] for r in self.rows])
-
-    def __matmul__(self, other):
-        self._check_peer(other)
-        d = self.p + self.q
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, d):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return _graded(LaurentMatrix, self.p, self.q, rows)
-
-    def scale(self, factor):
-        """Entrywise product with an even LaurentScalar (or even element or
-        rational)."""
-        if isinstance(factor, _Rational):
-            factor = self.ctx.scalar(factor)
-        if isinstance(factor, GrassmannElement):
-            factor = LaurentScalar.constant(factor)
-        if not factor.is_even():
-            raise ParityError("matrix scaling needs an even (or zero) factor")
-        return _graded(
-            LaurentMatrix, self.p, self.q, [[factor * a for a in r] for r in self.rows]
-        )
+    _entry = LaurentScalar
+    _constant = staticmethod(LaurentScalar.constant)
 
     def rename(self, src: str = "z", dst: str = "w") -> "LaurentMatrix":
         return LaurentMatrix(
             self.p, self.q, [[x.rename(src, dst) for x in row] for row in self.rows]
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentMatrix)
-            and self.same_shape(other)
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        body = "; ".join(
-            "[" + ", ".join(repr(x) for x in row) + "]" for row in self.rows
-        )
-        return f"LaurentMatrix({self.p}|{self.q}: {body})"
 
 
 # -- orbits ------------------------------------------------------------
@@ -305,30 +198,14 @@ def orbit(family: ParamSuperMatrix, x0: SuperVector) -> ParamSuperVector:
         raise ShapeError(f"orbits are defined for (1|1) families, got ({family.p}|{family.q})")
     if (x0.p, x0.q) != (1, 1):
         raise ShapeError(f"orbits need a (1|1) initial vector, got ({x0.p}|{x0.q})")
-    if family.ctx != x0.ctx:
-        raise ContextError("family and initial vector from different algebras")
-    even0, odd0 = x0.even[0], x0.odd[0]
-    return ParamSuperVector(
-        [family.rows[0][0] * even0 + family.rows[0][1] * odd0],
-        [family.rows[1][0] * even0 + family.rows[1][1] * odd0],
-    )
+    return family.apply(x0)
 
 
 def cauchy_defect(family: ParamSuperMatrix, x0: SuperVector) -> ParamSuperVector:
     """X'(t) - A X(t) for the orbit of x0, with A the family's generator."""
     x = orbit(family, x0)
-    gen = generator_of(family)
-    ax = ParamSuperVector(
-        [
-            GrassmannPoly.constant(gen.rows[0][0]) * x.even[0]
-            + GrassmannPoly.constant(gen.rows[0][1]) * x.odd[0]
-        ],
-        [
-            GrassmannPoly.constant(gen.rows[1][0]) * x.even[0]
-            + GrassmannPoly.constant(gen.rows[1][1]) * x.odd[0]
-        ],
-    )
-    return x.derivative("t") - ax
+    gen = ParamSuperMatrix.from_supermatrix(generator_of(family))
+    return x.derivative("t") - gen.apply(x)
 
 
 def moving_time_check(family: ParamSuperMatrix) -> str:
@@ -384,7 +261,7 @@ def laplace(family: ParamSuperMatrix) -> LaurentMatrix:
             out.append(LaurentScalar(ctx, terms))
         rows.append(out)
     # integer multiples of graded coefficients keep the grading
-    return _graded(LaurentMatrix, family.p, family.q, rows)
+    return LaurentMatrix._graded(family.p, family.q, rows)
 
 
 def resolvent_defect(r: LaurentMatrix) -> LaurentMatrix:

@@ -1,8 +1,9 @@
 """One-parameter (1|1) supermatrix families and their algebraic laws.
 
-A ParamSuperMatrix is a supermatrix whose entries are GrassmannPoly values in
-the formal parameters t and s, graded exactly like a SuperMatrix (diagonal
-blocks even, off-diagonal blocks odd, coefficientwise).  All the named
+A ParamSuperMatrix is the graded matrix of ``supermatrix`` over the ring of
+GrassmannPoly values in the formal parameters t and s: the same grading
+(diagonal blocks even, off-diagonal blocks odd, coefficientwise) and the
+same arithmetic as a SuperMatrix, plus parameter handling.  All the named
 families are built from one odd element alpha:
 
     P(t) = [[0, alpha*t], [alpha, 1]]      left-zero band of projectors
@@ -25,86 +26,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraContext, GrassmannElement
-from .errors import ConfigError, ContextError, ParityError, ShapeError
+from .algebra import GrassmannElement
+from .errors import ConfigError, ContextError, ParityError
 from .poly import GrassmannPoly
-from .supermatrix import SuperMatrix, _graded
-
-_Rational = (int, Fraction)
+from .supermatrix import GradedMatrix, GradedVector, SuperMatrix
 
 FAMILY_KINDS = ("P", "Q", "Y", "E", "T", "A", "Z")
 
 
-class ParamSuperMatrix:
-    """A (p|q) supermatrix of polynomials in t and s, graded coefficientwise."""
+class ParamSuperVector(GradedVector):
+    """A supervector of polynomials in t and s: p even slots, q odd slots."""
 
-    __slots__ = ("ctx", "p", "q", "rows")
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int, rows):
-        if p < 1 or q < 1:
-            raise ShapeError(f"block sizes must be at least 1, got ({p}|{q})")
-        grid = tuple(tuple(r) for r in rows)
-        d = p + q
-        if len(grid) != d or any(len(r) != d for r in grid):
-            raise ShapeError(f"expected a {d}x{d} grid for shape ({p}|{q})")
-        ctx = grid[0][0].ctx
-        for i in range(d):
-            for j in range(d):
-                x = grid[i][j]
-                if not isinstance(x, GrassmannPoly):
-                    raise ShapeError("entries must be GrassmannPoly values")
-                if x.ctx != ctx:
-                    raise ContextError("entries from different algebras")
-                diagonal_block = (i < p) == (j < p)
-                if diagonal_block and not x.is_even():
-                    raise ParityError(f"entry ({i},{j}) must have even coefficients")
-                if not diagonal_block and not x.is_odd():
-                    raise ParityError(f"entry ({i},{j}) must have odd coefficients")
-        self.ctx = ctx
-        self.p = p
-        self.q = q
-        self.rows = grid
+    _entry = GrassmannPoly
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_supermatrix(cls, m: SuperMatrix):
-        return _graded(
-            cls,
-            m.p,
-            m.q,
-            [[GrassmannPoly.constant(x) for x in row] for row in m.rows],
+    def derivative(self, var: str = "t"):
+        return ParamSuperVector(
+            [x.derivative(var) for x in self.even],
+            [x.derivative(var) for x in self.odd],
         )
 
-    @classmethod
-    def zero(cls, ctx: AlgebraContext, p: int, q: int):
-        z = GrassmannPoly.zero(ctx)
-        d = p + q
-        return cls(p, q, [[z] * d for _ in range(d)])
 
-    @classmethod
-    def identity(cls, ctx: AlgebraContext, p: int, q: int):
-        return cls.from_supermatrix(SuperMatrix.identity(ctx, p, q))
+class ParamSuperMatrix(GradedMatrix):
+    """A (p|q) supermatrix of polynomials in t and s, graded coefficientwise."""
 
-    # -- blocks and shape ----------------------------------------------
+    __slots__ = ()
 
-    def block_a(self):
-        return [list(r[: self.p]) for r in self.rows[: self.p]]
-
-    def block_gamma(self):
-        return [list(r[self.p :]) for r in self.rows[: self.p]]
-
-    def block_delta(self):
-        return [list(r[: self.p]) for r in self.rows[self.p :]]
-
-    def block_b(self):
-        return [list(r[self.p :]) for r in self.rows[self.p :]]
-
-    def same_shape(self, other) -> bool:
-        return self.p == other.p and self.q == other.q
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
+    _entry = GrassmannPoly
+    _vector = ParamSuperVector
+    _constant = staticmethod(GrassmannPoly.constant)
 
     def variables(self):
         used = set()
@@ -113,79 +64,6 @@ class ParamSuperMatrix:
                 used |= x.variables()
         return used
 
-    # -- arithmetic ----------------------------------------------------
-
-    def _check_peer(self, other):
-        if not isinstance(other, ParamSuperMatrix):
-            raise ShapeError("expected a ParamSuperMatrix")
-        if not self.same_shape(other):
-            raise ShapeError(
-                f"shape ({self.p}|{self.q}) does not match ({other.p}|{other.q})"
-            )
-        if self.ctx != other.ctx:
-            raise ContextError("matrices from different algebras")
-
-    def __add__(self, other):
-        self._check_peer(other)
-        return _graded(
-            ParamSuperMatrix,
-            self.p,
-            self.q,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        self._check_peer(other)
-        return _graded(
-            ParamSuperMatrix,
-            self.p,
-            self.q,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self):
-        return _graded(ParamSuperMatrix, self.p, self.q, [[-a for a in r] for r in self.rows])
-
-    def __matmul__(self, other):
-        self._check_peer(other)
-        d = self.p + self.q
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, d):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return _graded(ParamSuperMatrix, self.p, self.q, rows)
-
-    def scale(self, factor):
-        """Entrywise product with a rational, an even element, or an even poly."""
-        if isinstance(factor, _Rational):
-            factor = self.ctx.scalar(factor)
-        if isinstance(factor, GrassmannElement):
-            factor = GrassmannPoly.constant(factor)
-        if not factor.is_even():
-            raise ParityError("matrix scaling needs an even (or zero) factor")
-        return _graded(
-            ParamSuperMatrix, self.p, self.q, [[factor * a for a in r] for r in self.rows]
-        )
-
-    def __rmul__(self, factor):
-        if isinstance(factor, (GrassmannPoly, GrassmannElement) + _Rational):
-            return self.scale(factor)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParamSuperMatrix)
-            and self.same_shape(other)
-            and self.rows == other.rows
-        )
-
-    # -- parameter handling --------------------------------------------
-
     def map_entries(self, fn):
         return ParamSuperMatrix(
             self.p, self.q, [[fn(x) for x in row] for row in self.rows]
@@ -193,11 +71,8 @@ class ParamSuperMatrix:
 
     def derivative(self, var: str = "t"):
         # integer multiples of graded coefficients keep the grading
-        return _graded(
-            ParamSuperMatrix,
-            self.p,
-            self.q,
-            [[x.derivative(var) for x in row] for row in self.rows],
+        return self._graded(
+            self.p, self.q, [[x.derivative(var) for x in row] for row in self.rows]
         )
 
     def substitute(self, var: str, replacement: GrassmannPoly):
@@ -205,11 +80,8 @@ class ParamSuperMatrix:
 
     def rename(self, src: str, dst: str):
         # renaming moves exponents and keeps every coefficient
-        return _graded(
-            ParamSuperMatrix,
-            self.p,
-            self.q,
-            [[x.rename(src, dst) for x in row] for row in self.rows],
+        return self._graded(
+            self.p, self.q, [[x.rename(src, dst) for x in row] for row in self.rows]
         )
 
     def eval_at(self, assignment: dict) -> SuperMatrix:
@@ -218,78 +90,6 @@ class ParamSuperMatrix:
             self.q,
             [[x.eval_at(assignment) for x in row] for row in self.rows],
         )
-
-    def __repr__(self):
-        body = "; ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.rows
-        )
-        return f"ParamSuperMatrix({self.p}|{self.q}: {body})"
-
-
-class ParamSuperVector:
-    """A supervector of polynomials: p even slots, q odd slots."""
-
-    __slots__ = ("ctx", "even", "odd")
-
-    def __init__(self, even, odd):
-        even = tuple(even)
-        odd = tuple(odd)
-        if not even or not odd:
-            raise ShapeError("a supervector needs at least one even and one odd slot")
-        ctx = even[0].ctx
-        for x in even + odd:
-            if not isinstance(x, GrassmannPoly):
-                raise ShapeError("entries must be GrassmannPoly values")
-            if x.ctx != ctx:
-                raise ContextError("entries from different algebras")
-        for x in even:
-            if not x.is_even():
-                raise ParityError("even slot holds non-even coefficients")
-        for x in odd:
-            if not x.is_odd():
-                raise ParityError("odd slot holds non-odd coefficients")
-        self.ctx = ctx
-        self.even = even
-        self.odd = odd
-
-    @property
-    def p(self):
-        return len(self.even)
-
-    @property
-    def q(self):
-        return len(self.odd)
-
-    def derivative(self, var: str = "t"):
-        return ParamSuperVector(
-            [x.derivative(var) for x in self.even],
-            [x.derivative(var) for x in self.odd],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ParamSuperVector):
-            raise ShapeError("expected a ParamSuperVector")
-        if self.p != other.p or self.q != other.q:
-            raise ShapeError("shape mismatch")
-        return ParamSuperVector(
-            [a - b for a, b in zip(self.even, other.even)],
-            [a - b for a, b in zip(self.odd, other.odd)],
-        )
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.even + self.odd)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParamSuperVector)
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __repr__(self):
-        ev = ", ".join(str(x) for x in self.even)
-        od = ", ".join(str(x) for x in self.odd)
-        return f"ParamSuperVector(even=({ev}), odd=({od}))"
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +160,6 @@ def rectangular_band_element(alpha: GrassmannElement, top, bottom) -> ParamSuper
     )
 
 
-def compose(f: ParamSuperMatrix, g: ParamSuperMatrix) -> ParamSuperMatrix:
-    """Matrix product of two families; callers pick the parameters by building
-    f and g in the variables they intend (same variable composes pointwise)."""
-    return f @ g
-
-
 def commutator(f: ParamSuperMatrix, g: ParamSuperMatrix) -> ParamSuperMatrix:
     return f @ g - g @ f
 
@@ -373,10 +167,6 @@ def commutator(f: ParamSuperMatrix, g: ParamSuperMatrix) -> ParamSuperMatrix:
 def generator_of(family: ParamSuperMatrix) -> SuperMatrix:
     """d/dt at t = 0 (and s = 0), as a constant supermatrix."""
     return family.derivative("t").eval_at({"t": 0, "s": 0})
-
-
-def eval_family(family: ParamSuperMatrix, assignment: dict) -> SuperMatrix:
-    return family.eval_at(assignment)
 
 
 def functional_residual(family: ParamSuperMatrix) -> ParamSuperMatrix:

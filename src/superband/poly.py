@@ -43,6 +43,9 @@ class GrassmannPoly:
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannPoly is immutable")
 
+    def __reduce__(self):
+        return GrassmannPoly, (self.ctx, self.coeffs)
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -197,6 +200,9 @@ class GrassmannPoly:
         return self.ctx is other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its element, so it hashes like one
+        if not self.coeffs.keys() - {(0, 0)}:
+            return hash(self.coefficient())
         return hash((self.ctx, tuple(self.sorted_terms())))
 
     # -- calculus and substitution ------------------------------------

@@ -153,24 +153,39 @@ def load_element(obj) -> GrassmannElement:
 
 
 # ---------------------------------------------------------------------------
-# constant supermatrices and supervectors
+# the graded-matrix walker, constant supermatrices and supervectors
 # ---------------------------------------------------------------------------
 
 
-def dump_matrix(m: SuperMatrix) -> dict:
+def _dump_grid(m, dump_entry) -> dict:
+    """The {"p", "q", "rows"} form of any graded matrix."""
     return {
         "p": m.p,
         "q": m.q,
-        "rows": [[dump_element(x) for x in row] for row in m.rows],
+        "rows": [[dump_entry(x) for x in row] for row in m.rows],
     }
 
 
-def load_matrix(obj) -> SuperMatrix:
-    _require_keys(obj, ("p", "q", "rows"), "supermatrix")
+def _load_grid(obj, cls, what, load_entry, keys=("n", "p", "q", "rows")):
+    """Inverse of _dump_grid: ``load_entry(entry, ctx)`` reads one entry, with
+    ``ctx`` taken from "n", or None when ``keys`` has no "n"."""
+    _require_keys(obj, keys, what)
+    ctx = _context(obj, what) if "n" in keys else None
     p = _int(obj["p"], "p", minimum=1)
     q = _int(obj["q"], "q", minimum=1)
-    rows = [[load_element(x) for x in row] for row in _grid(obj, "supermatrix")]
-    return SuperMatrix(p, q, rows)
+    rows = [[load_entry(x, ctx) for x in row] for row in _grid(obj, what)]
+    return cls(p, q, rows)
+
+
+def dump_matrix(m: SuperMatrix) -> dict:
+    return _dump_grid(m, dump_element)
+
+
+def load_matrix(obj) -> SuperMatrix:
+    return _load_grid(
+        obj, SuperMatrix, "supermatrix", lambda x, ctx: load_element(x),
+        keys=("p", "q", "rows"),
+    )
 
 
 def dump_supervector(v: SuperVector) -> dict:
@@ -218,24 +233,11 @@ def load_poly(entries, ctx) -> GrassmannPoly:
 
 
 def dump_param_matrix(m: ParamSuperMatrix) -> dict:
-    return {
-        "n": m.ctx.n,
-        "p": m.p,
-        "q": m.q,
-        "rows": [[dump_poly(x) for x in row] for row in m.rows],
-    }
+    return {"n": m.ctx.n, **_dump_grid(m, dump_poly)}
 
 
 def load_param_matrix(obj) -> ParamSuperMatrix:
-    _require_keys(obj, ("n", "p", "q", "rows"), "parametric supermatrix")
-    ctx = _context(obj, "parametric supermatrix")
-    p = _int(obj["p"], "p", minimum=1)
-    q = _int(obj["q"], "q", minimum=1)
-    rows = [
-        [load_poly(x, ctx) for x in row]
-        for row in _grid(obj, "parametric supermatrix")
-    ]
-    return ParamSuperMatrix(p, q, rows)
+    return _load_grid(obj, ParamSuperMatrix, "parametric supermatrix", load_poly)
 
 
 def dump_param_supervector(v: ParamSuperVector) -> dict:
@@ -285,24 +287,11 @@ def load_laurent_scalar(entries, ctx) -> LaurentScalar:
 
 
 def dump_laurent_matrix(m: LaurentMatrix) -> dict:
-    return {
-        "n": m.ctx.n,
-        "p": m.p,
-        "q": m.q,
-        "rows": [[dump_laurent_scalar(x) for x in row] for row in m.rows],
-    }
+    return {"n": m.ctx.n, **_dump_grid(m, dump_laurent_scalar)}
 
 
 def load_laurent_matrix(obj) -> LaurentMatrix:
-    _require_keys(obj, ("n", "p", "q", "rows"), "Laurent matrix")
-    ctx = _context(obj, "Laurent matrix")
-    p = _int(obj["p"], "p", minimum=1)
-    q = _int(obj["q"], "q", minimum=1)
-    rows = [
-        [load_laurent_scalar(x, ctx) for x in row]
-        for row in _grid(obj, "Laurent matrix")
-    ]
-    return LaurentMatrix(p, q, rows)
+    return _load_grid(obj, LaurentMatrix, "Laurent matrix", load_laurent_scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ from .serialize import to_obj
 from .supermatrix import (
     SuperMatrix,
     SuperVector,
+    _grid_mul,
     ber_parts,
     berezinian,
     classify_reduction,
@@ -128,25 +129,8 @@ class _Battery:
 
 
 # ---------------------------------------------------------------------------
-# small grid helpers for the block-coupling check
+# the block-coupling check
 # ---------------------------------------------------------------------------
-
-
-def _mul(a, b, ctx):
-    out = []
-    for i in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            acc = ctx.zero()
-            for k in range(len(b)):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _random_antitriangle(rng, ctx, p, q):
@@ -161,14 +145,14 @@ def _random_antitriangle(rng, ctx, p, q):
 
 
 def _coupled_product(m, n):
-    ctx = m.ctx
     g1, d1, b1 = m.block_gamma(), m.block_delta(), m.block_b()
     g2, d2, b2 = n.block_gamma(), n.block_delta(), n.block_b()
+    # B1 B2 + Delta1 Gamma2 is one product of [B1 | Delta1] by [B2 ; Gamma2]
     return SuperMatrix.from_blocks(
-        _mul(g1, d2, ctx),
-        _mul(g1, b2, ctx),
-        _mul(b1, d2, ctx),
-        _add(_mul(b1, b2, ctx), _mul(d1, g2, ctx)),
+        _grid_mul(g1, d2),
+        _grid_mul(g1, b2),
+        _grid_mul(b1, d2),
+        _grid_mul([rb + rd for rb, rd in zip(b1, d1)], b2 + g2),
     )
 
 

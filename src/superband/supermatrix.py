@@ -1,13 +1,23 @@
-"""(p|q) block supermatrices over a Grassmann algebra.
+"""(p|q) graded supermatrices and supervectors over three entry rings.
 
-A SuperMatrix is a (p+q) x (p+q) array of GrassmannElements in the block form
+A graded matrix is a (p+q) x (p+q) array in the block form
 
     [ A      Gamma ]      A: p x p,  B: q x q   (entries even or zero)
     [ Delta  B     ]      Gamma: p x q, Delta: q x p (entries odd or zero)
 
 which is the grading of an even morphism; the constructor rejects anything
-else with ParityError.  A SuperVector holds p even coordinates followed by q
-odd ones, matching what these matrices act on.
+else with ParityError.  GradedMatrix holds the shape, the grading check and
+the arithmetic once, and each sibling subclass fixes the entry ring:
+
+    SuperMatrix        GrassmannElement constants (this module)
+    ParamSuperMatrix   GrassmannPoly in t and s (families)
+    LaurentMatrix      LaurentScalar in z and w (evolution)
+
+A polynomial or Laurent entry is graded coefficientwise.  Arithmetic and
+equality need two matrices of one class, so the kinds never mix.  A
+GradedVector holds p even coordinates followed by q odd ones, matching what
+these matrices act on: SuperVector for constants, ParamSuperVector for
+polynomials.
 
 The Berezinian is computed from the Schur complement,
 Ber M = det(A - Gamma B^-1 Delta) / det B, which needs the body of det B to
@@ -55,36 +65,26 @@ def _grid_sub(x, y):
     return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
-def _graded(cls, p, q, rows):
-    """A ``cls`` matrix around ``rows`` without re-checking shape or grading.
-
-    Only for rows that keep the grading by construction: sums, differences,
-    negation, products or even rescaling of graded matrices of one shape and
-    algebra, and entrywise maps that keep the parity of every coefficient.
-    Everything else goes through the validating constructor.
-    """
-    m = object.__new__(cls)
-    m.rows = _as_grid(rows)
-    m.ctx = m.rows[0][0].ctx
-    m.p = p
-    m.q = q
-    return m
-
-
-class SuperVector:
-    """p even coordinates and q odd coordinates, validated on construction."""
+class GradedVector:
+    """p even coordinates and q odd ones in the entry ring of a subclass,
+    validated on construction."""
 
     __slots__ = ("ctx", "even", "odd")
+
+    _entry = None
 
     def __init__(self, even, odd):
         even = tuple(even)
         odd = tuple(odd)
         if not even or not odd:
             raise ShapeError("a supervector needs at least one even and one odd slot")
-        ctx = even[0].ctx
+        # a foreign first entry has no ctx and fails the type check below
+        ctx = getattr(even[0], "ctx", None)
         for x in even + odd:
-            if not isinstance(x, GrassmannElement):
-                raise ShapeError("supervector entries must be GrassmannElements")
+            if not isinstance(x, self._entry):
+                raise ShapeError(
+                    f"supervector entries must be {self._entry.__name__} values"
+                )
             if x.ctx != ctx:
                 raise ContextError("supervector entries from different algebras")
         for x in even:
@@ -105,9 +105,22 @@ class SuperVector:
     def q(self):
         return len(self.odd)
 
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for x in self.even + self.odd)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            raise ShapeError(f"expected a {type(self).__name__}")
+        if self.p != other.p or self.q != other.q:
+            raise ShapeError("shape mismatch")
+        return type(self)(
+            [a - b for a, b in zip(self.even, other.even)],
+            [a - b for a, b in zip(self.odd, other.odd)],
+        )
+
     def __eq__(self, other):
         return (
-            isinstance(other, SuperVector)
+            type(other) is type(self)
             and self.even == other.even
             and self.odd == other.odd
         )
@@ -115,13 +128,31 @@ class SuperVector:
     def __repr__(self):
         ev = ", ".join(str(x) for x in self.even)
         od = ", ".join(str(x) for x in self.odd)
-        return f"SuperVector(even=({ev}), odd=({od}))"
+        return f"{type(self).__name__}(even=({ev}), odd=({od}))"
 
 
-class SuperMatrix:
-    """An even (p|q) supermatrix; see the module docstring for the grading."""
+class SuperVector(GradedVector):
+    """A supervector of GrassmannElement constants."""
+
+    __slots__ = ()
+
+    _entry = GrassmannElement
+
+
+class GradedMatrix:
+    """An even (p|q) matrix over the entry ring of a subclass; see the module
+    docstring for the grading."""
 
     __slots__ = ("ctx", "p", "q", "rows")
+
+    #: the entry ring and the GradedVector subclass the matrix acts on
+    _entry = None
+    _vector = None
+
+    @staticmethod
+    def _constant(x: GrassmannElement):
+        """The entry that is the constant element x."""
+        return x
 
     def __init__(self, p: int, q: int, rows):
         if p < 1 or q < 1:
@@ -130,12 +161,14 @@ class SuperMatrix:
         d = p + q
         if len(grid) != d or any(len(r) != d for r in grid):
             raise ShapeError(f"expected a {d}x{d} grid for shape ({p}|{q})")
-        ctx = grid[0][0].ctx
+        entry = self._entry
+        # a foreign first entry has no ctx and fails the type check below
+        ctx = getattr(grid[0][0], "ctx", None)
         for i in range(d):
             for j in range(d):
                 x = grid[i][j]
-                if not isinstance(x, GrassmannElement):
-                    raise ShapeError("matrix entries must be GrassmannElements")
+                if not isinstance(x, entry):
+                    raise ShapeError(f"matrix entries must be {entry.__name__} values")
                 if x.ctx != ctx:
                     raise ContextError("matrix entries from different algebras")
                 diagonal_block = (i < p) == (j < p)
@@ -152,6 +185,23 @@ class SuperMatrix:
         self.q = q
         self.rows = grid
 
+    @classmethod
+    def _graded(cls, p, q, rows):
+        """A matrix around ``rows`` without re-checking shape or grading.
+
+        Only for rows that keep the grading by construction: sums,
+        differences, negation, products or even rescaling of graded matrices
+        of one shape and algebra, and entrywise maps that keep the parity of
+        every coefficient.  Everything else goes through the validating
+        constructor.
+        """
+        m = object.__new__(cls)
+        m.rows = _as_grid(rows)
+        m.ctx = m.rows[0][0].ctx
+        m.p = p
+        m.q = q
+        return m
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -163,14 +213,19 @@ class SuperMatrix:
         return cls(p, q, rows)
 
     @classmethod
+    def from_supermatrix(cls, m: "SuperMatrix"):
+        """The constant matrix m with its entries lifted into this ring."""
+        return cls._graded(m.p, m.q, [[cls._constant(x) for x in row] for row in m.rows])
+
+    @classmethod
     def zero(cls, ctx: AlgebraContext, p: int, q: int):
-        z = ctx.zero()
+        z = cls._constant(ctx.zero())
         d = p + q
         return cls(p, q, [[z] * d for _ in range(d)])
 
     @classmethod
     def identity(cls, ctx: AlgebraContext, p: int, q: int):
-        z, one = ctx.zero(), ctx.one()
+        z, one = cls._constant(ctx.zero()), cls._constant(ctx.one())
         d = p + q
         return cls(p, q, [[one if i == j else z for j in range(d)] for i in range(d)])
 
@@ -188,7 +243,7 @@ class SuperMatrix:
     def block_b(self):
         return [list(r[self.p :]) for r in self.rows[self.p :]]
 
-    def same_shape(self, other: "SuperMatrix") -> bool:
+    def same_shape(self, other) -> bool:
         return self.p == other.p and self.q == other.q
 
     def is_zero(self) -> bool:
@@ -197,8 +252,8 @@ class SuperMatrix:
     # -- arithmetic ----------------------------------------------------
 
     def _check_peer(self, other):
-        if not isinstance(other, SuperMatrix):
-            raise ShapeError("expected a SuperMatrix")
+        if type(other) is not type(self):
+            raise ShapeError(f"expected a {type(self).__name__}")
         if not self.same_shape(other):
             raise ShapeError(
                 f"shape ({self.p}|{self.q}) does not match ({other.p}|{other.q})"
@@ -208,8 +263,7 @@ class SuperMatrix:
 
     def __add__(self, other):
         self._check_peer(other)
-        return _graded(
-            SuperMatrix,
+        return self._graded(
             self.p,
             self.q,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
@@ -217,55 +271,52 @@ class SuperMatrix:
 
     def __sub__(self, other):
         self._check_peer(other)
-        return _graded(
-            SuperMatrix,
+        return self._graded(
             self.p,
             self.q,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __neg__(self):
-        return _graded(SuperMatrix, self.p, self.q, [[-a for a in r] for r in self.rows])
+        return self._graded(self.p, self.q, [[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
         self._check_peer(other)
-        return _graded(SuperMatrix, self.p, self.q, _grid_mul(self.rows, other.rows))
+        return self._graded(self.p, self.q, _grid_mul(self.rows, other.rows))
 
     def scale(self, factor):
-        """Multiply every entry by a rational or an even element."""
+        """Multiply every entry by an even rational, element or entry."""
         if isinstance(factor, _Rational):
             factor = self.ctx.scalar(factor)
+        if isinstance(factor, GrassmannElement):
+            factor = self._constant(factor)
+        if not isinstance(factor, self._entry):
+            raise ShapeError(f"cannot scale a {type(self).__name__} by {factor!r}")
         if not factor.is_even():
             raise ParityError("matrix scaling needs an even (or zero) factor")
-        return _graded(
-            SuperMatrix, self.p, self.q, [[factor * a for a in r] for r in self.rows]
-        )
+        return self._graded(self.p, self.q, [[factor * a for a in r] for r in self.rows])
 
     def __rmul__(self, factor):
-        if isinstance(factor, (GrassmannElement,) + _Rational):
+        if isinstance(factor, (self._entry, GrassmannElement) + _Rational):
             return self.scale(factor)
         return NotImplemented
 
-    def apply(self, vec: SuperVector) -> SuperVector:
-        """Matrix action on a supervector."""
-        if not isinstance(vec, SuperVector):
-            raise ShapeError("expected a SuperVector")
+    def apply(self, vec: GradedVector) -> GradedVector:
+        """Matrix action on a supervector, of constants or of this ring."""
+        if self._vector is None or not isinstance(vec, GradedVector):
+            raise ShapeError(
+                f"a {type(self).__name__} does not act on a {type(vec).__name__}"
+            )
         if vec.p != self.p or vec.q != self.q:
             raise ShapeError("vector shape does not match matrix shape")
         if vec.ctx != self.ctx:
             raise ContextError("vector from a different algebra")
-        coords = vec.even + vec.odd
-        out = []
-        for row in self.rows:
-            acc = row[0] * coords[0]
-            for x, c in zip(row[1:], coords[1:]):
-                acc = acc + x * c
-            out.append(acc)
-        return SuperVector(out[: self.p], out[self.p :])
+        out = [c for c, in _grid_mul(self.rows, [[c] for c in vec.even + vec.odd])]
+        return self._vector(out[: self.p], out[self.p :])
 
     def __eq__(self, other):
         return (
-            isinstance(other, SuperMatrix)
+            type(other) is type(self)
             and self.same_shape(other)
             and self.rows == other.rows
         )
@@ -274,7 +325,16 @@ class SuperMatrix:
         body = "; ".join(
             "[" + ", ".join(str(x) for x in row) + "]" for row in self.rows
         )
-        return f"SuperMatrix({self.p}|{self.q}: {body})"
+        return f"{type(self).__name__}({self.p}|{self.q}: {body})"
+
+
+class SuperMatrix(GradedMatrix):
+    """An even (p|q) supermatrix of GrassmannElement constants."""
+
+    __slots__ = ()
+
+    _entry = GrassmannElement
+    _vector = SuperVector
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from superband.algebra import (
     in_odd_span,
 )
 from superband.errors import ConfigError, ContextError, NotInvertible, ParityError
+from superband.evolution import LaurentScalar
+from superband.poly import GrassmannPoly
 from superband.randgen import random_element, random_nonzero_odd
 
 
@@ -404,6 +406,28 @@ class TestAnnihilator:
         assert in_odd_span(2 * v, [v])
         assert not in_odd_span(ctx.gen(3), [v])
         assert in_odd_span(ctx.zero(), [])
+
+
+class TestHashAgreesWithEquality:
+    def test_constants_hash_like_what_they_equal(self):
+        ctx = create_algebra(3)
+        half = Fraction(1, 2)
+        for value in (0, 2, half, -7):
+            elem = ctx.scalar(value)
+            # a scalar element equals its rational, a constant poly or Laurent
+            # scalar equals its element: equal values must hash alike
+            for x in (elem, GrassmannPoly.constant(elem), LaurentScalar.constant(elem)):
+                assert x == value
+                assert hash(x) == hash(value)
+                assert len({x, value}) == 1
+        xi = ctx.gen(1) + ctx.monomial((1, 2, 3), half)
+        for x in (GrassmannPoly.constant(xi), LaurentScalar.constant(xi)):
+            assert x == xi
+            assert hash(x) == hash(xi)
+            assert len({x, xi}) == 1
+        # non-constant values keep distinct hashes from their coefficients
+        assert GrassmannPoly.term(xi, t=1) != xi
+        assert len({GrassmannPoly.term(xi, t=1), LaurentScalar.term(xi, iz=1), xi}) == 3
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Canonical JSON round-trips and the strictness of the parser."""
 
+import copy
 import json
+import pickle
 import random
+
+from fractions import Fraction
 
 import pytest
 
 from superband.algebra import create_algebra
 from superband.errors import ParityError, ParseError, ShapeError
-from superband.evolution import LaurentMatrix, LaurentScalar, laplace
+from superband import serialize
+from superband.evolution import LaurentMatrix, LaurentScalar, laplace, orbit
 from superband.families import ParamSuperMatrix, make_family
 from superband.poly import GrassmannPoly
 from superband.randgen import (
@@ -303,6 +308,28 @@ class TestDispatch:
             load_value({"foo": 1})
         with pytest.raises(ParseError):
             load_value([1, 2, 3])
+
+    def test_copy_and_pickle_round_trip_every_value_type(self):
+        ctx = _ctx()
+        alpha = ctx.gen(1) + ctx.monomial((1, 2, 3), Fraction(-1, 2))
+        x0 = SuperVector([ctx.scalar(2) + ctx.monomial((1, 2))], [ctx.gen(3)])
+        resolvent = laplace(make_family("T", alpha))
+        values = [
+            alpha,
+            random_supermatrix(random.Random(11), ctx),
+            x0,
+            make_family("P", alpha),
+            orbit(make_family("P", alpha), x0),
+            resolvent,
+            resolvent.rows[0][1],
+        ]
+        # one value of each serializable type, the merged matrix classes included
+        assert {type(v) for v in values} == {kind for kind, _ in serialize._DUMPERS}
+        for v in values:
+            for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(twin) is type(v)
+                assert twin == v
+                assert dumps(twin) == dumps(v)
 
     def test_parse_input_reads_files(self, tmp_path):
         ctx = _ctx()

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from superband import serialize
 from superband.algebra import create_algebra
 from superband.errors import ContextError, NotInvertible, ParityError, ShapeError
 from superband.randgen import (
@@ -18,6 +19,8 @@ from superband.randgen import (
     random_supermatrix,
     random_supervector,
 )
+from superband.evolution import LaurentMatrix
+from superband.families import ParamSuperMatrix, ParamSuperVector
 from superband.supermatrix import (
     SuperMatrix,
     SuperVector,
@@ -256,6 +259,66 @@ class TestClassify:
         assert classify_reduction(_m11(ctx, z, xi1, z, one)) == "odd_reduced"
         assert classify_reduction(SuperMatrix.zero(ctx, 1, 1)) == "odd_reduced"
 
+
+class TestKindsStayApart:
+    """The three graded-matrix classes share one base but never mix."""
+
+    @staticmethod
+    def _kinds(ctx):
+        m = SuperMatrix.identity(ctx, 1, 1)
+        return {
+            SuperMatrix: m,
+            ParamSuperMatrix: ParamSuperMatrix.from_supermatrix(m),
+            LaurentMatrix: LaurentMatrix.from_supermatrix(m),
+        }
+
+    def test_mixed_arithmetic_raises_and_equality_is_false(self):
+        kinds = self._kinds(create_algebra(2))
+        for a in kinds.values():
+            for b in kinds.values():
+                if type(a) is type(b):
+                    assert a + b == a.scale(2) and a @ b == a
+                    continue
+                with pytest.raises(ShapeError):
+                    a + b
+                with pytest.raises(ShapeError):
+                    a - b
+                with pytest.raises(ShapeError):
+                    a @ b
+                if type(b) is not SuperMatrix:
+                    # a constant element lifts into every ring; other entries do not
+                    with pytest.raises(ShapeError):
+                        a.scale(b.rows[0][0])
+                assert a != b
+                assert not a == b
+
+    def test_foreign_entries_raise_shape_error(self):
+        ctx = create_algebra(2)
+        kinds = self._kinds(ctx)
+        for cls in kinds:
+            with pytest.raises(ShapeError):
+                cls(1, 1, [[1, 2], [3, 4]])
+        # each kind takes only its own entry ring
+        for cls in kinds:
+            for other in kinds.values():
+                if type(other) is not cls:
+                    with pytest.raises(ShapeError):
+                        cls(1, 1, other.rows)
+        for vec in (SuperVector, ParamSuperVector):
+            with pytest.raises(ShapeError):
+                vec([1], [2])
+
+    def test_each_kind_keeps_its_own_dumper(self):
+        dumpers = dict(serialize._DUMPERS)
+        kinds = self._kinds(create_algebra(2))
+        for cls, m in kinds.items():
+            assert serialize.to_obj(m) == dumpers[cls](m)
+        # only the bare-term-list forms carry "n", and only Laurent terms "iz"
+        assert set(serialize.to_obj(kinds[SuperMatrix])) == {"p", "q", "rows"}
+        for cls in (ParamSuperMatrix, LaurentMatrix):
+            assert set(serialize.to_obj(kinds[cls])) == {"n", "p", "q", "rows"}
+        assert "iz" in serialize.dumps(kinds[LaurentMatrix])
+        assert "iz" not in serialize.dumps(kinds[ParamSuperMatrix])
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
