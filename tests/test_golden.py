@@ -5,8 +5,9 @@ Each ``CASES`` file under ``tests/golden/`` is the exact stdout of one
 The verify report carries only pass flags, so the table (every named
 product), the annihilator basis, the resolvents (Laurent matrices and their
 defects) and the orbit (a parametric supervector) pin the arithmetic
-itself.  ``x0_n4.json`` is the orbit's input, not an output.  A rewrite
-must leave all of them unchanged.
+itself.  The ``help_*.txt`` files pin the parser: its wording, choices and
+defaults, wrapped at ``COLUMNS=80``.  ``x0_n4.json`` is the orbit's input,
+not an output.  A rewrite must leave all of them unchanged.
 """
 
 import os
@@ -52,6 +53,14 @@ CASES = {
         "orbit", "--x0", str(GOLDEN / "x0_n4.json"), "--family", "P",
         "--alpha", ALPHA, "--generators", "4", "--format", "json",
     ),
+    "help_main.txt": ("--help",),
+    **{
+        f"help_{command}.txt": (command, "--help")
+        for command in (
+            "verify", "table", "check-band", "analyze", "resolvent", "orbit",
+            "annihilator",
+        )
+    },
 }
 
 
@@ -59,6 +68,7 @@ CASES = {
 def test_stdout_matches_pin(name):
     env = dict(os.environ)
     env.pop("SUPERBAND_SEED", None)
+    env["COLUMNS"] = "80"
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
