@@ -9,7 +9,7 @@ families (band law, functional equation with first-derivative correction,
 differential equation with idempotent part orthogonal to the generator).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .algebra import annihilator_odd
@@ -109,16 +109,16 @@ def components_of(family: ParamSuperMatrix) -> ComponentList:
     return ComponentList(mats)
 
 
-@dataclass(frozen=True)
-class ComponentSystemReport:
+class ComponentSystemReport(
+    namedtuple("ComponentSystemReport", "holds failures")
+):
     """Truth of the band relation system on a component list.
 
     ``failures`` holds (relation, indices) pairs: ``k0_idempotent`` (),
     ``ki_square`` (i,), ``ki_k0`` (i,), ``k0_ki`` (i,) and ``ki_kj`` (i, j).
     """
 
-    holds: bool
-    failures: tuple
+    __slots__ = ()
 
 
 def band_component_system_check(components) -> ComponentSystemReport:
@@ -145,8 +145,9 @@ def band_component_system_check(components) -> ComponentSystemReport:
     return ComponentSystemReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(
+    namedtuple("FunctionalReport", "residual taylor_form matches")
+):
     """K(t+s) - K(t)K(s) next to its expected Taylor tail.
 
     For families satisfying the band relation system the residual equals
@@ -154,9 +155,7 @@ class FunctionalReport:
     exact equality of the two symbolic matrices.
     """
 
-    residual: ParamSuperMatrix
-    taylor_form: ParamSuperMatrix
-    matches: bool
+    __slots__ = ()
 
 
 def n_functional_residual(components) -> FunctionalReport:
@@ -192,8 +191,13 @@ def derivative_tail(components) -> ParamSuperMatrix:
     return acc
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(
+    namedtuple(
+        "EquivalenceReport",
+        "band functional differential differential_eq_only"
+        " k0_idempotent k0_orthogonal k1_square_zero k1_absorbs",
+    )
+):
     """The three descriptions of a degree-one family, with the component
     relations behind the differential one broken out.
 
@@ -203,14 +207,7 @@ class EquivalenceReport:
     (K1^2 = Z) and ``k1_absorbs`` (K1 K0 = K1), which are reported too.
     """
 
-    band: bool
-    functional: bool
-    differential: bool
-    differential_eq_only: bool
-    k0_idempotent: bool
-    k0_orthogonal: bool
-    k1_square_zero: bool
-    k1_absorbs: bool
+    __slots__ = ()
 
     @property
     def agree(self) -> bool:

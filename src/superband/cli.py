@@ -25,12 +25,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraContext, annihilator_odd, create_algebra
-from .analysis import (
-    band_component_system_check,
-    components_of,
-    equivalence_report,
-)
+from .algebra import MAX_GENERATORS, AlgebraContext, annihilator_odd, create_algebra
+from .config import FORMATS, SUITES, SuiteConfig
 from .errors import ConfigError, ParseError, SuperbandError
 from .evolution import (
     LaurentMatrix,
@@ -52,9 +48,8 @@ from .families import (
 from .poly import GrassmannPoly
 from .serialize import dumps, load_json, load_value, parse_input, to_obj
 from .supermatrix import SuperMatrix, SuperVector
-from .suites import FORMATS, MAX_GENERATORS, SUITES, SuiteConfig, render_text, run_suite
-
-from .gamma import band_pair_check, band_pair_components
+# suites, gamma and analysis are imported by the handlers that run them, so a
+# process compiles only the modules its subcommand needs.
 
 RESOLVENT_CHECKS = ("rrt", "rra")
 ANALYZE_REPORTS = ("equivalence", "components")
@@ -165,6 +160,8 @@ def _emit(text: str, out_path):
 
 
 def _cmd_verify(args):
+    from .suites import render_text, run_suite
+
     cfg = SuiteConfig(
         generators=args.generators,
         seed=_effective_seed(args),
@@ -248,6 +245,8 @@ def _table_text(alpha, report, passed) -> str:
 
 
 def _cmd_check_band(args):
+    from .gamma import band_pair_check, band_pair_components
+
     data = _read_json_file(args.in_path)
     if not isinstance(data, dict) or set(data) != {"first", "second"}:
         raise ParseError('check-band input must be {"first": ..., "second": ...}')
@@ -294,6 +293,8 @@ def _cmd_analyze(args):
 
 
 def _analyze_equivalence(fam):
+    from .analysis import components_of, equivalence_report
+
     rep = equivalence_report(fam, restrict_linear=False)
     comp = components_of(fam)
     k0, k1 = comp[0], comp.generator()
@@ -357,6 +358,8 @@ def _analyze_equivalence(fam):
 
 
 def _analyze_components(fam):
+    from .analysis import band_component_system_check, components_of
+
     comp = components_of(fam)
     sys_rep = band_component_system_check(comp)
     obj = {

@@ -1,0 +1,41 @@
+"""What ``superband verify`` accepts: suite names, report formats and the
+validated configuration record.
+
+Kept apart from ``suites`` so that the command-line parser can offer these
+choices without loading the suites themselves.
+"""
+
+from collections import namedtuple
+
+from .algebra import MAX_GENERATORS
+from .errors import ConfigError
+
+SUITES = ("algebra", "supermatrix", "gamma", "families", "analysis", "resolvent")
+FORMATS = ("text", "json")
+
+
+class SuiteConfig(
+    namedtuple(
+        "SuiteConfig",
+        "generators seed suite format samples",
+        defaults=(4, 0, "all", "text", 200),
+    )
+):
+    __slots__ = ()
+
+    def validate(self):
+        if not isinstance(self.generators, int) or not 1 <= self.generators <= MAX_GENERATORS:
+            raise ConfigError(
+                f"generators must be in 1..{MAX_GENERATORS}, got {self.generators!r}"
+            )
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.suite != "all" and self.suite not in SUITES:
+            raise ConfigError(
+                f"unknown suite {self.suite!r}; expected one of {('all',) + SUITES}"
+            )
+        if self.format not in FORMATS:
+            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
+        if not isinstance(self.samples, int) or self.samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {self.samples!r}")
+        return self

@@ -23,7 +23,7 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import GrassmannElement
@@ -321,8 +321,11 @@ KNOWN_TABLE_DISCREPANCIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CayleyReport:
+class CayleyReport(
+    namedtuple(
+        "CayleyReport", "operands computed reference discrepancies unmatched products"
+    )
+):
     """Result of multiplying the seven standard operands pairwise.
 
     ``computed`` maps (row_label, col_label) to the matched form label;
@@ -330,12 +333,7 @@ class CayleyReport:
     whose direct product contradicts the stored reference table.
     """
 
-    operands: tuple
-    computed: dict
-    reference: dict
-    discrepancies: tuple
-    unmatched: tuple
-    products: dict
+    __slots__ = ()
 
     @property
     def all_matched(self) -> bool:

@@ -13,7 +13,7 @@ chain products with the matching determinant ratio, and closure of
 one-parameter antitriangle families under multiplication.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .algebra import (
@@ -122,8 +122,9 @@ def gamma_membership(m: SuperMatrix, g: GammaSet, side: str = "left") -> bool:
     raise ConfigError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@dataclass(frozen=True)
-class StrongGammaReport:
+class StrongGammaReport(
+    namedtuple("StrongGammaReport", "is_strong semigroup_failures strong_failures")
+):
     """Outcome of the pairwise orthogonality check on a family.
 
     ``semigroup_failures`` lists ordered index pairs (i, j) with
@@ -131,9 +132,7 @@ class StrongGammaReport:
     ``strong_failures`` lists pairs with D_i G_j != 0.
     """
 
-    is_strong: bool
-    semigroup_failures: tuple
-    strong_failures: tuple
+    __slots__ = ()
 
 
 def strong_gamma_check(family) -> StrongGammaReport:
@@ -220,21 +219,21 @@ def idempotent_strong_check(m: SuperMatrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(
+    namedtuple(
+        "ChainReport",
+        "product closed_form matches_closed_form ber ber_formula ber_matches",
+    )
+):
     """Product of a chain against its closed antitriangle form.
 
-    ``ber`` is the berezinian of the product, ``ber_formula`` the ratio
+    ``product`` and ``closed_form`` are SuperMatrices.  ``ber`` is the
+    berezinian of the product, ``ber_formula`` the ratio
     -det(G1 W Dn) / det(B1 W Bn); either is None when the needed inverse
     does not exist, and ``ber_matches`` is None whenever one side is.
     """
 
-    product: SuperMatrix
-    closed_form: SuperMatrix
-    matches_closed_form: bool
-    ber: GrassmannElement | None
-    ber_formula: GrassmannElement | None
-    ber_matches: bool | None
+    __slots__ = ()
 
 
 def chain_product_verify(family) -> ChainReport:

@@ -194,9 +194,13 @@ class GrassmannPoly:
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannPoly):
-            if not isinstance(other, (GrassmannElement,) + _Rational):
+            if isinstance(other, GrassmannElement):
+                # an element of another algebra is unequal, not an error
+                other = GrassmannPoly.constant(other)
+            elif isinstance(other, _Rational):
+                other = GrassmannPoly.constant(self.ctx.scalar(other))
+            else:
                 return NotImplemented
-            other = self._coerce(other)
         return self.ctx is other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):

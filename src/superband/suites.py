@@ -10,7 +10,7 @@ byte-identical for identical configurations.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import annihilator_odd, create_algebra
@@ -22,7 +22,7 @@ from .analysis import (
     n_functional_residual,
     random_band_components,
 )
-from .errors import ConfigError
+from .config import SUITES, SuiteConfig
 from .evolution import (
     LaurentMatrix,
     LaurentScalar,
@@ -71,37 +71,7 @@ from .supermatrix import (
     classify_reduction,
 )
 
-SUITES = ("algebra", "supermatrix", "gamma", "families", "analysis", "resolvent")
-FORMATS = ("text", "json")
-MAX_GENERATORS = 16
-
 _SHAPES = ((1, 1), (1, 2), (2, 2))
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    generators: int = 4
-    seed: int = 0
-    suite: str = "all"
-    format: str = "text"
-    samples: int = 200
-
-    def validate(self):
-        if not isinstance(self.generators, int) or not 1 <= self.generators <= MAX_GENERATORS:
-            raise ConfigError(
-                f"generators must be in 1..{MAX_GENERATORS}, got {self.generators!r}"
-            )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.suite != "all" and self.suite not in SUITES:
-            raise ConfigError(
-                f"unknown suite {self.suite!r}; expected one of {('all',) + SUITES}"
-            )
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if not isinstance(self.samples, int) or self.samples < 1:
-            raise ConfigError(f"samples must be at least 1, got {self.samples!r}")
-        return self
 
 
 class _Battery:
@@ -492,9 +462,8 @@ _SUITE_FUNCS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExitReport:
-    report: dict
+class ExitReport(namedtuple("ExitReport", "report")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

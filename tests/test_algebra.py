@@ -430,5 +430,31 @@ class TestHashAgreesWithEquality:
         assert len({GrassmannPoly.term(xi, t=1), LaurentScalar.term(xi, iz=1), xi}) == 3
 
 
+class TestEqualityAcrossAlgebras:
+    @staticmethod
+    def _values(ctx):
+        """Zero, one and a generator as element, constant poly and Laurent scalar."""
+        out = []
+        for elem in (ctx.zero(), ctx.one(), ctx.gen(1)):
+            out += [elem, GrassmannPoly.constant(elem), LaurentScalar.constant(elem)]
+        return out
+
+    def test_values_of_different_algebras_are_unequal(self):
+        small, large = create_algebra(3), create_algebra(4)
+        for x in self._values(small):
+            for y in self._values(large):
+                # == is total: False both ways, never a ContextError
+                assert not x == y and not y == x, (x, y)
+                assert x != y and y != x, (x, y)
+
+    def test_same_algebra_counterparts_stay_equal(self):
+        ctx = create_algebra(3)
+        values = self._values(ctx)
+        for i in range(0, len(values), 3):
+            elem, poly, laurent = values[i:i + 3]
+            assert elem == poly and poly == elem
+            assert elem == laurent and laurent == elem
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -1,0 +1,127 @@
+"""What a ``superband`` process imports, and the records that replaced
+dataclasses.
+
+Each import check runs in a fresh interpreter, since this test session has
+long since loaded every module.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from superband.analysis import ComponentSystemReport, EquivalenceReport, FunctionalReport
+from superband.config import SuiteConfig
+from superband.errors import ConfigError
+from superband.families import CayleyReport
+from superband.gamma import ChainReport, StrongGammaReport
+from superband.suites import ExitReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: modules that only some subcommands need, and the stdlib module whose
+#: import drags in inspect, ast, dis and tokenize
+DEFERRED = ("superband.suites", "superband.gamma", "superband.analysis",
+            "superband.randgen", "dataclasses")
+
+
+def run_python(code):
+    env = dict(os.environ)
+    env.pop("SUPERBAND_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(code):
+    """The DEFERRED modules in sys.modules after running ``code``."""
+    out = run_python(
+        f"import sys\n{code}\n"
+        f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))"
+    )
+    return out.split()
+
+
+def test_cli_import_defers_subcommand_modules():
+    assert loaded_after("import superband.cli") == []
+
+
+def test_table_does_not_load_the_suites():
+    code = (
+        "import contextlib, io\n"
+        "from superband.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['table', '--generators', '3']) == 0"
+    )
+    assert "superband.suites" not in loaded_after(code)
+
+
+def test_every_export_resolves():
+    out = run_python(
+        "import superband\n"
+        "missing = [n for n in superband.__all__ if getattr(superband, n, None) is None]\n"
+        "assert not missing, missing\n"
+        "assert set(superband.__all__) <= set(dir(superband))\n"
+        "ns = {}\n"
+        "exec('from superband import *', ns)\n"
+        "assert set(superband.__all__) <= set(ns), set(superband.__all__) - set(ns)\n"
+        "from superband import serialize, linalg\n"
+        "assert serialize.dumps is superband.dumps\n"
+        "print(len(superband.__all__))"
+    )
+    assert int(out) > 50
+
+
+def test_unknown_name_raises_attribute_error():
+    import superband
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        superband.no_such_name
+    assert not hasattr(superband, "no_such_name")
+
+
+RECORDS = {
+    CayleyReport: ("operands", "computed", "reference", "discrepancies",
+                   "unmatched", "products"),
+    StrongGammaReport: ("is_strong", "semigroup_failures", "strong_failures"),
+    ChainReport: ("product", "closed_form", "matches_closed_form", "ber",
+                  "ber_formula", "ber_matches"),
+    ComponentSystemReport: ("holds", "failures"),
+    FunctionalReport: ("residual", "taylor_form", "matches"),
+    EquivalenceReport: ("band", "functional", "differential", "differential_eq_only",
+                        "k0_idempotent", "k0_orthogonal", "k1_square_zero",
+                        "k1_absorbs"),
+    SuiteConfig: ("generators", "seed", "suite", "format", "samples"),
+    ExitReport: ("report",),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_fields_equality_and_immutability(cls):
+    fields = RECORDS[cls]
+    assert cls._fields == fields
+    record = cls(*range(len(fields)))
+    assert record == cls(*range(len(fields)))
+    assert record != cls(*range(1, len(fields) + 1))
+    assert [getattr(record, f) for f in fields] == list(range(len(fields)))
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_suite_config_defaults_and_validation():
+    assert SuiteConfig() == SuiteConfig(
+        generators=4, seed=0, suite="all", format="text", samples=200
+    )
+    assert SuiteConfig(suite="gamma").validate() == SuiteConfig(suite="gamma")
+    for bad in ({"generators": 17}, {"seed": -1}, {"suite": "nope"},
+                {"format": "xml"}, {"samples": 0}):
+        with pytest.raises(ConfigError):
+            SuiteConfig(**bad).validate()
