@@ -376,6 +376,22 @@ class TestLaurentScalars:
             LaurentScalar.term(ctx.one()).rename("z", "u")
 
 
+    def test_repr_of_every_exponent_sign(self):
+        ctx = _ctx()
+        x = LaurentScalar(ctx, {
+            (0, -1): ctx.one(),
+            (-2, 0): ctx.scalar(-2),
+            (1, 2): ctx.gen(1) + ctx.gen(2) * ctx.gen(3),
+            (0, 0): ctx.scalar(3),
+            (2, -3): ctx.gen(2),
+        })
+        assert repr(x) == (
+            "(-2)*z^2 + (1)*w + (3) + (xi1 + xi2*xi3)/z/w^2 + (xi2)/z^2*w^3"
+        )
+        assert str(x) == repr(x)
+        assert repr(LaurentScalar.zero(ctx)) == "0"
+
+
 class TestLaurentMatrices:
     def test_grading_enforced(self):
         ctx = _ctx()

@@ -6,8 +6,10 @@ The verify report carries only pass flags, so the table (every named
 product), the annihilator basis, the resolvents (Laurent matrices and their
 defects) and the orbit (a parametric supervector) pin the arithmetic
 itself.  The ``help_*.txt`` files pin the parser: its wording, choices and
-defaults, wrapped at ``COLUMNS=80``.  ``x0_n4.json`` is the orbit's input,
-not an output.  A rewrite must leave all of them unchanged.
+defaults, wrapped at ``COLUMNS=80``.  The ``.txt`` resolvent and orbit
+reports pin how Laurent scalars and polynomials print.  ``x0_n4.json`` is
+the orbit's input, not an output.  A rewrite must leave all of them
+unchanged.
 """
 
 import os
@@ -25,6 +27,10 @@ ALPHA = "xi1 + xi2*xi3*xi4"
 CASES = {
     "verify_all_n4_seed42.json": (
         "verify", "--suite", "all", "--seed", "42", "--generators", "4",
+        "--format", "json",
+    ),
+    "verify_all_n5_seed7.json": (
+        "verify", "--suite", "all", "--generators", "5", "--seed", "7",
         "--format", "json",
     ),
     "table_n4.json": (
@@ -52,6 +58,19 @@ CASES = {
     "orbit_P_n4.json": (
         "orbit", "--x0", str(GOLDEN / "x0_n4.json"), "--family", "P",
         "--alpha", ALPHA, "--generators", "4", "--format", "json",
+    ),
+    # the text reports print the Laurent entries' repr and the orbit's str
+    "resolvent_T_rrt_n4.txt": (
+        "resolvent", "--family", "T", "--alpha", ALPHA, "--generators", "4",
+        "--check", "rrt",
+    ),
+    "resolvent_P_rra_n4.txt": (
+        "resolvent", "--family", "P", "--alpha", ALPHA, "--generators", "4",
+        "--check", "rra",
+    ),
+    "orbit_P_n4.txt": (
+        "orbit", "--x0", str(GOLDEN / "x0_n4.json"), "--family", "P",
+        "--alpha", ALPHA, "--generators", "4",
     ),
     "help_main.txt": ("--help",),
     **{

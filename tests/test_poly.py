@@ -63,6 +63,20 @@ class TestBasics:
         assert GrassmannPoly.zero(ctx).is_even()
 
 
+    def test_str_and_repr(self):
+        ctx = create_algebra(3)
+        p = (
+            GrassmannPoly.term(ctx.gen(1), t=2, s=1)
+            + GrassmannPoly.term(ctx.scalar(-1), s=3)
+            + GrassmannPoly.constant(ctx.scalar(2))
+            + GrassmannPoly.term(ctx.gen(2), t=1)
+        )
+        assert str(p) == "(2) + (-1)*s^3 + (xi2)*t + (xi1)*t^2*s"
+        assert repr(p) == f"<poly {p}>"
+        assert str(GrassmannPoly.zero(ctx)) == "0"
+        assert repr(GrassmannPoly.zero(ctx)) == "<poly 0>"
+
+
 class TestRingLaws:
     def test_associative_distributive(self):
         rng = random.Random(3)
