@@ -33,7 +33,7 @@ _EXPORTS = {
         ("config", "SuiteConfig"),
         ("errors", "ConfigError ContextError ParityError ParseError ShapeError"
                    " SuperbandError"),
-        ("evolution", "LaurentMatrix LaurentScalar cauchy_defect"
+        ("evolution", "LaurentMatrix cauchy_defect"
                       " commutativity_obstruction laplace moving_time_check orbit"
                       " resolvent_defect"),
         ("families", "FAMILY_KINDS ParamSuperMatrix ParamSuperVector"
@@ -45,7 +45,7 @@ _EXPORTS = {
                   " chain_product_verify closure_check gamma_membership"
                   " idempotent_strong_check random_strong_family"
                   " strong_gamma_check"),
-        ("poly", "GrassmannPoly"),
+        ("poly", "GrassmannPoly LaurentScalar"),
         ("serialize", "dumps load_value loads parse_input to_obj"),
         ("suites", "run_suite"),
         ("supermatrix", "SuperMatrix SuperVector berezinian"),

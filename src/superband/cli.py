@@ -30,7 +30,6 @@ from .config import FORMATS, SUITES, SuiteConfig
 from .errors import ConfigError, ParseError, SuperbandError
 from .evolution import (
     LaurentMatrix,
-    LaurentScalar,
     cauchy_defect,
     laplace,
     moving_time_check,
@@ -45,7 +44,7 @@ from .families import (
     generator_of,
     make_family,
 )
-from .poly import GrassmannPoly
+from .poly import GrassmannPoly, LaurentScalar
 from .serialize import dumps, load_json, load_value, parse_input, to_obj
 from .supermatrix import SuperMatrix, SuperVector
 # suites, gamma and analysis are imported by the handlers that run them, so a

@@ -5,173 +5,18 @@ together with the defect of the first-order evolution equation it solves and
 the translational / moving-time classification of the family.  Resolvents
 are handled as formal Laplace images: the rule  t^m -> m!/z^(m+1)  is taken
 as the definition.  The resulting LaurentMatrix is the graded matrix of
-``supermatrix`` over a tiny Laurent algebra in the two central variables z
-and w, exact enough to verify the resolvent difference identities term by
-term.
+``supermatrix`` over the LaurentScalar sums of ``poly`` in the two central
+variables z and w, exact enough to verify the resolvent difference
+identities term by term.
 """
 
-from fractions import Fraction
 from math import factorial
 
 from .algebra import GrassmannElement
 from .errors import ConfigError, ContextError, ParityError, ShapeError
 from .families import ParamSuperMatrix, ParamSuperVector, generator_of
-from .poly import GrassmannPoly
+from .poly import GrassmannPoly, LaurentScalar
 from .supermatrix import GradedMatrix, SuperVector
-
-_Rational = (int, Fraction)
-_LAURENT_VARS = ("z", "w")
-
-
-class LaurentScalar:
-    """A finite sum of terms c * z^(-iz) * w^(-iw) with Grassmann
-    coefficients.
-
-    Keys store the inverse exponents, so (2, 0) is 1/z^2; negative keys mean
-    positive powers, e.g. the bare variable w is the key (0, -1).
-    """
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        clean = {}
-        for key, c in terms.items():
-            iz, iw = key
-            if not (isinstance(iz, int) and isinstance(iw, int)):
-                raise ConfigError(f"exponent keys must be integers, got {key!r}")
-            if not isinstance(c, GrassmannElement):
-                raise ConfigError("coefficients must be GrassmannElements")
-            if c.ctx != ctx:
-                raise ContextError("coefficients from different algebras")
-            if not c.is_zero():
-                clean[(iz, iw)] = c
-        self.ctx = ctx
-        self.terms = clean
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, {})
-
-    @classmethod
-    def term(cls, value: GrassmannElement, iz: int = 0, iw: int = 0):
-        return cls(value.ctx, {(iz, iw): value})
-
-    @classmethod
-    def constant(cls, value: GrassmannElement):
-        return cls.term(value)
-
-    # -- basics --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, iz: int = 0, iw: int = 0) -> GrassmannElement:
-        return self.terms.get((iz, iw), self.ctx.zero())
-
-    def is_even(self) -> bool:
-        return all(c.is_even() for c in self.terms.values())
-
-    def is_odd(self) -> bool:
-        return all(c.is_odd() for c in self.terms.values())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def rename(self, src: str = "z", dst: str = "w") -> "LaurentScalar":
-        """Move every power of src onto dst (exponents merge)."""
-        if src not in _LAURENT_VARS or dst not in _LAURENT_VARS:
-            raise ConfigError(f"variables are {_LAURENT_VARS}")
-        if src == dst:
-            return self
-        out = {}
-        for (iz, iw), c in self.terms.items():
-            key = (0, iz + iw) if dst == "w" else (iz + iw, 0)
-            out[key] = out.get(key, self.ctx.zero()) + c
-        return LaurentScalar(self.ctx, out)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentScalar):
-            if other.ctx != self.ctx:
-                raise ContextError("scalars from different algebras")
-            return other
-        if isinstance(other, GrassmannElement):
-            return LaurentScalar.constant(other)
-        if isinstance(other, _Rational):
-            return LaurentScalar.constant(self.ctx.scalar(other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, self.ctx.zero()) + c
-        return LaurentScalar(self.ctx, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentScalar(self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for (az, aw), c in self.terms.items():
-            for (bz, bw), d in other.terms.items():
-                key = (az + bz, aw + bw)
-                prod = c * d
-                out[key] = out.get(key, self.ctx.zero()) + prod
-        return LaurentScalar(self.ctx, out)
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentScalar):
-            if not isinstance(other, (GrassmannElement,) + _Rational):
-                return False
-            other = self._coerce(other)
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        # a constant equals its element, so it hashes like one
-        if not self.terms.keys() - {(0, 0)}:
-            return hash(self.coefficient())
-        return hash((self.ctx, tuple(self.sorted_terms())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-
-        def power(name, i):
-            if i == 0:
-                return ""
-            if i == 1:
-                return f"/{name}"
-            if i > 0:
-                return f"/{name}^{i}"
-            return f"*{name}^{-i}" if i != -1 else f"*{name}"
-
-        bits = []
-        for (iz, iw), c in self.sorted_terms():
-            bits.append(f"({c}){power('z', iz)}{power('w', iw)}")
-        return " + ".join(bits)
 
 
 class LaurentMatrix(GradedMatrix):
@@ -182,11 +27,6 @@ class LaurentMatrix(GradedMatrix):
 
     _entry = LaurentScalar
     _constant = staticmethod(LaurentScalar.constant)
-
-    def rename(self, src: str = "z", dst: str = "w") -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.p, self.q, [[x.rename(src, dst) for x in row] for row in self.rows]
-        )
 
 
 # -- orbits ------------------------------------------------------------
@@ -256,7 +96,7 @@ def laplace(family: ParamSuperMatrix) -> LaurentMatrix:
         out = []
         for poly in row:
             terms = {}
-            for (mt, _), c in poly.coeffs.items():
+            for (mt, _), c in poly.terms.items():
                 terms[(mt + 1, 0)] = c * factorial(mt)
             out.append(LaurentScalar(ctx, terms))
         rows.append(out)

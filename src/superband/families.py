@@ -78,12 +78,6 @@ class ParamSuperMatrix(GradedMatrix):
     def substitute(self, var: str, replacement: GrassmannPoly):
         return self.map_entries(lambda x: x.substitute(var, replacement))
 
-    def rename(self, src: str, dst: str):
-        # renaming moves exponents and keeps every coefficient
-        return self._graded(
-            self.p, self.q, [[x.rename(src, dst) for x in row] for row in self.rows]
-        )
-
     def eval_at(self, assignment: dict) -> SuperMatrix:
         return SuperMatrix(
             self.p,

@@ -1,125 +1,148 @@
-"""Polynomials in the formal central parameters t and s with Grassmann
-coefficients.
+"""Sparse polynomials in two central variables with Grassmann coefficients.
 
-The parameters commute with everything (they model real time values), so a
-polynomial is just a dict mapping the exponent pair (et, es) to a nonzero
-GrassmannElement.  Exponents are capped per variable to catch runaway
-symbolic composition early; the cap is high enough for every flow in this
-package (degree-8 component families and the order-8 smoothing chain).
+The variables commute with everything (they model real time values), so a
+value is just a dict mapping an exponent pair to a nonzero
+GrassmannElement.  SparsePoly holds the storage, the checks and the ring
+arithmetic once, and each sibling subclass fixes the variables and the
+exponent policy:
+
+    GrassmannPoly   polynomials in t and s, exponents 0..MAX_VAR_DEGREE
+    LaurentScalar   Laurent sums in z and w, any integer inverse exponent
+
+The degree cap of GrassmannPoly catches runaway symbolic composition early;
+it is high enough for every flow in this package (degree-8 component
+families and the order-8 smoothing chain).  The two kinds never mix in
+arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from .algebra import AlgebraContext, GrassmannElement
 from .errors import ConfigError, ContextError, ParityError
 
-VARS = ("t", "s")
 MAX_VAR_DEGREE = 9
 
 _Rational = (int, Fraction)
+_CONSTANT = (0, 0)
 
 
-def _check_key(key):
-    et, es = key
-    if et < 0 or es < 0:
-        raise ConfigError(f"negative exponent in {key!r}")
-    if et > MAX_VAR_DEGREE or es > MAX_VAR_DEGREE:
-        raise ConfigError(
-            f"degree cap {MAX_VAR_DEGREE} per parameter exceeded by t^{et} s^{es}"
-        )
+def _raised(op, name, e):
+    """``op`` name^e for e >= 0, printing nothing for e = 0 and no ^1."""
+    if e == 0:
+        return ""
+    return f"{op}{name}" if e == 1 else f"{op}{name}^{e}"
 
 
-class GrassmannPoly:
-    """Canonical sparse polynomial in t and s over one Grassmann algebra."""
+class SparsePoly:
+    """A canonical sparse sum of c * monomial over one Grassmann algebra,
+    keyed by exponent pairs; see the module docstring for the kinds."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: AlgebraContext, coeffs: dict):
+    #: the two variable names, the names of their exponents in ``term``,
+    #: ``coefficient`` and the JSON form, and the inclusive exponent bounds;
+    #: a subclass also sets ``_power(name, e)``, how one variable prints
+    VARS = None
+    KEYWORDS = None
+    BOUNDS = None
+
+    def __init__(self, ctx: AlgebraContext, terms: dict):
+        clean = {}
+        for key, c in terms.items():
+            self._check_key(key)
+            if not isinstance(c, GrassmannElement):
+                raise ConfigError("coefficients must be GrassmannElements")
+            if c.ctx is not ctx:
+                raise ContextError("coefficients from different algebras")
+            if c.terms:
+                clean[key] = c
         _set_ctx(self, ctx)
-        _set_coeffs(self, coeffs)
+        _set_terms(self, clean)
+
+    @classmethod
+    def _check_key(cls, key):
+        if not (
+            type(key) is tuple and len(key) == 2
+            and all(type(e) is int for e in key)
+        ):
+            raise ConfigError(f"exponent keys must be pairs of integers, got {key!r}")
+        lo, hi = cls.BOUNDS
+        if not (lo <= key[0] <= hi and lo <= key[1] <= hi):
+            (a, ea), (b, eb) = zip(cls.VARS, key)
+            raise ConfigError(
+                f"exponents of {cls.__name__} must lie in {lo}..{hi},"
+                f" got {a}^{ea} {b}^{eb}"
+            )
+
+    @classmethod
+    def _key(cls, exponents, named):
+        """The exponent pair given to ``term`` or ``coefficient``: up to two
+        exponents by position or by the names in KEYWORDS, 0 when left out."""
+        key = dict(zip(cls.KEYWORDS, exponents))
+        if len(exponents) > 2 or any(k in key or k not in cls.KEYWORDS for k in named):
+            raise TypeError(
+                f"expected the exponents {', '.join(cls.KEYWORDS)}, by position or"
+                f" keyword, got {exponents!r} and {sorted(named)}"
+            )
+        key.update(named)
+        return tuple(key.get(k, 0) for k in cls.KEYWORDS)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GrassmannPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return GrassmannPoly, (self.ctx, self.coeffs)
+        return type(self), (self.ctx, self.terms)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def constant(cls, value: GrassmannElement):
-        if value.is_zero():
-            return cls(value.ctx, {})
-        return cls(value.ctx, {(0, 0): value})
-
-    @classmethod
     def zero(cls, ctx):
-        return cls(ctx, {})
+        return _canonical(cls, ctx, {})
 
     @classmethod
-    def term(cls, value: GrassmannElement, t: int = 0, s: int = 0):
-        _check_key((t, s))
-        if value.is_zero():
-            return cls(value.ctx, {})
-        return cls(value.ctx, {(t, s): value})
+    def constant(cls, value: GrassmannElement):
+        return _canonical(cls, value.ctx, {_CONSTANT: value} if value.terms else {})
 
     @classmethod
-    def variable(cls, ctx, var: str):
-        if var not in VARS:
-            raise ConfigError(f"unknown parameter {var!r}, expected one of {VARS}")
-        key = (1, 0) if var == "t" else (0, 1)
-        return cls(ctx, {key: ctx.one()})
+    def term(cls, value: GrassmannElement, *exponents, **named):
+        """value times the monomial with the given exponents."""
+        return cls(value.ctx, {cls._key(exponents, named): value})
 
     # -- basics --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
-    def coefficient(self, t: int = 0, s: int = 0) -> GrassmannElement:
-        return self.coeffs.get((t, s), self.ctx.zero())
-
-    def variables(self):
-        used = set()
-        for et, es in self.coeffs:
-            if et:
-                used.add("t")
-            if es:
-                used.add("s")
-        return used
-
-    def degree(self, var: str) -> int:
-        i = VARS.index(var)
-        return max((k[i] for k in self.coeffs), default=0)
+    def coefficient(self, *exponents, **named) -> GrassmannElement:
+        return self.terms.get(self._key(exponents, named), self.ctx.zero())
 
     def is_even(self) -> bool:
-        return all(c.is_even() for c in self.coeffs.values())
+        return all(c.is_even() for c in self.terms.values())
 
     def is_odd(self) -> bool:
-        return all(c.is_odd() for c in self.coeffs.values())
+        return all(c.is_odd() for c in self.terms.values())
 
     def sorted_terms(self):
-        return sorted(self.coeffs.items())
+        return sorted(self.terms.items())
 
     def _coerce(self, other):
-        if isinstance(other, GrassmannPoly):
-            if other.ctx != self.ctx:
-                raise ContextError("polynomials over different algebras")
+        if type(other) is type(self):
+            if other.ctx is not self.ctx:
+                raise ContextError(f"{type(self).__name__} values over different algebras")
             return other
         if isinstance(other, GrassmannElement):
-            return GrassmannPoly.constant(self._coerce_elem(other))
+            if other.ctx is not self.ctx:
+                raise ContextError("element from a different algebra")
+            return self.constant(other)
         if isinstance(other, _Rational):
-            return GrassmannPoly.constant(self.ctx.scalar(other))
+            return self.constant(self.ctx.scalar(other))
         return None
-
-    def _coerce_elem(self, elem):
-        if elem.ctx != self.ctx:
-            raise ContextError("element from a different algebra")
-        return elem
 
     # -- ring operations ----------------------------------------------
 
@@ -127,20 +150,20 @@ class GrassmannPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        coeffs = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            acc = coeffs.get(key)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = terms.get(key)
             total = c if acc is None else acc + c
-            if total.is_zero():
-                coeffs.pop(key, None)
+            if total.terms:
+                terms[key] = total
             else:
-                coeffs[key] = total
-        return GrassmannPoly(self.ctx, coeffs)
+                del terms[key]
+        return _canonical(type(self), self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannPoly(self.ctx, {k: -c for k, c in self.coeffs.items()})
+        return _canonical(type(self), self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -158,25 +181,26 @@ class GrassmannPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.terms, other.terms
         if not a or not b:
-            return GrassmannPoly(self.ctx, {})
-        coeffs = {}
-        for (ta, sa), ca in a.items():
-            for (tb, sb), cb in b.items():
-                key = et, es = ta + tb, sa + sb
-                if not (0 <= et <= MAX_VAR_DEGREE and 0 <= es <= MAX_VAR_DEGREE):
-                    _check_key(key)
+            return _canonical(type(self), self.ctx, {})
+        lo, hi = self.BOUNDS
+        terms = {}
+        for (ea, fa), ca in a.items():
+            for (eb, fb), cb in b.items():
+                key = e, f = ea + eb, fa + fb
+                if not (lo <= e <= hi and lo <= f <= hi):
+                    self._check_key(key)
                 c = ca * cb
-                if c.is_zero():
+                if not c.terms:
                     continue
-                acc = coeffs.get(key)
+                acc = terms.get(key)
                 total = c if acc is None else acc + c
-                if total.is_zero():
-                    coeffs.pop(key, None)
+                if total.terms:
+                    terms[key] = total
                 else:
-                    coeffs[key] = total
-        return GrassmannPoly(self.ctx, coeffs)
+                    del terms[key]
+        return _canonical(type(self), self.ctx, terms)
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -187,66 +211,142 @@ class GrassmannPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ConfigError(f"powers must be nonnegative integers, got {k!r}")
-        acc = GrassmannPoly.constant(self.ctx.one())
+        acc = self.constant(self.ctx.one())
         for _ in range(k):
             acc = acc * self
         return acc
 
+    def _is_constant(self):
+        return not self.terms.keys() - {_CONSTANT}
+
     def __eq__(self, other):
-        if not isinstance(other, GrassmannPoly):
-            if isinstance(other, GrassmannElement):
+        if type(other) is not type(self):
+            if isinstance(other, SparsePoly):
+                # constants of two kinds both equal their element, so they
+                # equal each other; nothing else crosses kinds
+                if not (self._is_constant() and other._is_constant()):
+                    return False
+            elif isinstance(other, GrassmannElement):
                 # an element of another algebra is unequal, not an error
-                other = GrassmannPoly.constant(other)
+                other = self.constant(other)
             elif isinstance(other, _Rational):
-                other = GrassmannPoly.constant(self.ctx.scalar(other))
+                other = self.constant(self.ctx.scalar(other))
             else:
                 return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its element, so it hashes like one
-        if not self.coeffs.keys() - {(0, 0)}:
-            return hash(self.coefficient())
+        if self._is_constant():
+            return hash(self.terms.get(_CONSTANT, self.ctx.zero()))
         return hash((self.ctx, tuple(self.sorted_terms())))
+
+    # -- display -------------------------------------------------------
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({c})" + "".join(self._power(v, e) for v, e in zip(self.VARS, key))
+            for key, c in self.sorted_terms()
+        )
+
+    __repr__ = __str__
+
+
+# the slot setters, which bypass the immutability guard in __setattr__
+_set_ctx = SparsePoly.ctx.__set__
+_set_terms = SparsePoly.terms.__set__
+_new = object.__new__
+
+
+def _canonical(cls, ctx, terms):
+    """A ``cls`` value around ``terms`` without checking them.
+
+    Only for keys within the kind's bounds and nonzero coefficients of
+    ``ctx``: results of arithmetic on values of one kind and algebra.
+    Everything else goes through the validating constructor.  A plain
+    function, since this is the hot path of every product.
+    """
+    x = _new(cls)
+    _set_ctx(x, ctx)
+    _set_terms(x, terms)
+    return x
+
+
+class GrassmannPoly(SparsePoly):
+    """Canonical sparse polynomial in t and s over one Grassmann algebra."""
+
+    __slots__ = ()
+
+    VARS = KEYWORDS = ("t", "s")
+    BOUNDS = (0, MAX_VAR_DEGREE)
+
+    @staticmethod
+    def _power(name, e):
+        return _raised("*", name, e)
+
+    def __repr__(self):
+        return f"<poly {self}>"
+
+    @classmethod
+    def variable(cls, ctx, var: str):
+        if var not in cls.VARS:
+            raise ConfigError(f"unknown parameter {var!r}, expected one of {cls.VARS}")
+        key = (1, 0) if var == "t" else (0, 1)
+        return _canonical(cls, ctx, {key: ctx.one()})
+
+    def variables(self):
+        used = set()
+        for et, es in self.terms:
+            if et:
+                used.add("t")
+            if es:
+                used.add("s")
+        return used
+
+    def degree(self, var: str) -> int:
+        i = self.VARS.index(var)
+        return max((k[i] for k in self.terms), default=0)
 
     # -- calculus and substitution ------------------------------------
 
     def derivative(self, var: str = "t") -> "GrassmannPoly":
-        i = VARS.index(var)
-        coeffs = {}
-        for key, c in self.coeffs.items():
+        i = self.VARS.index(var)
+        terms = {}
+        for key, c in self.terms.items():
             e = key[i]
             if e == 0:
                 continue
             new = list(key)
             new[i] = e - 1
-            coeffs[tuple(new)] = c * e
-        return GrassmannPoly(self.ctx, coeffs)
+            terms[tuple(new)] = c * e
+        return _canonical(type(self), self.ctx, terms)
 
     def integrate(self, var: str = "t") -> "GrassmannPoly":
         """Antiderivative with zero constant term (integral from 0)."""
-        i = VARS.index(var)
-        coeffs = {}
-        for key, c in self.coeffs.items():
+        i = self.VARS.index(var)
+        terms = {}
+        for key, c in self.terms.items():
             new = list(key)
             new[i] = key[i] + 1
-            _check_key(tuple(new))
-            coeffs[tuple(new)] = c * Fraction(1, new[i])
-        return GrassmannPoly(self.ctx, coeffs)
+            terms[tuple(new)] = c * Fraction(1, new[i])
+        # the constructor enforces the degree cap
+        return GrassmannPoly(self.ctx, terms)
 
     def substitute(self, var: str, replacement: "GrassmannPoly") -> "GrassmannPoly":
         """Replace ``var`` by a polynomial (e.g. t -> t+s or t -> t/2)."""
-        i = VARS.index(var)
+        i = self.VARS.index(var)
         replacement = self._coerce(replacement)
         out = GrassmannPoly.zero(self.ctx)
         powers = {0: GrassmannPoly.constant(self.ctx.one())}
-        for key, c in self.coeffs.items():
+        for key, c in self.terms.items():
             e = key[i]
             if e not in powers:
                 powers[e] = replacement ** e
             rest = list(key)
             rest[i] = 0
-            out = out + GrassmannPoly(self.ctx, {tuple(rest): c}) * powers[e]
+            out = out + _canonical(type(self), self.ctx, {tuple(rest): c}) * powers[e]
         return out
 
     def rename(self, src: str, dst: str) -> "GrassmannPoly":
@@ -255,15 +355,15 @@ class GrassmannPoly:
             return self
         if dst in self.variables():
             raise ConfigError(f"cannot rename {src}->{dst}: {dst} already occurs")
-        if dst not in VARS:
-            raise ConfigError(f"unknown parameter {dst!r}, expected one of {VARS}")
-        i = VARS.index(src)
+        if dst not in self.VARS:
+            raise ConfigError(f"unknown parameter {dst!r}, expected one of {self.VARS}")
+        i = self.VARS.index(src)
         # dst does not occur, so every exponent of src moves onto dst as is
         if i == 0:
-            coeffs = {(0, key[0]): c for key, c in self.coeffs.items()}
+            terms = {(0, key[0]): c for key, c in self.terms.items()}
         else:
-            coeffs = {(key[1], 0): c for key, c in self.coeffs.items()}
-        return GrassmannPoly(self.ctx, coeffs)
+            terms = {(key[1], 0): c for key, c in self.terms.items()}
+        return _canonical(type(self), self.ctx, terms)
 
     def eval_at(self, assignment: dict) -> GrassmannElement:
         """Evaluate with even (or rational) values for every occurring parameter."""
@@ -272,15 +372,16 @@ class GrassmannPoly:
             if var not in assignment:
                 raise ConfigError(f"no value supplied for parameter {var!r}")
         for var, raw in assignment.items():
-            if var not in VARS:
+            if var not in self.VARS:
                 raise ConfigError(f"unknown parameter {var!r}")
             value = raw if isinstance(raw, GrassmannElement) else self.ctx.scalar(raw)
-            value = self._coerce_elem(value)
+            if value.ctx is not self.ctx:
+                raise ContextError("element from a different algebra")
             if not value.is_even():
                 raise ParityError(f"parameter {var} must take an even value, got {value}")
             values[var] = value
         acc = self.ctx.zero()
-        for (et, es), c in self.coeffs.items():
+        for (et, es), c in self.terms.items():
             term = c
             if et:
                 term = term * values["t"] ** et
@@ -289,24 +390,33 @@ class GrassmannPoly:
             acc = acc + term
         return acc
 
-    # -- display -------------------------------------------------------
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        frags = []
-        for (et, es), c in self.sorted_terms():
-            mono = "".join(
-                f"*{v}^{e}" if e > 1 else (f"*{v}" if e == 1 else "")
-                for v, e in (("t", et), ("s", es))
-            )
-            frags.append(f"({c}){mono}")
-        return " + ".join(frags)
+class LaurentScalar(SparsePoly):
+    """A finite sum of terms c * z^(-iz) * w^(-iw) with Grassmann
+    coefficients.
 
-    def __repr__(self):
-        return f"<poly {self}>"
+    Keys store the inverse exponents, so (2, 0) is 1/z^2; negative keys mean
+    positive powers, e.g. the bare variable w is the key (0, -1).
+    """
 
+    __slots__ = ()
 
-# the slot setters, which bypass the immutability guard in __setattr__
-_set_ctx = GrassmannPoly.ctx.__set__
-_set_coeffs = GrassmannPoly.coeffs.__set__
+    VARS = ("z", "w")
+    KEYWORDS = ("iz", "iw")
+    BOUNDS = (-inf, inf)
+
+    @staticmethod
+    def _power(name, i):
+        return _raised("/", name, i) if i > 0 else _raised("*", name, -i)
+
+    def rename(self, src: str = "z", dst: str = "w") -> "LaurentScalar":
+        """Move every power of src onto dst (exponents merge)."""
+        if src not in self.VARS or dst not in self.VARS:
+            raise ConfigError(f"variables are {self.VARS}")
+        if src == dst:
+            return self
+        out = {}
+        for (iz, iw), c in self.terms.items():
+            key = (0, iz + iw) if dst == "w" else (iz + iw, 0)
+            out[key] = out.get(key, self.ctx.zero()) + c
+        return LaurentScalar(self.ctx, out)

@@ -2,10 +2,13 @@
 
 Dumps are canonical: object keys sorted, compact separators, and term lists
 in their natural order (monomials in tuple order, polynomial terms by
-(t, s) degree, Laurent terms by inverse exponent).  The parser accepts
-exactly the canonical shape — wrong key sets, unsorted or duplicated terms,
-and malformed rationals raise ParseError — while parity, shape, and
-algebra-mismatch violations surface as the constructing module's own errors.
+(t, s) degree, Laurent terms by inverse exponent).  Polynomials and Laurent
+values share one term-list form, {"c": element, <exponent names>}, with the
+names and bounds of their kind: "t", "s" in 0..MAX_VAR_DEGREE, or "iz",
+"iw" of any integer value.  The parser accepts exactly the canonical shape
+— wrong key sets, unsorted or duplicated terms, and malformed rationals
+raise ParseError — while parity, shape, and algebra-mismatch violations
+surface as the constructing module's own errors.
 
 An element is {"n": 3, "terms": [{"idx": [1, 2], "c": "-1/2"}]} with
 rationals as strings.  A constant supermatrix is {"p", "q", "rows"} with
@@ -22,9 +25,9 @@ from functools import lru_cache
 
 from .algebra import GrassmannElement, create_algebra
 from .errors import ConfigError, ParseError
-from .evolution import LaurentMatrix, LaurentScalar
+from .evolution import LaurentMatrix
 from .families import ParamSuperMatrix, ParamSuperVector
-from .poly import MAX_VAR_DEGREE, GrassmannPoly
+from .poly import GrassmannPoly, LaurentScalar
 from .supermatrix import SuperMatrix, SuperVector
 
 # ---------------------------------------------------------------------------
@@ -204,32 +207,50 @@ def load_supervector(obj) -> SuperVector:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in t and s
+# term lists: polynomials in t and s, Laurent values in z and w
 # ---------------------------------------------------------------------------
 
 
-def dump_poly(poly: GrassmannPoly) -> list:
+def _dump_terms(x) -> list:
+    """The term list of a GrassmannPoly or LaurentScalar, each term keyed by
+    the kind's exponent names."""
+    a, b = x.KEYWORDS
     return [
-        {"c": dump_element(c), "s": es, "t": et}
-        for (et, es), c in poly.sorted_terms()
+        {"c": dump_element(c), a: ea, b: eb} for (ea, eb), c in x.sorted_terms()
     ]
 
 
-def load_poly(entries, ctx) -> GrassmannPoly:
-    out = GrassmannPoly.zero(ctx)
+def _load_terms(entries, ctx, cls, what, noun):
+    """Inverse of _dump_terms: exponents within ``cls.BOUNDS``, terms strictly
+    ascending; ``what`` names the list and ``noun`` its terms in errors."""
+    a, b = cls.KEYWORDS
+    lo, hi = cls.BOUNDS
+    terms = {}
     previous = None
-    for entry in _list(entries, "polynomial"):
-        _require_keys(entry, ("c", "s", "t"), "polynomial term")
-        et = _int(entry["t"], "t exponent", minimum=0, maximum=MAX_VAR_DEGREE)
-        es = _int(entry["s"], "s exponent", minimum=0, maximum=MAX_VAR_DEGREE)
-        if previous is not None and (et, es) <= previous:
+    for entry in _list(entries, what):
+        _require_keys(entry, ("c", a, b), f"{noun} term")
+        ea = _int(entry[a], f"{a} exponent", minimum=lo, maximum=hi)
+        eb = _int(entry[b], f"{b} exponent", minimum=lo, maximum=hi)
+        if previous is not None and (ea, eb) <= previous:
             raise ParseError(
-                f"polynomial terms must be strictly ascending by (t, s);"
-                f" ({et}, {es}) repeats or precedes an earlier term"
+                f"{noun} terms must be strictly ascending by ({a}, {b});"
+                f" ({ea}, {eb}) repeats or precedes an earlier term"
             )
-        previous = (et, es)
-        out = out + GrassmannPoly.term(load_element(entry["c"]), t=et, s=es)
-    return out
+        previous = (ea, eb)
+        terms[previous] = load_element(entry["c"])
+    return cls(ctx, terms)
+
+
+# each value carries its kind, so one dumper serves both
+dump_poly = dump_laurent_scalar = _dump_terms
+
+
+def load_poly(entries, ctx) -> GrassmannPoly:
+    return _load_terms(entries, ctx, GrassmannPoly, "polynomial", "polynomial")
+
+
+def load_laurent_scalar(entries, ctx) -> LaurentScalar:
+    return _load_terms(entries, ctx, LaurentScalar, "Laurent scalar", "Laurent")
 
 
 def dump_param_matrix(m: ParamSuperMatrix) -> dict:
@@ -255,35 +276,6 @@ def load_param_supervector(obj) -> ParamSuperVector:
         [load_poly(x, ctx) for x in _list(obj["even"], "even slots")],
         [load_poly(x, ctx) for x in _list(obj["odd"], "odd slots")],
     )
-
-
-# ---------------------------------------------------------------------------
-# Laurent values
-# ---------------------------------------------------------------------------
-
-
-def dump_laurent_scalar(x: LaurentScalar) -> list:
-    return [
-        {"c": dump_element(c), "iw": iw, "iz": iz}
-        for (iz, iw), c in x.sorted_terms()
-    ]
-
-
-def load_laurent_scalar(entries, ctx) -> LaurentScalar:
-    terms = {}
-    previous = None
-    for entry in _list(entries, "Laurent scalar"):
-        _require_keys(entry, ("c", "iw", "iz"), "Laurent term")
-        iz = _int(entry["iz"], "iz exponent")
-        iw = _int(entry["iw"], "iw exponent")
-        if previous is not None and (iz, iw) <= previous:
-            raise ParseError(
-                f"Laurent terms must be strictly ascending by (iz, iw);"
-                f" ({iz}, {iw}) repeats or precedes an earlier term"
-            )
-        previous = (iz, iw)
-        terms[(iz, iw)] = load_element(entry["c"])
-    return LaurentScalar(ctx, terms)
 
 
 def dump_laurent_matrix(m: LaurentMatrix) -> dict:

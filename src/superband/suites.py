@@ -25,7 +25,6 @@ from .analysis import (
 from .config import SUITES, SuiteConfig
 from .evolution import (
     LaurentMatrix,
-    LaurentScalar,
     cauchy_defect,
     commutativity_obstruction,
     laplace,
@@ -54,7 +53,7 @@ from .gamma import (
     random_strong_family,
     strong_gamma_check,
 )
-from .poly import GrassmannPoly
+from .poly import GrassmannPoly, LaurentScalar
 from .randgen import (
     random_element,
     random_nonzero_odd,

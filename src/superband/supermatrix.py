@@ -9,15 +9,16 @@ which is the grading of an even morphism; the constructor rejects anything
 else with ParityError.  GradedMatrix holds the shape, the grading check and
 the arithmetic once, and each sibling subclass fixes the entry ring:
 
-    SuperMatrix        GrassmannElement constants (this module)
-    ParamSuperMatrix   GrassmannPoly in t and s (families)
-    LaurentMatrix      LaurentScalar in z and w (evolution)
+    matrix class       defined in    entries
+    SuperMatrix        supermatrix   GrassmannElement constants
+    ParamSuperMatrix   families      GrassmannPoly in t and s
+    LaurentMatrix      evolution     LaurentScalar in z and w
 
-A polynomial or Laurent entry is graded coefficientwise.  Arithmetic and
-equality need two matrices of one class, so the kinds never mix.  A
-GradedVector holds p even coordinates followed by q odd ones, matching what
-these matrices act on: SuperVector for constants, ParamSuperVector for
-polynomials.
+GrassmannPoly and LaurentScalar are the two kinds of poly.SparsePoly; such
+an entry is graded coefficientwise.  Arithmetic and equality need two
+matrices of one class, so the kinds never mix.  A GradedVector holds p even
+coordinates followed by q odd ones, matching what these matrices act on:
+SuperVector for constants, ParamSuperVector for polynomials.
 
 The Berezinian is computed from the Schur complement,
 Ber M = det(A - Gamma B^-1 Delta) / det B, which needs the body of det B to
@@ -300,6 +301,15 @@ class GradedMatrix:
         if isinstance(factor, (self._entry, GrassmannElement) + _Rational):
             return self.scale(factor)
         return NotImplemented
+
+    def rename(self, src: str, dst: str):
+        """Rename variable ``src`` to ``dst`` in every polynomial or Laurent
+        entry, by each entry's own ``rename``."""
+        # renaming moves or merges exponents; each merged coefficient is a
+        # sum of coefficients of one parity, so the grading holds
+        return self._graded(
+            self.p, self.q, [[x.rename(src, dst) for x in row] for row in self.rows]
+        )
 
     def apply(self, vec: GradedVector) -> GradedVector:
         """Matrix action on a supervector, of constants or of this ring."""

@@ -429,6 +429,22 @@ class TestHashAgreesWithEquality:
         assert GrassmannPoly.term(xi, t=1) != xi
         assert len({GrassmannPoly.term(xi, t=1), LaurentScalar.term(xi, iz=1), xi}) == 3
 
+    def test_constants_of_both_kinds_are_equal(self):
+        ctx = create_algebra(3)
+        # each constant equals its element, so == stays transitive across
+        # the two polynomial kinds; non-constant values stay apart
+        for elem in (ctx.gen(1), ctx.zero(), ctx.scalar(Fraction(-3, 2))):
+            poly, laurent = GrassmannPoly.constant(elem), LaurentScalar.constant(elem)
+            assert poly == laurent and laurent == poly
+            assert not poly != laurent and not laurent != poly
+            assert hash(poly) == hash(laurent) == hash(elem)
+            assert len({poly, laurent, elem}) == 1
+        xi = ctx.gen(1)
+        assert GrassmannPoly.constant(xi) != LaurentScalar.constant(ctx.gen(2))
+        assert GrassmannPoly.term(xi, t=1) != LaurentScalar.term(xi, iz=1)
+        assert LaurentScalar.term(xi, iz=1) != GrassmannPoly.term(xi, t=1)
+        assert GrassmannPoly.constant(xi) != LaurentScalar.term(xi, iz=1)
+
 
 class TestEqualityAcrossAlgebras:
     @staticmethod

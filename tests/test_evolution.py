@@ -376,6 +376,35 @@ class TestLaurentScalars:
             LaurentScalar.term(ctx.one()).rename("z", "u")
 
 
+    def test_immutable(self):
+        ctx = _ctx()
+        x = LaurentScalar.term(ctx.gen(1), iz=1)
+        with pytest.raises(AttributeError):
+            x.ctx = None
+        with pytest.raises(AttributeError):
+            x.terms = {}
+        assert x == LaurentScalar.term(ctx.gen(1), iz=1)
+
+    def test_reflected_subtraction_and_powers(self):
+        ctx = _ctx()
+        e = ctx.gen(1)
+        inv_z = LaurentScalar.term(e, iz=1)
+        assert 1 - inv_z == LaurentScalar(ctx, {(0, 0): ctx.one(), (1, 0): -e})
+        assert ctx.one() - inv_z == 1 - inv_z
+        w_minus_z = LaurentScalar(ctx, {(0, -1): ctx.one(), (-1, 0): -ctx.one()})
+        assert w_minus_z ** 0 == LaurentScalar.constant(ctx.one())
+        assert w_minus_z ** 3 == w_minus_z * w_minus_z * w_minus_z
+        assert inv_z ** 2 == 0  # an odd coefficient squares to zero
+        with pytest.raises(ConfigError):
+            inv_z ** -1
+
+    def test_equality_with_foreign_types_is_not_implemented(self):
+        ctx = _ctx()
+        x = LaurentScalar.term(ctx.one(), iz=1)
+        assert x.__eq__("1/z") is NotImplemented
+        assert x.__eq__(None) is NotImplemented
+        assert x != "1/z"
+
     def test_repr_of_every_exponent_sign(self):
         ctx = _ctx()
         x = LaurentScalar(ctx, {

@@ -1,4 +1,5 @@
-"""GrassmannPoly arithmetic, calculus, and substitution."""
+"""GrassmannPoly and LaurentScalar arithmetic; GrassmannPoly calculus and
+substitution."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from superband.algebra import create_algebra
-from superband.errors import ConfigError, ParityError
-from superband.poly import MAX_VAR_DEGREE, GrassmannPoly
+from superband.errors import ConfigError, ContextError, ParityError
+from superband.poly import MAX_VAR_DEGREE, GrassmannPoly, LaurentScalar
 from superband.randgen import random_element
 
 
@@ -62,7 +63,6 @@ class TestBasics:
         assert odd.is_odd() and not odd.is_even()
         assert GrassmannPoly.zero(ctx).is_even()
 
-
     def test_str_and_repr(self):
         ctx = create_algebra(3)
         p = (
@@ -75,6 +75,40 @@ class TestBasics:
         assert repr(p) == f"<poly {p}>"
         assert str(GrassmannPoly.zero(ctx)) == "0"
         assert repr(GrassmannPoly.zero(ctx)) == "<poly 0>"
+
+
+class TestConstructor:
+    def test_zero_coefficients_are_dropped(self):
+        ctx = create_algebra(3)
+        p = GrassmannPoly(ctx, {(0, 0): ctx.zero(), (1, 0): ctx.gen(1)})
+        assert list(p.terms) == [(1, 0)]
+        assert GrassmannPoly(ctx, {(0, 0): ctx.zero()}) == GrassmannPoly.zero(ctx)
+
+    @pytest.mark.parametrize("key", [
+        (MAX_VAR_DEGREE + 3, 0), (0, MAX_VAR_DEGREE + 1), (-1, 0), (1.5, 0),
+        (1,), (0, 0, 0), "ts",
+    ])
+    def test_bad_keys_refused(self, key):
+        ctx = create_algebra(3)
+        with pytest.raises(ConfigError):
+            GrassmannPoly(ctx, {key: ctx.one()})
+
+    def test_bad_coefficients_refused(self):
+        ctx = create_algebra(3)
+        with pytest.raises(ConfigError):
+            GrassmannPoly(ctx, {(0, 0): 1})
+        with pytest.raises(ContextError):
+            GrassmannPoly(ctx, {(0, 0): create_algebra(4).one()})
+
+    def test_exponents_by_position_or_keyword(self):
+        ctx = create_algebra(2)
+        p = GrassmannPoly.term(ctx.gen(1), 2, s=1)
+        assert p == GrassmannPoly.term(ctx.gen(1), t=2, s=1)
+        assert p.coefficient(2, 1) == p.coefficient(s=1, t=2) == ctx.gen(1)
+        assert p.coefficient() == ctx.zero()
+        for args, named in (((1, 2, 3), {}), ((1,), {"t": 1}), ((), {"iz": 1})):
+            with pytest.raises(TypeError):
+                GrassmannPoly.term(ctx.one(), *args, **named)
 
 
 class TestRingLaws:
@@ -92,6 +126,81 @@ class TestRingLaws:
         s = GrassmannPoly.variable(ctx, "s")
         assert (t + s) ** 2 == t * t + 2 * t * s + s * s
         assert (t + s) ** 0 == 1
+
+
+def _oracle_product(left, right):
+    """The product of two ``sorted_terms()`` lists by the schoolbook rule:
+    every pair of terms multiplies its coefficients in order and adds its
+    exponent pairs; the nonzero sums come back as a sorted term list.  It
+    shares no code with the polynomial classes."""
+    sums = {}
+    for (a1, b1), c in left:
+        for (a2, b2), d in right:
+            key = (a1 + a2, b1 + b2)
+            sums[key] = sums[key] + c * d if key in sums else c * d
+    return sorted((key, c) for key, c in sums.items() if not c.is_zero())
+
+
+class TestProductOracle:
+    KINDS = (
+        (GrassmannPoly, range(0, 5)),
+        (LaurentScalar, range(-3, 4)),
+    )
+
+    @staticmethod
+    def _random(rng, ctx, cls, exponents):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            key = (rng.choice(exponents), rng.choice(exponents))
+            terms[key] = random_element(rng, ctx, max_terms=3)
+        return cls(ctx, terms)
+
+    @pytest.mark.parametrize("cls, exponents", KINDS)
+    def test_random_products(self, cls, exponents):
+        rng = random.Random(20)
+        zeros = 0
+        for _ in range(150):
+            ctx = create_algebra(rng.randint(1, 4))
+            x, y = (self._random(rng, ctx, cls, exponents) for _ in range(2))
+            product = x * y
+            assert type(product) is cls
+            assert product.sorted_terms() == _oracle_product(
+                x.sorted_terms(), y.sorted_terms()
+            )
+            zeros += product.is_zero()
+        assert zeros  # the sample includes empty and cancelling products
+
+    @pytest.mark.parametrize("cls, exponents", KINDS)
+    def test_products_that_cancel(self, cls, exponents):
+        ctx = create_algebra(3)
+        a, b = ctx.gen(1), ctx.gen(2)
+        # (xi1 + xi2)(xi1 + xi2) t: two nonzero term products cancel
+        x = cls(ctx, {(0, 0): a + b})
+        y = cls(ctx, {(1, 0): a, (0, 1): b, (1, 1): b})
+        z = cls(ctx, {(1, 0): a + b})
+        assert _oracle_product(x.sorted_terms(), z.sorted_terms()) == []
+        assert (x * z).is_zero() and (x * z).terms == {}
+        assert (x * y).sorted_terms() == _oracle_product(
+            x.sorted_terms(), y.sorted_terms()
+        )
+        # an odd coefficient times itself vanishes in every term
+        odd = cls(ctx, {(1, 2): a, (2, 0): a})
+        assert (odd * odd).is_zero()
+
+    def test_degree_cap_on_products(self):
+        ctx = create_algebra(3)
+        high = GrassmannPoly.term(ctx.one(), t=MAX_VAR_DEGREE - 2)
+        assert (high * GrassmannPoly.term(ctx.one(), t=2)).coefficient(
+            t=MAX_VAR_DEGREE
+        ) == ctx.one()
+        for t, s in ((3, 0), (0, MAX_VAR_DEGREE + 1)):
+            with pytest.raises(ConfigError):
+                high * GrassmannPoly.term(ctx.gen(1), t=t, s=s)
+        with pytest.raises(ConfigError):
+            GrassmannPoly.term(ctx.one(), s=5) ** 2
+        # Laurent exponents have no cap
+        big = LaurentScalar.term(ctx.one(), iz=MAX_VAR_DEGREE, iw=-MAX_VAR_DEGREE)
+        assert (big * big).coefficient(2 * MAX_VAR_DEGREE, -2 * MAX_VAR_DEGREE) == ctx.one()
 
 
 class TestCalculus:
