@@ -238,6 +238,10 @@ class GrassmannElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for idx, c in other.terms.items():
             prev = terms.get(idx)
@@ -274,7 +278,7 @@ class GrassmannElement:
             return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
-            return GrassmannElement(self.ctx, {})
+            return self.ctx._zero
         if len(b) == 1 and () in b:
             return self._scaled(b[()])
         if len(a) == 1 and () in a:
@@ -396,9 +400,6 @@ class GrassmannElement:
             if not len(idx) & 1:
                 return False
         return True
-
-    def max_degree(self) -> int:
-        return max((len(idx) for idx in self.terms), default=0)
 
     # -- inversion and nilpotency -------------------------------------
 

@@ -236,11 +236,11 @@ def equivalence_report(
     s = GrassmannPoly.variable(c.ctx, "s")
     shifted = family.substitute("t", t + s)
     other = family.rename("t", "s")
-    band = family @ other == family
-    functional = shifted == family @ other + family.derivative("t").scale(s)
-    diff_only = (
-        family.derivative("t") == ParamSuperMatrix.from_supermatrix(k1) @ family
-    )
+    product = family @ other
+    derivative = family.derivative("t")
+    band = product == family
+    functional = shifted == product + derivative.scale(s)
+    diff_only = derivative == ParamSuperMatrix.from_supermatrix(k1) @ family
     k0_idem = k0 @ k0 == k0
     k0_orth = k0 @ k1 == zero
     return EquivalenceReport(
@@ -264,9 +264,11 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
     and is killed by it from the left.
     """
     seeds = [random_nonzero_odd(rng, ctx)]
-    if not annihilator_odd(seeds, ctx).dim:
+    span = annihilator_odd(seeds, ctx)
+    if not span.dim:
         seeds = [ctx.gen(1)]
-    ann = annihilator_odd(seeds, ctx).basis
+        span = annihilator_odd(seeds, ctx)
+    ann = span.basis
 
     def span_combo():
         acc = ctx.zero()

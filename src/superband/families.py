@@ -333,10 +333,6 @@ class CayleyReport(
     def all_matched(self) -> bool:
         return not self.unmatched
 
-    @property
-    def matches_reference(self) -> bool:
-        return not self.discrepancies
-
 
 def standard_operands(alpha: GrassmannElement):
     """The seven table operands, each in its own display parameter."""

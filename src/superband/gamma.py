@@ -24,7 +24,13 @@ from .algebra import (
 )
 from .errors import ConfigError, ContextError, NotInvertible, ParityError, ShapeError
 from .poly import GrassmannPoly
-from .randgen import random_coeff, random_element, random_even_invertible, random_nonzero_odd
+from .randgen import (
+    _body_det,
+    _random_terms,
+    random_coeff,
+    random_even_invertible,
+    random_nonzero_odd,
+)
 from .supermatrix import SuperMatrix, _grid_mul, berezinian, det_even
 
 CLOSURE_MENU = ("t", "s", "t+s", "t*s")
@@ -318,13 +324,11 @@ def _combination(rng, ctx, basis):
 
 
 def _random_invertible_even_grid(rng, ctx, q):
+    pool = ctx.even_monomials()
     for _ in range(40):
-        grid = [
-            [random_element(rng, ctx, parity="even", max_terms=2) for _ in range(q)]
-            for _ in range(q)
-        ]
-        if det_even(grid).body() != 0:
-            return grid
+        grid = [[_random_terms(rng, pool, 2) for _ in range(q)] for _ in range(q)]
+        if _body_det(grid):
+            return [[GrassmannElement(ctx, terms) for terms in row] for row in grid]
     return [
         [random_even_invertible(rng, ctx) if i == j else ctx.zero() for j in range(q)]
         for i in range(q)

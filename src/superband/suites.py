@@ -7,9 +7,20 @@ only if it held on every instance; the first counterexample is kept in the
 same JSON form the command line accepts, so failures can be replayed through
 ``parse_input``.  Reports carry no timing, which keeps the JSON output
 byte-identical for identical configurations.
+
+``run_suite`` with ``suite="all"`` spreads the six suites over the CPUs this
+process may run on (``os.sched_getaffinity``): it forks one helper per
+further CPU, and each process claims the next suite until none is left.
+Since every suite has its own generator, the report is byte-identical to a
+run on one CPU; the CPU time of a run can exceed its wall time.  With one
+CPU, without ``os.fork``, or for a single suite, everything runs in the
+calling process.
 """
 
+import os
+import pickle
 import random
+import signal
 from collections import namedtuple
 from fractions import Fraction
 
@@ -473,21 +484,101 @@ class ExitReport(namedtuple("ExitReport", "report")):
         return 0 if self.passed else 1
 
 
+def _checks(cfg, name):
+    return _SUITE_FUNCS[name](cfg, random.Random(f"{cfg.seed}:{name}"))
+
+
+def _claim(cfg, names, claims):
+    """Run the suites whose indices this process reads from ``claims``.
+
+    Each byte of the pipe is one index, and a read of one byte hands it to
+    exactly one reader.  Claiming stops when the pipe is empty or a suite
+    raises; a suite that raised is left out of ``{index: checks}``.
+    """
+    done = {}
+    while True:
+        byte = os.read(claims, 1)
+        if not byte:
+            return done
+        try:
+            done[byte[0]] = _checks(cfg, names[byte[0]])
+        except Exception:
+            return done
+
+
+def _helper_count(suites):
+    """Helpers to fork besides this process: one per further CPU, if any."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 0
+    return min(len(os.sched_getaffinity(0)), suites) - 1
+
+
+def _helper(cfg, names, claims, out):
+    """Body of a forked helper: claim suites, pickle ``{index: checks}`` to
+    ``out``, and leave with ``os._exit`` whatever happens."""
+    code = 1
+    try:
+        done = _claim(cfg, names, claims)
+        with os.fdopen(out, "wb") as f:
+            pickle.dump(done, f, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _all_checks(cfg, names):
+    """The checks of every named suite, in order, computed on up to one
+    process per available CPU.
+
+    Each suite draws only from its own seeded generator, so which process
+    runs it changes no byte.  Helpers are forked after every import, from a
+    process that starts no thread.  A suite that a helper does not report
+    (it raised, or the helper died) runs again here, in order, so the first
+    failing suite raises exactly as in a sequential run.
+    """
+    claims, feed = os.pipe()
+    os.write(feed, bytes(range(len(names))))
+    os.close(feed)
+    helpers = {}  # pid -> read end of the helper's result pipe
+    sent, status = {}, {}
+    try:
+        for _ in range(_helper_count(len(names))):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: claim the rest here
+                os.close(out_r)
+                os.close(out_w)
+                break
+            if not pid:
+                _helper(cfg, names, claims, out_w)
+            os.close(out_w)
+            helpers[pid] = out_r
+        done = _claim(cfg, names, claims)
+        for pid, out_r in helpers.items():
+            with open(out_r, "rb", closefd=False) as f:
+                sent[pid] = f.read()
+    finally:
+        os.close(claims)
+        for pid, out_r in helpers.items():
+            os.close(out_r)
+            if pid not in sent:
+                os.kill(pid, signal.SIGKILL)
+            status[pid] = os.waitpid(pid, 0)[1]
+    for pid, data in sent.items():
+        if status[pid] == 0:
+            done.update(pickle.loads(data))
+    return [done[i] if i in done else _checks(cfg, name) for i, name in enumerate(names)]
+
+
 def run_suite(cfg: SuiteConfig) -> ExitReport:
     """Run the configured suite(s) and assemble the deterministic report."""
     cfg.validate()
     names = SUITES if cfg.suite == "all" else (cfg.suite,)
-    suites_out = []
-    for name in names:
-        rng = random.Random(f"{cfg.seed}:{name}")
-        checks = _SUITE_FUNCS[name](cfg, rng)
-        suites_out.append(
-            {
-                "checks": checks,
-                "name": name,
-                "passed": all(c["passed"] for c in checks),
-            }
-        )
+    suites_out = [
+        {"checks": checks, "name": name, "passed": all(c["passed"] for c in checks)}
+        for name, checks in zip(names, _all_checks(cfg, names))
+    ]
     report = {
         "config": {
             "generators": cfg.generators,
