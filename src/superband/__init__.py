@@ -30,13 +30,13 @@ _EXPORTS = {
         ("analysis", "ComponentList band_component_system_check components_of"
                      " derivative_tail equivalence_report n_differential_defect"
                      " n_functional_residual random_band_components"),
-        ("config", "SuiteConfig"),
+        ("config", "FAMILY_KINDS SuiteConfig"),
         ("errors", "ConfigError ContextError ParityError ParseError ShapeError"
                    " SuperbandError"),
         ("evolution", "LaurentMatrix cauchy_defect"
                       " commutativity_obstruction laplace moving_time_check orbit"
                       " resolvent_defect"),
-        ("families", "FAMILY_KINDS ParamSuperMatrix ParamSuperVector"
+        ("families", "ParamSuperMatrix ParamSuperVector"
                      " cayley_table_verify commutator differential_sequence"
                      " generator_of make_family matrix_exp_nilpotent"
                      " nilpotent_time_commute_check rectangular_band_element"

@@ -14,9 +14,9 @@ from math import comb
 
 from .algebra import annihilator_odd
 from .errors import ConfigError, ContextError, ShapeError
-from .families import ParamSuperMatrix
+from .families import ParamSuperMatrix, functional_residual
 from .poly import GrassmannPoly
-from .randgen import random_coeff, random_nonzero_odd
+from .randgen import random_combination, random_nonzero_odd
 from .supermatrix import SuperMatrix
 
 MAX_COMPONENT_DEGREE = 8
@@ -160,10 +160,7 @@ class FunctionalReport(
 
 def n_functional_residual(components) -> FunctionalReport:
     c = _as_components(components)
-    fam = c.family("t")
-    t = GrassmannPoly.variable(c.ctx, "t")
-    s = GrassmannPoly.variable(c.ctx, "s")
-    residual = fam.substitute("t", t + s) - fam @ fam.rename("t", "s")
+    residual = functional_residual(c.family("t"))
     n = c.degree
     taylor = ParamSuperMatrix.zero(c.ctx, c[0].p, c[0].q)
     for m in range(1, n + 1):
@@ -264,42 +261,24 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
     and is killed by it from the left.
     """
     seeds = [random_nonzero_odd(rng, ctx)]
-    span = annihilator_odd(seeds, ctx)
-    if not span.dim:
+    ann = annihilator_odd(seeds, ctx)
+    if not ann.dim:
         seeds = [ctx.gen(1)]
-        span = annihilator_odd(seeds, ctx)
-    ann = span.basis
-
-    def span_combo():
-        acc = ctx.zero()
-        for v in seeds:
-            acc = acc + v * random_coeff(rng)
-        return acc
-
-    def ann_combo():
-        acc = ctx.zero()
-        for v in ann:
-            acc = acc + v * random_coeff(rng)
-        return acc
-
+        ann = annihilator_odd(seeds, ctx)
     zero_pp = [[ctx.zero()] * p for _ in range(p)]
     zero_qp = [[ctx.zero()] * p for _ in range(q)]
     zero_qq = [[ctx.zero()] * q for _ in range(q)]
     eye = [[ctx.one() if i == j else ctx.zero() for j in range(q)] for i in range(q)]
+    def combos(vectors, rows, cols):
+        return [[random_combination(rng, ctx, vectors) for _ in range(cols)]
+                for _ in range(rows)]
+
     k0 = SuperMatrix.from_blocks(
-        zero_pp,
-        [[span_combo() for _ in range(q)] for _ in range(p)],
-        [[ann_combo() for _ in range(p)] for _ in range(q)],
-        eye,
+        zero_pp, combos(seeds, p, q), combos(ann.basis, q, p), eye
     )
     mats = [k0]
     for _ in range(degree):
         mats.append(
-            SuperMatrix.from_blocks(
-                zero_pp,
-                [[span_combo() for _ in range(q)] for _ in range(p)],
-                zero_qp,
-                zero_qq,
-            )
+            SuperMatrix.from_blocks(zero_pp, combos(seeds, p, q), zero_qp, zero_qq)
         )
     return ComponentList(mats)

@@ -26,29 +26,12 @@ import sys
 from fractions import Fraction
 
 from .algebra import MAX_GENERATORS, AlgebraContext, annihilator_odd, create_algebra
-from .config import FORMATS, SUITES, SuiteConfig
+from .config import FAMILY_KINDS, FORMATS, SUITES, SuiteConfig
 from .errors import ConfigError, ParseError, SuperbandError
-from .evolution import (
-    LaurentMatrix,
-    cauchy_defect,
-    laplace,
-    moving_time_check,
-    orbit,
-    resolvent_defect,
-)
-from .families import (
-    FAMILY_KINDS,
-    KNOWN_TABLE_DISCREPANCIES,
-    ParamSuperMatrix,
-    cayley_table_verify,
-    generator_of,
-    make_family,
-)
-from .poly import GrassmannPoly, LaurentScalar
 from .serialize import dumps, load_json, load_value, parse_input, to_obj
-from .supermatrix import SuperMatrix, SuperVector
-# suites, gamma and analysis are imported by the handlers that run them, so a
-# process compiles only the modules its subcommand needs.
+# every other module (supermatrix, poly, families, evolution, suites, gamma,
+# analysis) is imported by the handlers that use it, so a process compiles
+# only the modules its subcommand needs.
 
 RESOLVENT_CHECKS = ("rrt", "rra")
 ANALYZE_REPORTS = ("equivalence", "components")
@@ -128,9 +111,12 @@ def _read_json_file(path: str):
         return load_json(fh.read())
 
 
-def _family_from_arg(args) -> ParamSuperMatrix:
-    """--family accepts a named kind (built over --generators with --alpha)
-    or a path to a serialized family."""
+def _family_from_arg(args):
+    """The ParamSuperMatrix that --family names: a named kind (built over
+    --generators with --alpha) or a path to a serialized family."""
+    from .families import ParamSuperMatrix, make_family
+    from .supermatrix import SuperMatrix
+
     name = args.family
     if name in FAMILY_KINDS:
         ctx = create_algebra(args.generators)
@@ -176,6 +162,8 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
+    from .families import KNOWN_TABLE_DISCREPANCIES, cayley_table_verify
+
     ctx = create_algebra(args.generators)
     alpha = parse_alpha(args.alpha, ctx)
     report = cayley_table_verify(alpha)
@@ -245,6 +233,7 @@ def _table_text(alpha, report, passed) -> str:
 
 def _cmd_check_band(args):
     from .gamma import band_pair_check, band_pair_components
+    from .supermatrix import SuperMatrix
 
     data = _read_json_file(args.in_path)
     if not isinstance(data, dict) or set(data) != {"first", "second"}:
@@ -281,6 +270,9 @@ def _cmd_check_band(args):
 
 
 def _cmd_analyze(args):
+    from .families import ParamSuperMatrix
+    from .supermatrix import SuperMatrix
+
     fam = parse_input(args.family)
     if isinstance(fam, SuperMatrix):
         fam = ParamSuperMatrix.from_supermatrix(fam)
@@ -293,6 +285,8 @@ def _cmd_analyze(args):
 
 def _analyze_equivalence(fam):
     from .analysis import components_of, equivalence_report
+    from .families import ParamSuperMatrix
+    from .poly import GrassmannPoly
 
     rep = equivalence_report(fam, restrict_linear=False)
     comp = components_of(fam)
@@ -386,6 +380,10 @@ def _analyze_components(fam):
 
 
 def _cmd_resolvent(args):
+    from .evolution import LaurentMatrix, laplace, resolvent_defect
+    from .families import generator_of
+    from .poly import LaurentScalar
+
     fam = _family_from_arg(args)
     ctx = fam.ctx
     r = laplace(fam)
@@ -424,6 +422,10 @@ def _cmd_resolvent(args):
 
 
 def _cmd_orbit(args):
+    from .evolution import cauchy_defect, moving_time_check, orbit
+    from .families import make_family
+    from .supermatrix import SuperVector
+
     x0 = parse_input(args.x0)
     if not isinstance(x0, SuperVector):
         raise ParseError(f"{args.x0}: expected a supervector")

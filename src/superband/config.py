@@ -1,8 +1,8 @@
-"""What ``superband verify`` accepts: suite names, report formats and the
-validated configuration record.
+"""What the command line accepts: suite names, report formats, the
+validated ``verify`` configuration record and the named family kinds.
 
-Kept apart from ``suites`` so that the command-line parser can offer these
-choices without loading the suites themselves.
+Kept apart from ``suites`` and ``families`` so that the command-line parser
+can offer these choices without loading those modules.
 """
 
 from collections import namedtuple
@@ -12,6 +12,7 @@ from .errors import ConfigError
 
 SUITES = ("algebra", "supermatrix", "gamma", "families", "analysis", "resolvent")
 FORMATS = ("text", "json")
+FAMILY_KINDS = ("P", "Q", "Y", "E", "T", "A", "Z")
 
 
 class SuiteConfig(

@@ -27,11 +27,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import GrassmannElement
+from .config import FAMILY_KINDS
 from .errors import ConfigError, ContextError, ParityError
 from .poly import GrassmannPoly
 from .supermatrix import GradedMatrix, GradedVector, SuperMatrix
-
-FAMILY_KINDS = ("P", "Q", "Y", "E", "T", "A", "Z")
 
 
 class ParamSuperVector(GradedVector):

@@ -27,7 +27,7 @@ from .poly import GrassmannPoly
 from .randgen import (
     _body_det,
     _random_terms,
-    random_coeff,
+    random_combination,
     random_even_invertible,
     random_nonzero_odd,
 )
@@ -316,13 +316,6 @@ def closure_check(family) -> bool:
     return closure_witness(family) is not None
 
 
-def _combination(rng, ctx, basis):
-    acc = ctx.zero()
-    for b in basis:
-        acc = acc + b * random_coeff(rng)
-    return acc
-
-
 def _random_invertible_even_grid(rng, ctx, q):
     pool = ctx.even_monomials()
     for _ in range(40):
@@ -355,8 +348,10 @@ def random_strong_family(rng, ctx, p=1, q=1, length=3, span_size=None):
         ann = annihilator_odd(seeds, ctx)
     matrices = []
     for _ in range(length):
-        gamma = [[_combination(rng, ctx, seeds) for _ in range(q)] for _ in range(p)]
-        delta = [[_combination(rng, ctx, ann.basis) for _ in range(p)] for _ in range(q)]
+        gamma = [[random_combination(rng, ctx, seeds) for _ in range(q)]
+                 for _ in range(p)]
+        delta = [[random_combination(rng, ctx, ann.basis) for _ in range(p)]
+                 for _ in range(q)]
         matrices.append(
             SuperMatrix.from_blocks(
                 [[ctx.zero()] * p for _ in range(p)],

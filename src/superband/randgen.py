@@ -2,30 +2,104 @@
 
 Everything takes an explicit ``random.Random`` so a fixed seed reproduces the
 exact same sample stream; nothing here touches the global RNG state.
+
+The draws of ``random_coeff`` and of every element's terms come straight
+from ``rng.getrandbits`` but mirror ``random.Random`` call for call: a
+bounded integer follows ``Random._randbelow`` (draw ``n.bit_length()`` bits,
+redraw while the result is at least ``n``) and a subset follows the two
+branches of ``Random.sample``.  The stream, and so every seeded output, is
+the one that ``randint`` and ``sample`` would give, without their three
+Python frames per integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, log
 
 from .algebra import AlgebraContext, GrassmannElement
 from .supermatrix import SuperMatrix, SuperVector, _det
 
-#: every value random_coeff draws, keyed by (numerator, denominator); the
-#: values are immutable, so each draw can share one
-_COEFFS = {(a, b): Fraction(a, b) for a in range(-4, 5) for b in range(1, 4)}
+#: every value random_coeff draws, as _COEFFS[a + 4][b - 1] for
+#: ``randint(-4, 4)`` then ``randint(1, 3)``; the values are immutable, so
+#: each draw can share one
+_COEFFS = tuple(tuple(Fraction(a, b) for b in range(1, 4)) for a in range(-4, 5))
+
+
+def _coeff(bits):
+    """``random_coeff`` on the generator whose ``getrandbits`` is ``bits``."""
+    a = bits(4)
+    while a >= 9:
+        a = bits(4)
+    b = bits(2)
+    while b == 3:
+        b = bits(2)
+    return _COEFFS[a][b]
 
 
 def random_coeff(rng):
-    return _COEFFS[rng.randint(-4, 4), rng.randint(1, 3)]
+    return _coeff(rng.getrandbits)
+
+
+def random_combination(rng, ctx, vectors):
+    """The sum of ``v * random_coeff(rng)`` over ``vectors``, in order."""
+    bits = rng.getrandbits
+    acc = ctx.zero()
+    for v in vectors:
+        acc = acc + v * _coeff(bits)
+    return acc
+
+
+def _sample(bits, pool, k):
+    """``rng.sample(pool, k)`` for 0 < k <= len(pool), drawn through ``bits``.
+
+    A population no larger than ``sample``'s set size is drawn by swapping
+    in a copy of the pool, a larger one by redrawing indices already seen.
+    """
+    n = len(pool)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    picks = []
+    if n <= setsize:
+        pool = list(pool)
+        for top in range(n, n - k, -1):
+            width = top.bit_length()
+            j = bits(width)
+            while j >= top:
+                j = bits(width)
+            picks.append(pool[j])
+            pool[j] = pool[top - 1]
+    else:
+        width = n.bit_length()
+        seen = set()
+        for _ in range(k):
+            j = bits(width)
+            while j >= n or j in seen:
+                j = bits(width)
+            seen.add(j)
+            picks.append(pool[j])
+    return picks
 
 
 def _random_terms(rng, pool, max_terms):
-    """The canonical term dict of a random sparse element over ``pool``."""
-    count = rng.randint(0, max_terms)
+    """The canonical term dict of a random sparse element over ``pool``:
+    ``randint(0, max_terms)`` terms, picked by ``sample``, each with a
+    ``random_coeff`` (dropped when zero)."""
+    if max_terms < 0:
+        raise ValueError(f"max_terms must be nonnegative, got {max_terms}")
+    bits = rng.getrandbits
+    span = max_terms + 1
+    width = span.bit_length()
+    count = bits(width)
+    while count >= span:
+        count = bits(width)
+    count = min(count, len(pool))
+    if not count:  # sample(pool, 0) draws nothing
+        return {}
     terms = {}
-    for m in rng.sample(pool, min(count, len(pool))):
-        c = random_coeff(rng)
+    for m in _sample(bits, pool, count):
+        c = _coeff(bits)
         if c:
             terms[m] = c
     return terms

@@ -16,7 +16,13 @@ element entries.  Containers whose entries are bare term lists (parametric
 and Laurent matrices, parametric supervectors) carry a top-level "n",
 because an all-zero entry is an empty list with no element object to name
 the algebra.  A zero parametric matrix and a zero Laurent matrix share one
-canonical form; sniffing resolves it as parametric.
+canonical form; sniffing resolves it as parametric.  A polynomial or a
+Laurent value on its own is tagged with its kind: {"n": 3, "poly": terms}
+or {"laurent": terms, "n": 3}.
+
+Only elements are handled by ``algebra``, which this module imports; the
+matrix, vector and polynomial classes are imported on first use, so a
+process that reads and writes nothing else loads none of their modules.
 """
 
 import json
@@ -25,10 +31,6 @@ from functools import lru_cache
 
 from .algebra import GrassmannElement, create_algebra
 from .errors import ConfigError, ParseError
-from .evolution import LaurentMatrix
-from .families import ParamSuperMatrix, ParamSuperVector
-from .poly import GrassmannPoly, LaurentScalar
-from .supermatrix import SuperMatrix, SuperVector
 
 # ---------------------------------------------------------------------------
 # shared validation helpers
@@ -180,25 +182,29 @@ def _load_grid(obj, cls, what, load_entry, keys=("n", "p", "q", "rows")):
     return cls(p, q, rows)
 
 
-def dump_matrix(m: SuperMatrix) -> dict:
+def dump_matrix(m) -> dict:
     return _dump_grid(m, dump_element)
 
 
-def load_matrix(obj) -> SuperMatrix:
+def load_matrix(obj):
+    from .supermatrix import SuperMatrix
+
     return _load_grid(
         obj, SuperMatrix, "supermatrix", lambda x, ctx: load_element(x),
         keys=("p", "q", "rows"),
     )
 
 
-def dump_supervector(v: SuperVector) -> dict:
+def dump_supervector(v) -> dict:
     return {
         "even": [dump_element(x) for x in v.even],
         "odd": [dump_element(x) for x in v.odd],
     }
 
 
-def load_supervector(obj) -> SuperVector:
+def load_supervector(obj):
+    from .supermatrix import SuperVector
+
     _require_keys(obj, ("even", "odd"), "supervector")
     return SuperVector(
         [load_element(x) for x in _list(obj["even"], "even slots")],
@@ -245,23 +251,39 @@ def _load_terms(entries, ctx, cls, what, noun):
 dump_poly = dump_laurent_scalar = _dump_terms
 
 
-def load_poly(entries, ctx) -> GrassmannPoly:
+def load_poly(entries, ctx):
+    from .poly import GrassmannPoly
+
     return _load_terms(entries, ctx, GrassmannPoly, "polynomial", "polynomial")
 
 
-def load_laurent_scalar(entries, ctx) -> LaurentScalar:
+def load_laurent_scalar(entries, ctx):
+    from .poly import LaurentScalar
+
     return _load_terms(entries, ctx, LaurentScalar, "Laurent scalar", "Laurent")
 
 
-def dump_param_matrix(m: ParamSuperMatrix) -> dict:
+def dump_poly_value(x) -> dict:
+    """A polynomial on its own: its term list tagged "poly", with "n"."""
+    return {"n": x.ctx.n, "poly": _dump_terms(x)}
+
+
+def dump_laurent_value(x) -> dict:
+    """A Laurent value on its own: its term list tagged "laurent", with "n"."""
+    return {"laurent": _dump_terms(x), "n": x.ctx.n}
+
+
+def dump_param_matrix(m) -> dict:
     return {"n": m.ctx.n, **_dump_grid(m, dump_poly)}
 
 
-def load_param_matrix(obj) -> ParamSuperMatrix:
+def load_param_matrix(obj):
+    from .families import ParamSuperMatrix
+
     return _load_grid(obj, ParamSuperMatrix, "parametric supermatrix", load_poly)
 
 
-def dump_param_supervector(v: ParamSuperVector) -> dict:
+def dump_param_supervector(v) -> dict:
     return {
         "even": [dump_poly(x) for x in v.even],
         "n": v.ctx.n,
@@ -269,7 +291,9 @@ def dump_param_supervector(v: ParamSuperVector) -> dict:
     }
 
 
-def load_param_supervector(obj) -> ParamSuperVector:
+def load_param_supervector(obj):
+    from .families import ParamSuperVector
+
     _require_keys(obj, ("even", "n", "odd"), "parametric supervector")
     ctx = _context(obj, "parametric supervector")
     return ParamSuperVector(
@@ -278,11 +302,13 @@ def load_param_supervector(obj) -> ParamSuperVector:
     )
 
 
-def dump_laurent_matrix(m: LaurentMatrix) -> dict:
+def dump_laurent_matrix(m) -> dict:
     return {"n": m.ctx.n, **_dump_grid(m, dump_laurent_scalar)}
 
 
-def load_laurent_matrix(obj) -> LaurentMatrix:
+def load_laurent_matrix(obj):
+    from .evolution import LaurentMatrix
+
     return _load_grid(obj, LaurentMatrix, "Laurent matrix", load_laurent_scalar)
 
 
@@ -290,24 +316,40 @@ def load_laurent_matrix(obj) -> LaurentMatrix:
 # whole-value dispatch
 # ---------------------------------------------------------------------------
 
-_DUMPERS = (
-    (GrassmannElement, dump_element),
-    (SuperMatrix, dump_matrix),
-    (SuperVector, dump_supervector),
-    (ParamSuperMatrix, dump_param_matrix),
-    (ParamSuperVector, dump_param_supervector),
-    (LaurentMatrix, dump_laurent_matrix),
-    (LaurentScalar, dump_laurent_scalar),
-)
+
+@lru_cache(maxsize=None)
+def _dumpers():
+    """(class, dumper) for every serializable kind but elements, importing
+    the classes' modules on the first call."""
+    from .evolution import LaurentMatrix
+    from .families import ParamSuperMatrix, ParamSuperVector
+    from .poly import GrassmannPoly, LaurentScalar
+    from .supermatrix import SuperMatrix, SuperVector
+
+    return (
+        (SuperMatrix, dump_matrix),
+        (SuperVector, dump_supervector),
+        (ParamSuperMatrix, dump_param_matrix),
+        (ParamSuperVector, dump_param_supervector),
+        (LaurentMatrix, dump_laurent_matrix),
+        (GrassmannPoly, dump_poly_value),
+        (LaurentScalar, dump_laurent_value),
+    )
 
 
 def to_obj(value):
-    """The canonical JSON-ready object for any serializable value."""
-    for kind, dump in _DUMPERS:
-        if isinstance(value, kind):
-            return dump(value)
+    """The canonical JSON-ready object for any serializable value.
+
+    JSON-ready input (a report dict, say) is returned as it is; only a value
+    of another kind resolves the dumper table.
+    """
+    if isinstance(value, GrassmannElement):
+        return dump_element(value)
     if isinstance(value, (dict, list, str, int, bool)) or value is None:
         return value
+    for kind, dump in _dumpers():
+        if isinstance(value, kind):
+            return dump(value)
     raise ConfigError(f"cannot serialize {type(value).__name__}")
 
 
@@ -331,6 +373,10 @@ def load_value(obj):
         return load_supervector(obj)
     if keys == {"even", "n", "odd"}:
         return load_param_supervector(obj)
+    if keys == {"n", "poly"}:
+        return load_poly(obj["poly"], _context(obj, "polynomial"))
+    if keys == {"laurent", "n"}:
+        return load_laurent_scalar(obj["laurent"], _context(obj, "Laurent scalar"))
     if keys == {"n", "p", "q", "rows"}:
         for row in _grid(obj, "matrix"):
             for entry in row:
@@ -341,7 +387,8 @@ def load_value(obj):
         return load_param_matrix(obj)
     raise ParseError(
         f"unrecognized value shape with keys {sorted(keys)}; expected an element,"
-        " a (parametric or Laurent) supermatrix, or a supervector"
+        " a (parametric or Laurent) supermatrix, a supervector, a polynomial or"
+        " a Laurent value"
     )
 
 

@@ -3,10 +3,13 @@
 Each suite draws all of its random instances from one seeded generator
 (``random.Random(f"{seed}:{name}")``), evaluates a fixed battery of labeled
 identity checks, and reports one pass/fail line per label.  A label passes
-only if it held on every instance; the first counterexample is kept in the
-same JSON form the command line accepts, so failures can be replayed through
-``parse_input``.  Reports carry no timing, which keeps the JSON output
-byte-identical for identical configurations.
+only if it held on every instance.  Its first counterexample is kept as the
+raw value and serialized only when the report is assembled, in the same JSON
+form the command line accepts, so failures can be replayed through
+``parse_input``.  Each value a sample's checks share is computed once.  The
+random draws mirror ``random.Random`` (see ``randgen``).  Reports carry no
+timing, which keeps the JSON output byte-identical for identical
+configurations.
 
 ``run_suite`` with ``suite="all"`` spreads the six suites over the CPUs this
 process may run on (``os.sched_getaffinity``): it forks one helper per
@@ -85,25 +88,29 @@ _SHAPES = ((1, 1), (1, 2), (2, 2))
 
 
 class _Battery:
-    """Accumulates per-label verdicts across random instances."""
+    """Accumulates per-label verdicts across random instances.
+
+    A label maps to None while it holds and to ``(witness,)`` from its first
+    failure on; the witness is kept as the raw value and serialized only
+    when the report is assembled.
+    """
 
     def __init__(self):
         self._results = {}
 
     def record(self, label, ok, witness=None):
-        prev_ok, _ = self._results.get(label, (True, None))
-        if prev_ok and not ok:
-            self._results[label] = (False, witness)
-        elif label not in self._results:
-            self._results[label] = (True, None)
+        if ok:
+            self._results.setdefault(label, None)
+        elif self._results.get(label) is None:
+            self._results[label] = (witness,)
 
     def checks(self):
         out = []
         for label in sorted(self._results):
-            ok, witness = self._results[label]
-            entry = {"label": label, "passed": ok}
-            if witness is not None:
-                entry["counterexample"] = witness
+            failed = self._results[label]
+            entry = {"label": label, "passed": failed is None}
+            if failed is not None and failed[0] is not None:
+                entry["counterexample"] = to_obj(failed[0])
             out.append(entry)
         return out
 
@@ -149,38 +156,35 @@ def _algebra_checks(cfg, rng):
         x = random_element(rng, ctx)
         y = random_element(rng, ctx)
         z = random_element(rng, ctx)
-        b.record("assoc", (x * y) * z == x * (y * z), to_obj(x))
-        b.record("distrib", x * (y + z) == x * y + x * z, to_obj(x))
+        b.record("assoc", (x * y) * z == x * (y * z), x)
+        b.record("distrib", x * (y + z) == x * y + x * z, x)
         xo = random_element(rng, ctx, parity="odd")
         yo = random_element(rng, ctx, parity="odd")
         e = random_element(rng, ctx, parity="even")
-        b.record("anticomm", xo * yo == -(yo * xo), to_obj(xo))
-        b.record("oddsq", (xo * xo).is_zero(), to_obj(xo))
-        b.record("central", e * x == x * e, to_obj(e))
+        b.record("anticomm", xo * yo == -(yo * xo), xo)
+        b.record("oddsq", (xo * xo).is_zero(), xo)
+        b.record("central", e * x == x * e, e)
         b.record(
             "grading",
             (xo * yo).is_even() and (e * xo).is_odd() and (e * e).is_even(),
-            to_obj(xo),
+            xo,
         )
-        b.record("body", (x * y).body() == x.body() * y.body(), to_obj(x))
+        b.record("body", (x * y).body() == x.body() * y.body(), x)
         u = random_element(rng, ctx, body=rng.choice([-3, -2, -1, 1, 2, 3]))
-        b.record(
-            "inv",
-            u * u.inverse() == ctx.one() and u.inverse() * u == ctx.one(),
-            to_obj(u),
-        )
+        inv = u.inverse()
+        b.record("inv", u * inv == ctx.one() and inv * u == ctx.one(), u)
         soul = x.soul()
         power = ctx.one()
         for _ in range(ctx.n + 1):
             power = power * soul
-        b.record("nilp", power.is_zero(), to_obj(x))
+        b.record("nilp", power.is_zero(), x)
         if i % ann_every == 0:
             alpha = random_nonzero_odd(rng, ctx)
             ann = annihilator_odd([alpha])
             sound = all(
                 (alpha * v).is_zero() and (v * alpha).is_zero() for v in ann.basis
             )
-            b.record("ann_sound", sound, to_obj(alpha))
+            b.record("ann_sound", sound, alpha)
             complete = True
             for idx in ctx.odd_monomials():
                 mono = ctx.monomial(idx)
@@ -190,7 +194,7 @@ def _algebra_checks(cfg, rng):
             for v in ann.basis:
                 combo = combo + v * ctx.scalar(rng.randint(-3, 3))
             complete = complete and ann.contains(combo)
-            b.record("ann_complete", complete, to_obj(alpha))
+            b.record("ann_complete", complete, alpha)
     return b.checks()
 
 
@@ -199,12 +203,13 @@ def _supermatrix_checks(cfg, rng):
     b = _Battery()
     for _ in range(cfg.samples):
         m = random_supermatrix(rng, ctx, 1, 1, invertible_b=True)
+        ber = berezinian(m)
         even_ber, odd_ber = ber_parts(m)
-        b.record("7a", berezinian(m) == even_ber + odd_ber, to_obj(m))
-        b.record("b0", (odd_ber * odd_ber).is_zero(), to_obj(m))
+        b.record("7a", ber == even_ber + odd_ber, m)
+        b.record("b0", (odd_ber * odd_ber).is_zero(), m)
         a, al, be, bb = m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1]
         direct = a * bb.inverse() + be * al * (bb * bb).inverse()
-        b.record("ber11", berezinian(m) == direct, to_obj(m))
+        b.record("ber11", ber == direct, m)
         zero = ctx.zero()
         modd = SuperMatrix(1, 1, [[zero, al], [be, bb]])
         meven = SuperMatrix(1, 1, [[a, zero], [zero, bb]])
@@ -213,7 +218,7 @@ def _supermatrix_checks(cfg, rng):
             "classify",
             classify_reduction(modd) == "odd_reduced"
             and classify_reduction(meven) == expect_even,
-            to_obj(m),
+            m,
         )
     return b.checks()
 
@@ -225,7 +230,7 @@ def _gamma_checks(cfg, rng):
         p, q = _SHAPES[rng.randrange(len(_SHAPES))]
         m = _random_antitriangle(rng, ctx, p, q)
         n = _random_antitriangle(rng, ctx, p, q)
-        b.record("mm", m @ n == _coupled_product(m, n), to_obj(m))
+        b.record("mm", m @ n == _coupled_product(m, n), m)
     for i in range(max(1, cfg.samples // 8)):
         p, q = _SHAPES[i % len(_SHAPES)]
         fam = random_strong_family(rng, ctx, p, q, length=rng.randint(2, 5))
@@ -235,7 +240,7 @@ def _gamma_checks(cfg, rng):
         b.record("bmn", report.ber_matches is not False)
         head = fam[0]
         b.record("idem", idempotent_strong_check(head) == (head @ head == head),
-                 to_obj(head))
+                 head)
     return b.checks()
 
 
@@ -246,9 +251,10 @@ def _families_checks(cfg, rng):
     table_every = max(1, runs // 4)
     tvar = GrassmannPoly.variable(ctx, "t")
     svar = GrassmannPoly.variable(ctx, "s")
+    half_t = tvar * Fraction(1, 2)
+    ident = ParamSuperMatrix.identity(ctx, 1, 1)
     for i in range(runs):
         alpha = random_nonzero_odd(rng, ctx)
-        w = to_obj(alpha)
         p = make_family("P", alpha)
         q = make_family("Q", alpha)
         t_fam = make_family("T", alpha)
@@ -257,72 +263,64 @@ def _families_checks(cfg, rng):
         z = make_family("Z", alpha)
         ps = in_var(p, "s")
         qs = in_var(q, "s")
+        ts = in_var(t_fam, "s")
+        pp, sp = p @ ps, ps @ p  # P(t)P(s) and P(s)P(t)
+        a_t, a_ts = a.scale(tvar), a.scale(tvar - svar)
 
-        b.record("m111", p @ ps == p, w)
-        b.record("m1q1", q @ qs == qs, w)
-        b.record("ppp1", p @ ps @ p == p, w)
-        b.record("pp2", ps @ p @ ps == ps, w)
-        b.record("qqq1", qs @ q @ qs == qs, w)
-        b.record("qqq2", q @ qs @ q == q, w)
-        b.record("qp", q @ ps == e, w)
-        b.record("ep", p @ e == p and e @ p == e, w)
-        b.record("eq", q @ e == e and e @ q == q, w)
+        b.record("m111", pp == p, alpha)
+        b.record("m1q1", q @ qs == qs, alpha)
+        b.record("ppp1", pp @ p == p, alpha)
+        b.record("pp2", sp @ ps == ps, alpha)
+        b.record("qqq1", qs @ q @ qs == qs, alpha)
+        b.record("qqq2", q @ qs @ q == q, alpha)
+        b.record("qp", q @ ps == e, alpha)
+        b.record("ep", p @ e == p and e @ p == e, alpha)
+        b.record("eq", q @ e == e and e @ q == q, alpha)
         b.record(
             "pq1",
             p.eval_at({"t": 1}) == q.eval_at({"t": 1}) == e.eval_at({}),
-            w,
+            alpha,
         )
-        b.record("paz1", p @ a == z, w)
-        b.record("paz2", a @ p == a, w)
-        b.record("ptu", p - ps == a.scale(tvar - svar), w)
+        b.record("paz1", p @ a == z, alpha)
+        b.record("paz2", a @ p == a, alpha)
+        b.record("ptu", p - ps == a_ts, alpha)
         p0 = ParamSuperMatrix.from_supermatrix(p.eval_at({"t": 0}))
-        b.record("pt", p == p0 + a.scale(tvar), w)
-        b.record("tpp", commutator(t_fam, ps) == a.scale(tvar), w)
-        b.record("pppa", commutator(p, ps) == a.scale(tvar - svar), w)
-        b.record("exp", matrix_exp_nilpotent(generator_of(p)) == t_fam, w)
-        gen = ParamSuperMatrix.from_supermatrix(generator_of(p))
-        b.record("pap0", p.derivative("t") == gen @ p, w)
-        b.record("tat", t_fam.derivative("t") == gen @ t_fam, w)
-        b.record(
-            "pta",
-            generator_of(p) == generator_of(t_fam) == a.eval_at({}),
-            w,
-        )
+        b.record("pt", p == p0 + a_t, alpha)
+        b.record("tpp", commutator(t_fam, ps) == a_t, alpha)
+        b.record("pppa", pp - sp == a_ts, alpha)
+        gen_p = generator_of(p)
+        b.record("exp", matrix_exp_nilpotent(gen_p) == t_fam, alpha)
+        gen = ParamSuperMatrix.from_supermatrix(gen_p)
+        b.record("pap0", p.derivative("t") == gen @ p, alpha)
+        b.record("tat", t_fam.derivative("t") == gen @ t_fam, alpha)
+        b.record("pta", gen_p == generator_of(t_fam) == a.eval_at({}), alpha)
         tau = alpha * random_element(rng, ctx, parity="odd", max_terms=2)
         b.record(
             "ta",
-            nilpotent_time_commute_check(p, in_var(t_fam, "s"), tau, alpha)
-            and not nilpotent_time_commute_check(p, in_var(t_fam, "s"), 1, alpha),
-            w,
+            nilpotent_time_commute_check(p, ts, tau, alpha)
+            and not nilpotent_time_commute_check(p, ts, 1, alpha),
+            alpha,
         )
-        b.record(
-            "v1",
-            smoothing(p) == (p + p0).scale(tvar * Fraction(1, 2)),
-            w,
-        )
-        ident = ParamSuperMatrix.identity(ctx, 1, 1)
-        b.record(
-            "v2",
-            smoothing(t_fam) == (t_fam + ident).scale(tvar * Fraction(1, 2)),
-            w,
-        )
+        smooth_p = smoothing(p)
+        b.record("v1", smooth_p == (p + p0).scale(half_t), alpha)
+        b.record("v2", smoothing(t_fam) == (t_fam + ident).scale(half_t), alpha)
         seq = differential_sequence(alpha, 3)
         chain = all(seq[k].derivative("t") == seq[k - 1] for k in range(1, 4))
-        b.record("ss2", chain and seq[0].derivative("t") == a, w)
-        b.record("p2", seq[0] == p, w)
-        b.record("pv", seq[1] == smoothing(p), w)
+        b.record("ss2", chain and seq[0].derivative("t") == a, alpha)
+        b.record("p2", seq[0] == p, alpha)
+        b.record("pv", seq[1] == smooth_p, alpha)
 
         inv = inverse_relations_check(alpha)
         for label in ("ptp", "tpt", "ty", "yp1", "yp2", "yy", "tp1", "tp2"):
-            b.record(label, inv[label], w)
+            b.record(label, inv[label], alpha)
         sigma = random_nonzero_odd(rng, ctx)
         rho = random_nonzero_odd(rng, ctx)
         uu = random_element(rng, ctx, parity="even", max_terms=2)
         vv = random_element(rng, ctx, parity="even", max_terms=2)
         conn = intertwiner_check(sigma, rho, uu, vv, alpha)
-        b.record("tu", conn["tu"], w)
-        b.record("ut", conn["ut"], w)
-        b.record("usq", conn["u_squared"], w)
+        b.record("tu", conn["tu"], alpha)
+        b.record("ut", conn["ut"], alpha)
+        b.record("usq", conn["u_squared"], alpha)
 
         if i % table_every == 0:
             report = cayley_table_verify(alpha)
@@ -330,7 +328,7 @@ def _families_checks(cfg, rng):
                 "table",
                 report.all_matched
                 and set(report.discrepancies) == set(KNOWN_TABLE_DISCREPANCIES),
-                w,
+                alpha,
             )
     return b.checks()
 
@@ -352,7 +350,7 @@ def _analysis_checks(cfg, rng):
                 GrassmannPoly.variable(ctx, "t")
             )
         )
-        b.record("equiv", equivalence_report(linear).agree, to_obj(linear))
+        b.record("equiv", equivalence_report(linear).agree, linear)
         band_linear = random_band_components(rng, ctx, p, q, degree=1)
         b.record("equiv", equivalence_report(band_linear.family("t")).agree)
     alpha = ctx.gen(1)
@@ -362,7 +360,7 @@ def _analysis_checks(cfg, rng):
         "posneg",
         pos.band and pos.functional and pos.differential
         and not (neg.band or neg.functional or neg.differential),
-        to_obj(alpha),
+        alpha,
     )
     return b.checks()
 
@@ -401,15 +399,14 @@ def _resolvent_checks(cfg, rng):
     b = _Battery()
     for _ in range(max(1, cfg.samples // 4)):
         alpha = random_nonzero_odd(rng, ctx)
-        w = to_obj(alpha)
         p_fam = make_family("P", alpha)
         t_fam = make_family("T", alpha)
         rp, rt = laplace(p_fam), laplace(t_fam)
         want_rp, want_rt = _expected_resolvents(ctx, alpha)
-        b.record("rz", rp == want_rp, w)
-        b.record("rz1", rt == want_rt, w)
-        b.record("rrt", resolvent_defect(rt).is_zero(), w)
-        b.record("rra", resolvent_defect(rp) == _resolvent_tail(ctx, alpha), w)
+        b.record("rz", rp == want_rp, alpha)
+        b.record("rz1", rt == want_rt, alpha)
+        b.record("rrt", resolvent_defect(rt).is_zero(), alpha)
+        b.record("rra", resolvent_defect(rp) == _resolvent_tail(ctx, alpha), alpha)
 
         x0 = random_supervector(rng, ctx, 1, 1)
         even0, odd0 = x0.even[0], x0.odd[0]
@@ -419,14 +416,14 @@ def _resolvent_checks(cfg, rng):
             "xx",
             xp.even[0] == GrassmannPoly.term(alpha * odd0, t=1)
             and xp.odd[0] == GrassmannPoly.constant(alpha * even0 + odd0),
-            w,
+            alpha,
         )
         b.record(
             "xxt",
             xt.even[0]
             == GrassmannPoly.constant(even0) + GrassmannPoly.term(alpha * odd0, t=1)
             and xt.odd[0] == GrassmannPoly.constant(odd0),
-            w,
+            alpha,
         )
         pinned = SuperVector([ctx.zero()], [odd0])
         b.record(
@@ -434,18 +431,18 @@ def _resolvent_checks(cfg, rng):
             xp.odd[0].degree("t") == 0
             and xt.odd[0].degree("t") == 0
             and orbit(p_fam, pinned) == orbit(t_fam, pinned),
-            w,
+            alpha,
         )
         b.record(
             "xax",
             cauchy_defect(p_fam, x0).is_zero() and cauchy_defect(t_fam, x0).is_zero(),
-            w,
+            alpha,
         )
         b.record(
             "xxp",
             moving_time_check(p_fam) == "moving_time"
             and moving_time_check(t_fam) == "translational",
-            w,
+            alpha,
         )
         sweep = True
         for idx in ctx.odd_monomials():
@@ -453,7 +450,7 @@ def _resolvent_checks(cfg, rng):
             vec = SuperVector([ctx.one()], [mono])
             obstruction = commutativity_obstruction(vec, alpha)
             sweep = sweep and obstruction.is_zero() == (alpha * mono).is_zero()
-        b.record("apx", sweep, w)
+        b.record("apx", sweep, alpha)
     return b.checks()
 
 

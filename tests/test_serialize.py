@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from superband.algebra import create_algebra
+from superband.algebra import GrassmannElement, create_algebra
 from superband.errors import ParityError, ParseError, ShapeError
 from superband import serialize
 from superband.evolution import LaurentMatrix, LaurentScalar, laplace, orbit
@@ -322,14 +322,35 @@ class TestDispatch:
             orbit(make_family("P", alpha), x0),
             resolvent,
             resolvent.rows[0][1],
+            LaurentScalar.constant(ctx.one()),
+            LaurentScalar.zero(ctx),
+            GrassmannPoly.constant(ctx.one()),
+            GrassmannPoly.term(alpha, t=2, s=1) + GrassmannPoly.term(ctx.scalar(3)),
+            GrassmannPoly.zero(ctx),
         ]
         # one value of each serializable type, the merged matrix classes included
-        assert {type(v) for v in values} == {kind for kind, _ in serialize._DUMPERS}
+        kinds = {GrassmannElement} | {kind for kind, _ in serialize._dumpers()}
+        assert {type(v) for v in values} == kinds
         for v in values:
             for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
                 assert type(twin) is type(v)
                 assert twin == v
                 assert dumps(twin) == dumps(v)
+            back = loads(dumps(v))
+            assert type(back) is type(v)
+            assert back == v
+
+    def test_polynomials_on_their_own_are_tagged(self):
+        ctx = _ctx()
+        assert dumps(GrassmannPoly.zero(ctx)) == '{"n":3,"poly":[]}'
+        assert dumps(LaurentScalar.term(ctx.gen(1), iz=-1)) == (
+            '{"laurent":[{"c":{"n":3,"terms":[{"c":"1","idx":[1]}]},"iw":0,"iz":-1}],'
+            '"n":3}'
+        )
+        with pytest.raises(ParseError):
+            load_value({"n": 3, "poly": [{"c": dump_element(ctx.one()), "t": 0}]})
+        with pytest.raises(ParseError):
+            load_value({"n": 3, "laurent": {}})
 
     def test_parse_input_reads_files(self, tmp_path):
         ctx = _ctx()

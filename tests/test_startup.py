@@ -24,7 +24,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: modules that only some subcommands need, and the stdlib module whose
 #: import drags in inspect, ast, dis and tokenize
 DEFERRED = ("superband.suites", "superband.gamma", "superband.analysis",
-            "superband.randgen", "dataclasses")
+            "superband.randgen", "superband.evolution", "superband.families",
+            "superband.poly", "superband.supermatrix", "dataclasses")
 
 
 def run_python(code):
@@ -51,6 +52,17 @@ def loaded_after(code):
 
 def test_cli_import_defers_subcommand_modules():
     assert loaded_after("import superband.cli") == []
+
+
+def test_annihilator_loads_only_the_element_modules():
+    code = (
+        "import contextlib, io\n"
+        "from superband.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['annihilator', '--alpha', 'xi1 + xi2*xi3*xi4',"
+        " '--format', 'json']) == 0"
+    )
+    assert loaded_after(code) == []
 
 
 def test_table_does_not_load_the_suites():

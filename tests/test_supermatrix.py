@@ -309,7 +309,7 @@ class TestKindsStayApart:
                 vec([1], [2])
 
     def test_each_kind_keeps_its_own_dumper(self):
-        dumpers = dict(serialize._DUMPERS)
+        dumpers = dict(serialize._dumpers())
         kinds = self._kinds(create_algebra(2))
         for cls, m in kinds.items():
             assert serialize.to_obj(m) == dumpers[cls](m)

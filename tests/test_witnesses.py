@@ -1,0 +1,50 @@
+"""A failing label reports its first witness, serialized when the report is
+assembled.
+
+Every label passes on working code, so one check is made to fail on known
+samples: the report must name the first of them and be otherwise unchanged.
+"""
+
+from __future__ import annotations
+
+import copy
+
+from superband import suites
+from superband.config import SuiteConfig
+from superband.serialize import dumps, to_obj
+
+CFG = SuiteConfig(generators=4, seed=3, suite="supermatrix", samples=20)
+
+
+def test_counterexample_is_the_first_failing_witness(monkeypatch):
+    clean = suites.run_suite(CFG).report
+    real = suites.ber_parts
+    calls, failed = [], []
+
+    def broken(m):
+        # "7a" compares Ber M with the sum of these parts: spoil the even
+        # part on the third and the sixth sample
+        calls.append(m)
+        even, odd = real(m)
+        if len(calls) in (3, 6):
+            failed.append(m)
+            even = even + m.ctx.one()
+        return even, odd
+
+    monkeypatch.setattr(suites, "ber_parts", broken)
+    report = suites.run_suite(CFG).report
+
+    assert len(calls) == CFG.samples and len(failed) == 2
+    (suite,) = report["suites"]
+    (entry,) = [c for c in suite["checks"] if c["label"] == "7a"]
+    assert entry == {"label": "7a", "passed": False,
+                     "counterexample": to_obj(failed[0])}
+    assert entry["counterexample"] != to_obj(failed[1])
+
+    # apart from that entry and the verdicts above it, the bytes are the same
+    expected = copy.deepcopy(clean)
+    expected["passed"] = expected["suites"][0]["passed"] = False
+    for check in expected["suites"][0]["checks"]:
+        if check["label"] == "7a":
+            check.update(entry)
+    assert dumps(report) == dumps(expected)
