@@ -269,6 +269,7 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
     zero_qp = [[ctx.zero()] * p for _ in range(q)]
     zero_qq = [[ctx.zero()] * q for _ in range(q)]
     eye = [[ctx.one() if i == j else ctx.zero() for j in range(q)] for i in range(q)]
+
     def combos(vectors, rows, cols):
         return [[random_combination(rng, ctx, vectors) for _ in range(cols)]
                 for _ in range(rows)]

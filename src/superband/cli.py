@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import MAX_GENERATORS, AlgebraContext, annihilator_odd, create_algebra
 from .config import FAMILY_KINDS, FORMATS, SUITES, SuiteConfig
@@ -32,6 +33,8 @@ from .serialize import dumps, load_json, load_value, parse_input, to_obj
 # every other module (supermatrix, poly, families, evolution, suites, gamma,
 # analysis) is imported by the handlers that use it, so a process compiles
 # only the modules its subcommand needs.
+if TYPE_CHECKING:
+    from .families import ParamSuperMatrix
 
 RESOLVENT_CHECKS = ("rrt", "rra")
 ANALYZE_REPORTS = ("equivalence", "components")
@@ -111,9 +114,9 @@ def _read_json_file(path: str):
         return load_json(fh.read())
 
 
-def _family_from_arg(args):
-    """The ParamSuperMatrix that --family names: a named kind (built over
-    --generators with --alpha) or a path to a serialized family."""
+def _family_from_arg(args) -> ParamSuperMatrix:
+    """--family accepts a named kind (built over --generators with --alpha)
+    or a path to a serialized family."""
     from .families import ParamSuperMatrix, make_family
     from .supermatrix import SuperMatrix
 

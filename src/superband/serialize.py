@@ -20,17 +20,26 @@ canonical form; sniffing resolves it as parametric.  A polynomial or a
 Laurent value on its own is tagged with its kind: {"n": 3, "poly": terms}
 or {"laurent": terms, "n": 3}.
 
-Only elements are handled by ``algebra``, which this module imports; the
-matrix, vector and polynomial classes are imported on first use, so a
-process that reads and writes nothing else loads none of their modules.
+Elements come from ``algebra``, which this module imports.  The matrix,
+vector and polynomial classes are imported on first use, so a process that
+reads and writes only elements loads none of their modules.
 """
+
+from __future__ import annotations
 
 import json
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .algebra import GrassmannElement, create_algebra
 from .errors import ConfigError, ParseError
+
+if TYPE_CHECKING:
+    from .evolution import LaurentMatrix
+    from .families import ParamSuperMatrix, ParamSuperVector
+    from .poly import GrassmannPoly, LaurentScalar
+    from .supermatrix import SuperMatrix, SuperVector
 
 # ---------------------------------------------------------------------------
 # shared validation helpers
@@ -182,11 +191,11 @@ def _load_grid(obj, cls, what, load_entry, keys=("n", "p", "q", "rows")):
     return cls(p, q, rows)
 
 
-def dump_matrix(m) -> dict:
+def dump_matrix(m: SuperMatrix) -> dict:
     return _dump_grid(m, dump_element)
 
 
-def load_matrix(obj):
+def load_matrix(obj) -> SuperMatrix:
     from .supermatrix import SuperMatrix
 
     return _load_grid(
@@ -195,14 +204,14 @@ def load_matrix(obj):
     )
 
 
-def dump_supervector(v) -> dict:
+def dump_supervector(v: SuperVector) -> dict:
     return {
         "even": [dump_element(x) for x in v.even],
         "odd": [dump_element(x) for x in v.odd],
     }
 
 
-def load_supervector(obj):
+def load_supervector(obj) -> SuperVector:
     from .supermatrix import SuperVector
 
     _require_keys(obj, ("even", "odd"), "supervector")
@@ -251,39 +260,39 @@ def _load_terms(entries, ctx, cls, what, noun):
 dump_poly = dump_laurent_scalar = _dump_terms
 
 
-def load_poly(entries, ctx):
+def load_poly(entries, ctx) -> GrassmannPoly:
     from .poly import GrassmannPoly
 
     return _load_terms(entries, ctx, GrassmannPoly, "polynomial", "polynomial")
 
 
-def load_laurent_scalar(entries, ctx):
+def load_laurent_scalar(entries, ctx) -> LaurentScalar:
     from .poly import LaurentScalar
 
     return _load_terms(entries, ctx, LaurentScalar, "Laurent scalar", "Laurent")
 
 
-def dump_poly_value(x) -> dict:
+def dump_poly_value(x: GrassmannPoly) -> dict:
     """A polynomial on its own: its term list tagged "poly", with "n"."""
     return {"n": x.ctx.n, "poly": _dump_terms(x)}
 
 
-def dump_laurent_value(x) -> dict:
+def dump_laurent_value(x: LaurentScalar) -> dict:
     """A Laurent value on its own: its term list tagged "laurent", with "n"."""
     return {"laurent": _dump_terms(x), "n": x.ctx.n}
 
 
-def dump_param_matrix(m) -> dict:
+def dump_param_matrix(m: ParamSuperMatrix) -> dict:
     return {"n": m.ctx.n, **_dump_grid(m, dump_poly)}
 
 
-def load_param_matrix(obj):
+def load_param_matrix(obj) -> ParamSuperMatrix:
     from .families import ParamSuperMatrix
 
     return _load_grid(obj, ParamSuperMatrix, "parametric supermatrix", load_poly)
 
 
-def dump_param_supervector(v) -> dict:
+def dump_param_supervector(v: ParamSuperVector) -> dict:
     return {
         "even": [dump_poly(x) for x in v.even],
         "n": v.ctx.n,
@@ -291,7 +300,7 @@ def dump_param_supervector(v) -> dict:
     }
 
 
-def load_param_supervector(obj):
+def load_param_supervector(obj) -> ParamSuperVector:
     from .families import ParamSuperVector
 
     _require_keys(obj, ("even", "n", "odd"), "parametric supervector")
@@ -302,11 +311,11 @@ def load_param_supervector(obj):
     )
 
 
-def dump_laurent_matrix(m) -> dict:
+def dump_laurent_matrix(m: LaurentMatrix) -> dict:
     return {"n": m.ctx.n, **_dump_grid(m, dump_laurent_scalar)}
 
 
-def load_laurent_matrix(obj):
+def load_laurent_matrix(obj) -> LaurentMatrix:
     from .evolution import LaurentMatrix
 
     return _load_grid(obj, LaurentMatrix, "Laurent matrix", load_laurent_scalar)
