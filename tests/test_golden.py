@@ -40,6 +40,12 @@ CASES = {
         "annihilator", "--generators", "6",
         "--alpha", "xi1*xi2*xi3 + 2 xi4 - 1/3 xi2*xi5*xi6", "--format", "json",
     ),
+    # 2^9 odd monomials, so the kernel basis is pinned at a size where
+    # dense and sparse elimination do very different work
+    "annihilator_n10.json": (
+        "annihilator", "--generators", "10",
+        "--alpha", "xi1*xi2*xi3 + 2 xi4 - 1/3 xi2*xi5*xi6", "--format", "json",
+    ),
     **{
         f"resolvent_{kind}_n4.json": (
             "resolvent", "--family", kind, "--alpha", ALPHA, "--generators", "4",
