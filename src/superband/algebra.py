@@ -463,11 +463,6 @@ _set_ctx = GrassmannElement.ctx.__set__
 _set_terms = GrassmannElement.terms.__set__
 
 
-def coordinates(x: GrassmannElement, monomials) -> list:
-    """Coefficient vector of x over an explicit monomial tuple list."""
-    return [x.terms.get(m, linalg.ZERO) for m in monomials]
-
-
 class AnnihilatorBasis:
     """A canonical basis of the odd annihilator of a set of odd elements.
 
@@ -478,37 +473,21 @@ class AnnihilatorBasis:
     there and 0 at every other vector's free monomial.
     """
 
-    __slots__ = ("ctx", "generators", "basis", "free")
+    __slots__ = ("ctx", "generators", "basis", "free", "_rows")
 
     def __init__(self, ctx, generators, basis, free):
         self.ctx = ctx
         self.generators = tuple(generators)
         self.basis = tuple(basis)
         self.free = tuple(free)
+        self._rows = {f: b.terms for f, b in zip(self.free, self.basis)}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, x: GrassmannElement) -> bool:
-        if x.ctx != self.ctx:
-            raise ContextError("element from a different algebra")
-        if not x.is_odd():
-            raise ParityError("annihilator membership is defined for odd elements")
-        # a member equals sum(x[f] * b) over the basis vectors b and their
-        # free monomials f, so x is a member iff that sum leaves no residue
-        residual = dict(x.terms)
-        for b, f in zip(self.basis, self.free):
-            c = x.terms.get(f)
-            if c is None:
-                continue
-            for m, v in b.terms.items():
-                r = residual.get(m, 0) - c * v
-                if r:
-                    residual[m] = r
-                else:
-                    del residual[m]
-        return not residual
+        return odd_span_contains(self.ctx, self._rows, x)
 
     def __repr__(self):
         return f"AnnihilatorBasis(dim={self.dim}, n={self.ctx.n})"
@@ -538,41 +517,31 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
 
     odd = ctx.odd_monomials()
     # constraint rows: for each generator a and each monomial that occurs in
-    # some odd_j * a, in basis order, the coefficient of
-    # (sum_j c_j * odd_j) * a must vanish
+    # some odd_j * a, the coefficient of (sum_j c_j * odd_j) * a must vanish
     rows = []
     for a in gens:
         by_target = {}
-        for j, m in enumerate(odd):
-            for target, c in (ctx.monomial(m) * a).terms.items():
-                row = by_target.get(target)
-                if row is None:
-                    row = by_target[target] = [linalg.ZERO] * len(odd)
-                row[j] = c
-        rows.extend(by_target[target] for target in sorted(by_target))
-    kern, free = linalg.kernel_basis(rows, len(odd))
-    basis = []
-    for vec in kern:
-        terms = {m: c for m, c in zip(odd, vec) if c}
-        basis.append(GrassmannElement(ctx, terms))
-    return AnnihilatorBasis(ctx, gens, basis, [odd[f] for f in free])
+        for m in odd:
+            for idx, c in a.terms.items():
+                sign, target = _mul_monomials(m, idx)
+                if sign:
+                    by_target.setdefault(target, {})[m] = c if sign > 0 else -c
+        rows.extend(by_target.values())
+    basis, free = linalg.kernel_basis(linalg.echelon(rows), odd)
+    return AnnihilatorBasis(ctx, gens, [GrassmannElement(ctx, v) for v in basis], free)
 
 
-def in_odd_span(x: GrassmannElement, spanning) -> bool:
-    """True iff odd-or-zero x is a rational combination of the odd spanning set."""
+def odd_span_contains(ctx, rows, x) -> bool:
+    """Whether the odd element x of ``ctx`` lies in the span of ``rows``.
+
+    ``rows`` maps monomials to term dicts, each 1 at its own monomial and 0
+    at every other key, as in ``linalg.residue``: x is a member iff x minus
+    the sum of x[key] * row leaves no residue.
+    """
+    if not isinstance(x, GrassmannElement):
+        raise ConfigError(f"membership needs a GrassmannElement, got {type(x).__name__}")
+    if x.ctx != ctx:
+        raise ContextError("element from a different algebra")
     if not x.is_odd():
-        raise ParityError("span membership here is for odd elements")
-    vectors = []
-    ctx = x.ctx
-    for v in spanning:
-        if v.ctx != ctx:
-            raise ContextError("spanning vectors from a different algebra")
-        if not v.is_odd():
-            raise ParityError("spanning vectors must be odd or zero")
-        vectors.append(v)
-    if x.is_zero():
-        return True
-    odd = ctx.odd_monomials()
-    return linalg.in_span(
-        coordinates(x, odd), [coordinates(v, odd) for v in vectors]
-    )
+        raise ParityError("span membership is defined for odd elements")
+    return not linalg.residue(x.terms, rows)

@@ -16,12 +16,7 @@ one-parameter antitriangle families under multiplication.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import (
-    GrassmannElement,
-    annihilator_odd,
-    coordinates,
-    in_odd_span,
-)
+from .algebra import GrassmannElement, annihilator_odd, odd_span_contains
 from .errors import ConfigError, ContextError, NotInvertible, ParityError, ShapeError
 from .poly import GrassmannPoly
 from .randgen import (
@@ -49,13 +44,14 @@ class GammaSet:
     """A rational span of odd elements with optional even stabilizers.
 
     ``span`` lists a basis of the controlling odd subspace; the vectors must
-    be independent so that coordinates are well defined.  ``stabilizing_evens``
+    be independent, each adding a pivot to the span's echelon form, against
+    which membership is decided.  ``stabilizing_evens``
     are even elements b expected to keep the span stable (b*span inside the
     span) -- the requirement for the derived matrix families to stay closed,
     checked by :meth:`stabilizes`.
     """
 
-    __slots__ = ("ctx", "span", "stabilizing_evens", "_ann")
+    __slots__ = ("ctx", "span", "stabilizing_evens", "_ann", "_rows")
 
     def __init__(self, span, stabilizing_evens=(), ctx=None):
         vectors = tuple(span)
@@ -70,8 +66,8 @@ class GammaSet:
                 raise ContextError("span vectors from different algebras")
             if not v.is_odd():
                 raise ParityError(f"span vectors must be odd, got {v}")
-        odd = ctx.odd_monomials()
-        if linalg.rank([coordinates(v, odd) for v in vectors]) != len(vectors):
+        rows = {}
+        if not all(linalg.add_row(rows, v.terms) for v in vectors):
             raise ConfigError("span vectors must be linearly independent")
         evens = tuple(stabilizing_evens)
         for b in evens:
@@ -83,15 +79,14 @@ class GammaSet:
         self.span = vectors
         self.stabilizing_evens = evens
         self._ann = None
+        self._rows = rows
 
     @property
     def dim(self) -> int:
         return len(self.span)
 
     def contains(self, x: GrassmannElement) -> bool:
-        if x.ctx != self.ctx:
-            raise ContextError("element from a different algebra")
-        return in_odd_span(x, self.span)
+        return odd_span_contains(self.ctx, self._rows, x)
 
     def annihilator(self):
         """Basis of the odd elements annihilating every span vector (cached)."""

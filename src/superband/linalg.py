@@ -1,9 +1,17 @@
-"""Small exact linear-algebra helpers over Fraction.
+"""Exact sparse elimination over Fraction.
 
-Dense row operations only; every matrix is a list of lists of Fractions.
-Sizes here are tiny (at most a few hundred rows for annihilator kernels),
-so no attempt is made at sparsity.  Pivoting is deterministic: scan columns
-left to right, take the first nonzero entry in each column.
+A row is a dict {column: nonzero Fraction}; a ``GrassmannElement.terms``
+dict is one, with its monomials as columns.  Columns are ordered by their
+keys' natural order, which for monomial tuples is the lexicographic basis
+order, and each row's pivot is its leftmost column.  An echelon form is a
+dict {pivot column: row} in which every row is 1 at its own pivot and 0 at
+every other pivot, which makes it the reduced row-echelon form.
+
+For a fixed column order the reduced row-echelon form of a matrix is
+unique: it depends only on the row space, not on the order in which rows
+are eliminated or on how the zeros are stored.  Any exact elimination
+therefore finds the same pivots, the same free columns and the same
+canonical kernel basis, so callers' outputs are fixed by their inputs.
 """
 
 from __future__ import annotations
@@ -14,73 +22,76 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rref(rows):
-    """Reduce ``rows`` in place to reduced row-echelon form.
+def _subtract(out, c, row):
+    """out -= c * row, in place, dropping the entries that cancel."""
+    for col, v in row.items():
+        r = out.get(col, ZERO) - c * v
+        if r:
+            out[col] = r
+        else:
+            del out[col]
 
-    Returns the list of pivot column indices.  Column order is the fixed
-    input order, which keeps every downstream basis deterministic.
+
+def residue(row, pivots):
+    """``row`` minus row[k] * pivots[k] for every pivot column k of ``row``.
+
+    ``pivots`` maps keys to rows that are 1 at their own key and 0 at every
+    other key, as an echelon form and a canonical kernel basis (keyed by
+    free column) are.  A row in their span equals that sum, so it leaves no
+    residue; any other row leaves the part the span cannot reach.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        # rows are mostly zeros, and a zero entry needs no arithmetic
-        rows[r] = [v * inv if v else v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    out = dict(row)
+    for key, c in row.items():
+        prow = pivots.get(key)
+        if prow is not None:
+            _subtract(out, c, prow)
+    return out
+
+
+def add_row(pivots, row) -> bool:
+    """Extend the echelon form ``pivots`` by ``row``, in place.
+
+    Returns False, leaving ``pivots`` unchanged, when ``row`` lies in their
+    span, and True when it adds a pivot.
+    """
+    new = residue(row, pivots)
+    if not new:
+        return False
+    key = min(new)
+    inv = ONE / new[key]
+    if inv != 1:
+        new = {col: v * inv for col, v in new.items()}
+    # clear the new pivot column from the other rows; each has its own
+    # pivot left of it, so they stay in echelon form
+    for prow in pivots.values():
+        c = prow.get(key)
+        if c is not None:
+            _subtract(prow, c, new)
+    pivots[key] = new
+    return True
+
+
+def echelon(rows) -> dict:
+    """The reduced row-echelon form of ``rows`` as {pivot column: row}."""
+    pivots = {}
+    for row in rows:
+        add_row(pivots, row)
     return pivots
 
 
-def rank(rows):
-    work = [list(row) for row in rows]
-    return len(rref(work))
+def kernel_basis(pivots, columns):
+    """The right kernel {v : rows @ v = 0} of an echelon form, as
+    (basis, free columns).
 
-
-def kernel_basis(rows, ncols):
-    """The right kernel {v : rows @ v = 0} as (basis, free columns).
-
-    There is one basis vector per free (non-pivot) column, ordered by that
-    column, which makes the result canonical for a fixed column order.  Each
-    vector is 1 at its own free column and 0 at every other free column, so
-    a kernel vector v equals sum(v[f] * b for b, f in zip(basis, free)).
+    The free columns are the ``columns`` that are no pivot, in the order
+    given.  There is one basis vector per free column, 1 there, 0 at every
+    other free column and minus that column's entry at each pivot, so a
+    kernel vector v equals sum(v[f] * b for b, f in zip(basis, free)).
     """
-    work = [list(row) for row in rows]
-    pivots = rref(work)
-    pivot_set = set(pivots)
-    basis = []
-    free_columns = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -work[r][free]
-        basis.append(vec)
-        free_columns.append(free)
-    return basis, free_columns
-
-
-def in_span(vec, spanning):
-    """True iff ``vec`` is a rational combination of the ``spanning`` vectors."""
-    rows = [list(v) for v in spanning]
-    base = rank(rows)
-    rows.append(list(vec))
-    return rank(rows) == base
+    free = [col for col in columns if col not in pivots]
+    basis = {f: {f: ONE} for f in free}
+    for key, prow in pivots.items():
+        for col, v in prow.items():
+            if col != key:
+                basis[col][key] = -v
+    return list(basis.values()), free

@@ -21,8 +21,9 @@ Laurent value on its own is tagged with its kind: {"n": 3, "poly": terms}
 or {"laurent": terms, "n": 3}.
 
 Elements come from ``algebra``, which this module imports.  The matrix,
-vector and polynomial classes are imported on first use, so a process that
-reads and writes only elements loads none of their modules.
+vector and polynomial classes are imported only by the loaders that build
+them, and a dumped value's class is looked up by name, so a process loads
+only the modules of the kinds it reads or makes.
 """
 
 from __future__ import annotations
@@ -326,38 +327,32 @@ def load_laurent_matrix(obj) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dumpers():
-    """(class, dumper) for every serializable kind but elements, importing
-    the classes' modules on the first call."""
-    from .evolution import LaurentMatrix
-    from .families import ParamSuperMatrix, ParamSuperVector
-    from .poly import GrassmannPoly, LaurentScalar
-    from .supermatrix import SuperMatrix, SuperVector
-
-    return (
-        (SuperMatrix, dump_matrix),
-        (SuperVector, dump_supervector),
-        (ParamSuperMatrix, dump_param_matrix),
-        (ParamSuperVector, dump_param_supervector),
-        (LaurentMatrix, dump_laurent_matrix),
-        (GrassmannPoly, dump_poly_value),
-        (LaurentScalar, dump_laurent_value),
-    )
+#: the dumper of every serializable kind but elements, by the qualified name
+#: of its class; a dumped value's class is already loaded, so the lookup
+#: imports nothing
+_DUMPERS = {
+    "superband.supermatrix.SuperMatrix": dump_matrix,
+    "superband.supermatrix.SuperVector": dump_supervector,
+    "superband.families.ParamSuperMatrix": dump_param_matrix,
+    "superband.families.ParamSuperVector": dump_param_supervector,
+    "superband.evolution.LaurentMatrix": dump_laurent_matrix,
+    "superband.poly.GrassmannPoly": dump_poly_value,
+    "superband.poly.LaurentScalar": dump_laurent_value,
+}
 
 
 def to_obj(value):
     """The canonical JSON-ready object for any serializable value.
 
-    JSON-ready input (a report dict, say) is returned as it is; only a value
-    of another kind resolves the dumper table.
+    JSON-ready input (a report dict, say) is returned as it is.
     """
     if isinstance(value, GrassmannElement):
         return dump_element(value)
     if isinstance(value, (dict, list, str, int, bool)) or value is None:
         return value
-    for kind, dump in _dumpers():
-        if isinstance(value, kind):
+    for kind in type(value).__mro__:
+        dump = _DUMPERS.get(f"{kind.__module__}.{kind.__qualname__}")
+        if dump is not None:
             return dump(value)
     raise ConfigError(f"cannot serialize {type(value).__name__}")
 

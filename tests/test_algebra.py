@@ -16,17 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superband import linalg
 from superband.algebra import (
     AlgebraContext,
     AnnihilatorBasis,
     annihilator_odd,
-    coordinates,
     create_algebra,
-    in_odd_span,
 )
 from superband.errors import ConfigError, ContextError, NotInvertible, ParityError
 from superband.evolution import LaurentScalar
+from superband.gamma import GammaSet
 from superband.poly import GrassmannPoly
 from superband.randgen import random_element, random_nonzero_odd
 
@@ -59,6 +57,11 @@ def _oracle_mul(x, y):
                 continue
             acc[key] = acc.get(key, Fraction(0)) + sign * ca * cb
     return {k: v for k, v in acc.items() if v}
+
+
+def _coordinates(x, monomials):
+    """Dense coefficient vector of x over an explicit monomial list."""
+    return [x.terms.get(m, Fraction(0)) for m in monomials]
 
 
 def _local_rank(rows):
@@ -364,13 +367,12 @@ class TestAnnihilator:
         assert ann.dim == expected_dim
         # independence of the returned basis
         if ann.dim:
-            coords = [coordinates(b, odd) for b in ann.basis]
+            coords = [_coordinates(b, odd) for b in ann.basis]
             assert _local_rank(coords) == ann.dim
 
     def test_membership_agrees_with_rank_test(self):
         """contains() subtracts each basis vector at its free monomial; the
-        rank comparison of linalg.in_span over coordinates, and the
-        test-local elimination, must give the same verdict."""
+        test-local elimination must give the same verdict."""
         rng = random.Random(4156)
         verdicts = set()
         for n in (4, 5, 6):
@@ -379,7 +381,7 @@ class TestAnnihilator:
             for _ in range(12):
                 gens = [random_nonzero_odd(rng, ctx) for _ in range(rng.randint(1, 2))]
                 ann = annihilator_odd(gens, ctx)
-                span = [coordinates(b, odd) for b in ann.basis]
+                span = [_coordinates(b, odd) for b in ann.basis]
                 member = ctx.zero()
                 for b in ann.basis:
                     member = member + b * rng.randint(-2, 2)
@@ -393,9 +395,8 @@ class TestAnnihilator:
                     if m not in ann.free
                 ]
                 for x in candidates:
-                    coords = coordinates(x, odd)
+                    coords = _coordinates(x, odd)
                     held = ann.contains(x)
-                    assert held == linalg.in_span(coords, span)
                     assert held == (_local_rank(span + [coords]) == len(span))
                     verdicts.add(held)
         assert verdicts == {True, False}
@@ -403,9 +404,49 @@ class TestAnnihilator:
     def test_span_membership_helper(self):
         ctx = create_algebra(3)
         v = ctx.gen(1) + ctx.gen(2)
-        assert in_odd_span(2 * v, [v])
-        assert not in_odd_span(ctx.gen(3), [v])
-        assert in_odd_span(ctx.zero(), [])
+        assert GammaSet([v]).contains(2 * v)
+        assert not GammaSet([v]).contains(ctx.gen(3))
+        assert GammaSet([], ctx=ctx).contains(ctx.zero())
+
+    def test_membership_refuses_a_non_element(self):
+        ctx = create_algebra(3)
+        ann = annihilator_odd([ctx.gen(1)])
+        span = GammaSet([ctx.gen(1)])
+        for bad in (3, None, Fraction(1, 2), "xi1"):
+            with pytest.raises(ConfigError):
+                ann.contains(bad)
+            with pytest.raises(ConfigError):
+                span.contains(bad)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_gamma_span_agrees_with_rank_test(self, data):
+        """A GammaSet accepts exactly the independent vector lists, and its
+        membership verdict matches the test-local elimination."""
+        ctx = create_algebra(data.draw(st.integers(min_value=3, max_value=6)))
+        odd = ctx.odd_monomials()
+        vectors = [
+            data.draw(elements(ctx, parity="odd", max_terms=3))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+        ]
+        # a combination of earlier vectors makes the list dependent
+        if data.draw(st.booleans()):
+            vectors.append(
+                sum((v * data.draw(_coeffs) for v in vectors), ctx.zero())
+            )
+        coords = [_coordinates(v, odd) for v in vectors]
+        if _local_rank(coords) < len(vectors):
+            with pytest.raises(ConfigError):
+                GammaSet(vectors)
+            return
+        g = GammaSet(vectors)
+        candidates = [
+            sum((v * data.draw(_coeffs) for v in vectors), ctx.zero()),
+            data.draw(elements(ctx, parity="odd", max_terms=3)),
+        ]
+        for x in candidates:
+            expected = _local_rank(coords + [_coordinates(x, odd)]) == len(vectors)
+            assert g.contains(x) == expected
 
 
 class TestHashAgreesWithEquality:

@@ -72,7 +72,9 @@ def test_table_does_not_load_the_suites():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['table', '--generators', '3']) == 0"
     )
-    assert "superband.suites" not in loaded_after(code)
+    loaded = loaded_after(code)
+    assert "superband.suites" not in loaded
+    assert "superband.evolution" not in loaded
 
 
 def test_every_export_resolves():
