@@ -7,9 +7,14 @@ product), the annihilator basis, the resolvents (Laurent matrices and their
 defects) and the orbit (a parametric supervector) pin the arithmetic
 itself.  The ``help_*.txt`` files pin the parser: its wording, choices and
 defaults, wrapped at ``COLUMNS=80``.  The ``.txt`` resolvent and orbit
-reports pin how Laurent scalars and polynomials print.  ``x0_n4.json`` is
-the orbit's input, not an output.  A rewrite must leave all of them
-unchanged.
+reports pin how Laurent scalars and polynomials print.  The ``analyze``
+reports pin the verdict and the counterexample matrix of every relation, on
+a family where all of them hold (P), a linear family where all of them fail
+and a degree-two band family whose three descriptions disagree.  The files
+that no case names are inputs, not outputs: ``x0_n4.json`` for the orbit,
+``family_*.json`` for ``analyze`` and ``band_pair_n4.json`` for
+``check-band``.  A rewrite must leave all of them unchanged, and every
+subcommand has at least one pinned report besides its ``--help``.
 """
 
 import os
@@ -18,6 +23,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from superband.cli import _HANDLERS
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,6 +38,10 @@ CASES = {
     ),
     "verify_all_n5_seed7.json": (
         "verify", "--suite", "all", "--generators", "5", "--seed", "7",
+        "--format", "json",
+    ),
+    "verify_all_n8_seed42.json": (
+        "verify", "--suite", "all", "--generators", "8", "--seed", "42",
         "--format", "json",
     ),
     "table_n4.json": (
@@ -78,6 +89,22 @@ CASES = {
         "orbit", "--x0", str(GOLDEN / "x0_n4.json"), "--family", "P",
         "--alpha", ALPHA, "--generators", "4",
     ),
+    **{
+        f"analyze_{family}_{report}.{fmt}": (
+            "analyze", "--family", str(GOLDEN / f"family_{family}_n4.json"),
+            "--report", report, "--format", "json" if fmt == "json" else "text",
+        )
+        for family in ("P", "linear", "band2")
+        for report in ("equivalence", "components")
+        for fmt in ("json", "txt")
+    },
+    **{
+        f"check_band_n4.{fmt}": (
+            "check-band", "--in", str(GOLDEN / "band_pair_n4.json"),
+            "--format", "json" if fmt == "json" else "text",
+        )
+        for fmt in ("json", "txt")
+    },
     "help_main.txt": ("--help",),
     **{
         f"help_{command}.txt": (command, "--help")
@@ -86,6 +113,13 @@ CASES = {
             "annihilator",
         )
     },
+}
+
+#: cases whose report says a relation fails, so the command exits 1
+EXIT_ONE = {
+    f"analyze_{family}_{report}.{fmt}"
+    for family, report in (("linear", "components"), ("band2", "equivalence"))
+    for fmt in ("json", "txt")
 }
 
 
@@ -99,6 +133,12 @@ def test_stdout_matches_pin(name):
     )
     proc = subprocess.run(
         [sys.executable, "-m", "superband.cli", *CASES[name]],
-        capture_output=True, check=True, env=env,
+        capture_output=True, env=env,
     )
+    assert proc.returncode == (1 if name in EXIT_ONE else 0), proc.stderr
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_every_subcommand_has_a_pinned_report():
+    pinned = {argv[0] for argv in CASES.values() if "--help" not in argv}
+    assert pinned >= set(_HANDLERS)
