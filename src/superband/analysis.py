@@ -14,7 +14,7 @@ from math import comb
 
 from .algebra import annihilator_odd
 from .errors import ConfigError, ContextError, ShapeError
-from .families import ParamSuperMatrix, functional_residual
+from .families import ParamSuperMatrix, functional_residual, product_and_shift
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_nonzero_odd
 from .supermatrix import SuperMatrix
@@ -206,9 +206,48 @@ class EquivalenceReport(
 
     __slots__ = ()
 
+    @classmethod
+    def from_sides(cls, sides: dict) -> "EquivalenceReport":
+        """The verdicts of ``equivalence_sides``: a relation holds when its
+        two sides are equal."""
+        held = {name: left == right for name, (left, right) in sides.items()}
+        return cls(
+            differential=held["differential_eq_only"]
+            and held["k0_idempotent"]
+            and held["k0_orthogonal"],
+            **held,
+        )
+
     @property
     def agree(self) -> bool:
         return self.band == self.functional == self.differential
+
+
+def equivalence_sides(family: ParamSuperMatrix) -> dict:
+    """``{relation: (left, right)}`` for the seven relations of
+    ``EquivalenceReport`` that have a field of their own.
+
+    Each relation states left == right; ``differential`` is not listed,
+    since it is the conjunction of three listed ones.
+    """
+    product, shifted = product_and_shift(family)
+    c = components_of(family)
+    k0 = c[0]
+    k1 = c.generator()
+    zero = SuperMatrix.zero(c.ctx, k0.p, k0.q)
+    derivative = family.derivative("t")
+    s = GrassmannPoly.variable(c.ctx, "s")
+    return {
+        "band": (product, family),
+        "functional": (shifted, product + derivative.scale(s)),
+        "differential_eq_only": (
+            derivative, ParamSuperMatrix.from_supermatrix(k1) @ family
+        ),
+        "k0_idempotent": (k0 @ k0, k0),
+        "k0_orthogonal": (k0 @ k1, zero),
+        "k1_square_zero": (k1 @ k1, zero),
+        "k1_absorbs": (k1 @ k0, k1),
+    }
 
 
 def equivalence_report(
@@ -220,36 +259,11 @@ def equivalence_report(
     For degree-one families the three truth values provably coincide; pass
     ``restrict_linear=False`` to inspect higher-degree families anyway (the
     values then need not agree)."""
-    if "s" in family.variables():
-        raise ConfigError("equivalence expects a family in t only")
-    degree = max(x.degree("t") for row in family.rows for x in row)
-    if restrict_linear and degree > 1:
-        raise ShapeError(f"degree-one family required, got degree {degree}")
-    c = components_of(family)
-    k0 = c[0]
-    k1 = c.generator()
-    zero = SuperMatrix.zero(c.ctx, k0.p, k0.q)
-    t = GrassmannPoly.variable(c.ctx, "t")
-    s = GrassmannPoly.variable(c.ctx, "s")
-    shifted = family.substitute("t", t + s)
-    other = family.rename("t", "s")
-    product = family @ other
-    derivative = family.derivative("t")
-    band = product == family
-    functional = shifted == product + derivative.scale(s)
-    diff_only = derivative == ParamSuperMatrix.from_supermatrix(k1) @ family
-    k0_idem = k0 @ k0 == k0
-    k0_orth = k0 @ k1 == zero
-    return EquivalenceReport(
-        band=band,
-        functional=functional,
-        differential=diff_only and k0_idem and k0_orth,
-        differential_eq_only=diff_only,
-        k0_idempotent=k0_idem,
-        k0_orthogonal=k0_orth,
-        k1_square_zero=k1 @ k1 == zero,
-        k1_absorbs=k1 @ k0 == k1,
-    )
+    if restrict_linear:
+        degree = max(x.degree("t") for row in family.rows for x in row)
+        if degree > 1:
+            raise ShapeError(f"degree-one family required, got degree {degree}")
+    return EquivalenceReport.from_sides(equivalence_sides(family))
 
 
 def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:

@@ -18,8 +18,8 @@ FAMILY_KINDS = ("P", "Q", "Y", "E", "T", "A", "Z")
 class SuiteConfig(
     namedtuple(
         "SuiteConfig",
-        "generators seed suite format samples",
-        defaults=(4, 0, "all", "text", 200),
+        "generators seed suite samples",
+        defaults=(4, 0, "all", 200),
     )
 ):
     __slots__ = ()
@@ -35,8 +35,6 @@ class SuiteConfig(
             raise ConfigError(
                 f"unknown suite {self.suite!r}; expected one of {('all',) + SUITES}"
             )
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
         if not isinstance(self.samples, int) or self.samples < 1:
             raise ConfigError(f"samples must be at least 1, got {self.samples!r}")
         return self

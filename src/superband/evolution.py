@@ -14,9 +14,9 @@ from math import factorial
 
 from .algebra import GrassmannElement
 from .errors import ConfigError, ContextError, ParityError, ShapeError
-from .families import ParamSuperMatrix, ParamSuperVector, generator_of
-from .poly import GrassmannPoly, LaurentScalar
-from .supermatrix import GradedMatrix, SuperVector
+from .families import ParamSuperMatrix, ParamSuperVector, generator_of, product_and_shift
+from .poly import LaurentScalar
+from .supermatrix import GradedMatrix, SuperMatrix, SuperVector
 
 
 class LaurentMatrix(GradedMatrix):
@@ -56,12 +56,8 @@ def moving_time_check(family: ParamSuperMatrix) -> str:
     when F(t)F(s) = F(t), else ``neither``.  Symbolic matrix equality is
     the same as agreement on every symbolic initial vector.
     """
-    if "s" in family.variables():
-        raise ConfigError("classification expects a family in t only")
-    t = GrassmannPoly.variable(family.ctx, "t")
-    s = GrassmannPoly.variable(family.ctx, "s")
-    product = family @ family.rename("t", "s")
-    if product == family.substitute("t", t + s):
+    product, shifted = product_and_shift(family)
+    if product == shifted:
         return "translational"
     if product == family:
         return "moving_time"
@@ -118,3 +114,11 @@ def resolvent_defect(r: LaurentMatrix) -> LaurentMatrix:
         r.ctx, {(0, -1): r.ctx.one(), (-1, 0): -r.ctx.one()}
     )
     return (r - rw) - (r @ rw).scale(w_minus_z)
+
+
+def resolvent_tail(generator: SuperMatrix) -> LaurentMatrix:
+    """(1/(zw) - 1/w^2) A: the resolvent defect of a band-law family whose
+    generator is A, where the standard resolvent identity leaves zero."""
+    one = generator.ctx.one()
+    factor = LaurentScalar(generator.ctx, {(1, 1): one, (0, 2): -one})
+    return LaurentMatrix.from_supermatrix(generator).scale(factor)

@@ -162,14 +162,24 @@ def generator_of(family: ParamSuperMatrix) -> SuperMatrix:
     return family.derivative("t").eval_at({"t": 0, "s": 0})
 
 
-def functional_residual(family: ParamSuperMatrix) -> ParamSuperMatrix:
-    """N(t, s) = F(t+s) - F(t) F(s), the defect in the exponential law."""
+def product_and_shift(family: ParamSuperMatrix):
+    """F(t) F(s) and F(t+s) for a family in t only.
+
+    The band law compares the product with F(t), the exponential law with
+    F(t+s); every law of the family's two-parameter product starts here.
+    """
     if "s" in family.variables():
         raise ConfigError("expected a family in t only")
     t_plus_s = GrassmannPoly.variable(family.ctx, "t") + GrassmannPoly.variable(
         family.ctx, "s"
     )
-    return family.substitute("t", t_plus_s) - family @ in_var(family, "s")
+    return family @ in_var(family, "s"), family.substitute("t", t_plus_s)
+
+
+def functional_residual(family: ParamSuperMatrix) -> ParamSuperMatrix:
+    """N(t, s) = F(t+s) - F(t) F(s), the defect in the exponential law."""
+    product, shifted = product_and_shift(family)
+    return shifted - product
 
 
 def nilpotent_time_commute_check(
@@ -331,6 +341,12 @@ class CayleyReport(
     @property
     def all_matched(self) -> bool:
         return not self.unmatched
+
+    @property
+    def matches_known(self) -> bool:
+        """Every product is named, and the cells that contradict the
+        reference rows are exactly the known ones."""
+        return self.all_matched and set(self.discrepancies) == KNOWN_TABLE_DISCREPANCIES
 
 
 def standard_operands(alpha: GrassmannElement):

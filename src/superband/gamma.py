@@ -183,6 +183,23 @@ def band_pair_check(m: SuperMatrix, n: SuperMatrix) -> str:
     return "neither"
 
 
+def antitriangle_product_blocks(m: SuperMatrix, n: SuperMatrix):
+    """The four blocks of MN for antitriangle factors of one shape:
+    G1 D2, G1 B2, B1 D2 and B1 B2 + D1 G2, in ``from_blocks`` order."""
+    m._check_peer(n)
+    _require_antitriangle(m, "the block product")
+    _require_antitriangle(n, "the block product")
+    g1, d1, b1 = m.block_gamma(), m.block_delta(), m.block_b()
+    g2, d2, b2 = n.block_gamma(), n.block_delta(), n.block_b()
+    # B1 B2 + D1 G2 is one product of [B1 | D1] by [B2 ; G2]
+    return (
+        _grid_mul(g1, d2),
+        _grid_mul(g1, b2),
+        _grid_mul(b1, d2),
+        _grid_mul([rb + rd for rb, rd in zip(b1, d1)], b2 + g2),
+    )
+
+
 def band_pair_components(m: SuperMatrix, n: SuperMatrix) -> dict:
     """The blockwise conditions behind MN = M for antitriangle factors.
 
@@ -192,19 +209,12 @@ def band_pair_components(m: SuperMatrix, n: SuperMatrix) -> dict:
     equivalent to MN = M; the lower-left proviso matters, since e.g. the
     zero matrix left-absorbs everything while "delta_stable" can fail.
     """
-    m._check_peer(n)
-    _require_antitriangle(m, "band components")
-    _require_antitriangle(n, "band components")
-    g1, d1, b1 = m.block_gamma(), m.block_delta(), m.block_b()
-    g2, d2, b2 = n.block_gamma(), n.block_delta(), n.block_b()
-    bb = _grid_mul(b1, b2)
-    dg = _grid_mul(d1, g2)
-    recombined = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(bb, dg)]
+    upper_left, gamma, delta, b = antitriangle_product_blocks(m, n)
     return {
-        "orthogonal": _grid_is_zero(_grid_mul(g1, d2)),
-        "gamma_stable": _grid_mul(g1, b2) == g1,
-        "delta_stable": _grid_mul(b1, d2) == d2,
-        "b_band": recombined == b1,
+        "orthogonal": _grid_is_zero(upper_left),
+        "gamma_stable": gamma == m.block_gamma(),
+        "delta_stable": delta == n.block_delta(),
+        "b_band": b == m.block_b(),
     }
 
 
@@ -286,21 +296,22 @@ def chain_product_verify(family) -> ChainReport:
     return ChainReport(product, closed, matches, ber, ber_formula, ber_matches)
 
 
-def _menu_substitution(ctx, label):
-    t = GrassmannPoly.variable(ctx, "t")
-    s = GrassmannPoly.variable(ctx, "s")
-    return {"t": t, "s": s, "t+s": t + s, "t*s": t * s}[label]
-
-
 def closure_witness(family) -> str | None:
     """The first substitution phi from the menu (t, s, t+s, t*s) with
     family(t) family(s) == family(phi), or None when no candidate works."""
-    if "s" in family.variables():
-        raise ConfigError("closure expects a family in the single parameter t")
-    product = family @ family.rename("t", "s")
+    # imported here, so that check-band does not load the families module
+    from .families import in_var, product_and_shift
+
+    product, shifted = product_and_shift(family)
+    t = GrassmannPoly.variable(family.ctx, "t")
+    candidates = {
+        "t": family,
+        "s": in_var(family, "s"),
+        "t+s": shifted,
+        "t*s": family.substitute("t", t * GrassmannPoly.variable(family.ctx, "s")),
+    }
     for label in CLOSURE_MENU:
-        candidate = family.substitute("t", _menu_substitution(family.ctx, label))
-        if candidate == product:
+        if candidates[label] == product:
             return label
     return None
 

@@ -397,12 +397,27 @@ def load_value(obj):
 
 
 def load_json(text: str):
-    """json.loads with decode errors mapped to ParseError carrying the byte
-    offset of the first syntax error."""
+    """json.loads with every refusal mapped to ParseError: a syntax error
+    carries its byte offset, and nesting too deep for the decoder or an
+    integer too long to convert is refused as well."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError("invalid JSON: an integer has too many digits") from None
+
+
+def read_json(path):
+    """The JSON value in a file of UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    return load_json(text)
 
 
 def loads(text: str):
@@ -412,5 +427,4 @@ def loads(text: str):
 
 def parse_input(path):
     """Read one canonical JSON value from a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return load_value(read_json(path))

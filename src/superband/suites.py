@@ -45,9 +45,9 @@ from .evolution import (
     moving_time_check,
     orbit,
     resolvent_defect,
+    resolvent_tail,
 )
 from .families import (
-    KNOWN_TABLE_DISCREPANCIES,
     ParamSuperMatrix,
     cayley_table_verify,
     commutator,
@@ -62,6 +62,7 @@ from .families import (
     smoothing,
 )
 from .gamma import (
+    antitriangle_product_blocks,
     chain_product_verify,
     idempotent_strong_check,
     random_strong_family,
@@ -78,7 +79,6 @@ from .serialize import to_obj
 from .supermatrix import (
     SuperMatrix,
     SuperVector,
-    _grid_mul,
     ber_parts,
     berezinian,
     classify_reduction,
@@ -129,18 +129,6 @@ def _random_antitriangle(rng, ctx, p, q):
     bb = [[random_element(rng, ctx, parity="even", max_terms=2) for _ in range(q)]
           for _ in range(q)]
     return SuperMatrix.from_blocks(zero_a, g, d, bb)
-
-
-def _coupled_product(m, n):
-    g1, d1, b1 = m.block_gamma(), m.block_delta(), m.block_b()
-    g2, d2, b2 = n.block_gamma(), n.block_delta(), n.block_b()
-    # B1 B2 + Delta1 Gamma2 is one product of [B1 | Delta1] by [B2 ; Gamma2]
-    return SuperMatrix.from_blocks(
-        _grid_mul(g1, d2),
-        _grid_mul(g1, b2),
-        _grid_mul(b1, d2),
-        _grid_mul([rb + rd for rb, rd in zip(b1, d1)], b2 + g2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +218,8 @@ def _gamma_checks(cfg, rng):
         p, q = _SHAPES[rng.randrange(len(_SHAPES))]
         m = _random_antitriangle(rng, ctx, p, q)
         n = _random_antitriangle(rng, ctx, p, q)
-        b.record("mm", m @ n == _coupled_product(m, n), m)
+        blocks = antitriangle_product_blocks(m, n)
+        b.record("mm", m @ n == SuperMatrix.from_blocks(*blocks), m)
     for i in range(max(1, cfg.samples // 8)):
         p, q = _SHAPES[i % len(_SHAPES)]
         fam = random_strong_family(rng, ctx, p, q, length=rng.randint(2, 5))
@@ -323,13 +312,7 @@ def _families_checks(cfg, rng):
         b.record("usq", conn["u_squared"], alpha)
 
         if i % table_every == 0:
-            report = cayley_table_verify(alpha)
-            b.record(
-                "table",
-                report.all_matched
-                and set(report.discrepancies) == set(KNOWN_TABLE_DISCREPANCIES),
-                alpha,
-            )
+            b.record("table", cayley_table_verify(alpha).matches_known, alpha)
     return b.checks()
 
 
@@ -339,9 +322,10 @@ def _analysis_checks(cfg, rng):
     for i in range(max(1, cfg.samples // 8)):
         p, q = _SHAPES[i % len(_SHAPES)]
         comps = random_band_components(rng, ctx, p, q, degree=rng.randint(1, 4))
-        b.record("kn", band_component_system_check(comps).holds)
-        b.record("nsum", n_functional_residual(comps).matches)
-        b.record("utail", n_differential_defect(comps) == derivative_tail(comps))
+        fam = comps.family("t")  # the witness, in the form analyze reads
+        b.record("kn", band_component_system_check(comps).holds, fam)
+        b.record("nsum", n_functional_residual(comps).matches, fam)
+        b.record("utail", n_differential_defect(comps) == derivative_tail(comps), fam)
         k0 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
         k1 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
         linear = (
@@ -351,8 +335,8 @@ def _analysis_checks(cfg, rng):
             )
         )
         b.record("equiv", equivalence_report(linear).agree, linear)
-        band_linear = random_band_components(rng, ctx, p, q, degree=1)
-        b.record("equiv", equivalence_report(band_linear.family("t")).agree)
+        band_linear = random_band_components(rng, ctx, p, q, degree=1).family("t")
+        b.record("equiv", equivalence_report(band_linear).agree, band_linear)
     alpha = ctx.gen(1)
     pos = equivalence_report(make_family("P", alpha))
     neg = equivalence_report(make_family("T", alpha))
@@ -386,14 +370,6 @@ def _expected_resolvents(ctx, alpha):
     return rp, rt
 
 
-def _resolvent_tail(ctx, alpha):
-    factor = LaurentScalar(ctx, {(1, 1): ctx.one(), (0, 2): -ctx.one()})
-    gen = SuperMatrix(
-        1, 1, [[ctx.zero(), alpha], [ctx.zero(), ctx.zero()]]
-    )
-    return LaurentMatrix.from_supermatrix(gen).scale(factor)
-
-
 def _resolvent_checks(cfg, rng):
     ctx = create_algebra(cfg.generators)
     b = _Battery()
@@ -406,7 +382,9 @@ def _resolvent_checks(cfg, rng):
         b.record("rz", rp == want_rp, alpha)
         b.record("rz1", rt == want_rt, alpha)
         b.record("rrt", resolvent_defect(rt).is_zero(), alpha)
-        b.record("rra", resolvent_defect(rp) == _resolvent_tail(ctx, alpha), alpha)
+        # A is built from alpha here, not read off P by generator_of
+        gen = SuperMatrix(1, 1, [[ctx.zero(), alpha], [ctx.zero(), ctx.zero()]])
+        b.record("rra", resolvent_defect(rp) == resolvent_tail(gen), alpha)
 
         x0 = random_supervector(rng, ctx, 1, 1)
         even0, odd0 = x0.even[0], x0.odd[0]

@@ -267,6 +267,25 @@ class TestCheckBand:
         assert exc.value.code == 2
 
 
+#: files the JSON decoder refuses without a syntax error
+UNREADABLE = {
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "latin1": b'{"n": 3, "terms": [], "x": "caf\xe9"}',
+    "long_int": b'{"n": ' + b"9" * 5000 + b', "terms": []}',
+}
+
+
+@pytest.mark.parametrize("content", sorted(UNREADABLE))
+@pytest.mark.parametrize("flag", ("check-band --in", "analyze --family"))
+def test_unreadable_file_is_usage_error(capsys, tmp_path, flag, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[content])
+    code, out, err = run_cli(capsys, *flag.split(), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("superband: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestAnalyze:
     def test_band_family_agrees(self, capsys, tmp_path):
         ctx = create_algebra(4)

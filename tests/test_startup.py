@@ -112,7 +112,7 @@ RECORDS = {
     EquivalenceReport: ("band", "functional", "differential", "differential_eq_only",
                         "k0_idempotent", "k0_orthogonal", "k1_square_zero",
                         "k1_absorbs"),
-    SuiteConfig: ("generators", "seed", "suite", "format", "samples"),
+    SuiteConfig: ("generators", "seed", "suite", "samples"),
     ExitReport: ("report",),
 }
 
@@ -132,10 +132,10 @@ def test_record_fields_equality_and_immutability(cls):
 
 def test_suite_config_defaults_and_validation():
     assert SuiteConfig() == SuiteConfig(
-        generators=4, seed=0, suite="all", format="text", samples=200
+        generators=4, seed=0, suite="all", samples=200
     )
     assert SuiteConfig(suite="gamma").validate() == SuiteConfig(suite="gamma")
     for bad in ({"generators": 17}, {"seed": -1}, {"suite": "nope"},
-                {"format": "xml"}, {"samples": 0}):
+                {"samples": 0}):
         with pytest.raises(ConfigError):
             SuiteConfig(**bad).validate()

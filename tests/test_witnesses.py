@@ -3,6 +3,8 @@ assembled.
 
 Every label passes on working code, so one check is made to fail on known
 samples: the report must name the first of them and be otherwise unchanged.
+A label checked on a polynomial family records the family itself, in the
+form ``superband analyze --family`` reads.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import copy
 
 from superband import suites
 from superband.config import SuiteConfig
-from superband.serialize import dumps, to_obj
+from superband.serialize import dumps, load_value, to_obj
 
 CFG = SuiteConfig(generators=4, seed=3, suite="supermatrix", samples=20)
 
@@ -48,3 +50,30 @@ def test_counterexample_is_the_first_failing_witness(monkeypatch):
         if check["label"] == "7a":
             check.update(entry)
     assert dumps(report) == dumps(expected)
+
+
+def test_component_label_witness_is_the_family_analyze_reads(monkeypatch):
+    cfg = SuiteConfig(generators=4, seed=3, suite="analysis", samples=24)
+    real = suites.band_component_system_check
+    calls, failed = [], []
+
+    def broken(comps):
+        # spoil "kn" on the second sample only
+        calls.append(comps)
+        report = real(comps)
+        if len(calls) == 2:
+            failed.append(comps)
+            report = report._replace(holds=False)
+        return report
+
+    monkeypatch.setattr(suites, "band_component_system_check", broken)
+    report = suites.run_suite(cfg).report
+
+    assert len(calls) == cfg.samples // 8 and len(failed) == 1
+    (suite,) = report["suites"]
+    (entry,) = [c for c in suite["checks"] if c["label"] == "kn"]
+    assert entry["passed"] is False
+    assert load_value(entry["counterexample"]) == failed[0].family("t")
+    # every other label still passes and records no counterexample
+    others = [c for c in suite["checks"] if c["label"] != "kn"]
+    assert others and all(c == {"label": c["label"], "passed": True} for c in others)
