@@ -11,6 +11,14 @@ All arithmetic is exact over the rationals.  Elements are immutable; every
 operation returns a new canonical element (zero coefficients dropped, index
 tuples kept sorted), so structural equality is semantic equality.
 
+Sums and products work on the int numerator/denominator pairs of the
+coefficients and build each output coefficient once, through ``_ratio``:
+the pair is reduced by gcd and stored into the two slots of a bare
+Fraction.  ``Fraction(n, d)`` gives the same value, but its Python-level
+constructor was the largest single cost left in products at n = 4, where
+most operands have one term.  Only this module touches those slots, and a
+test pins their names.
+
 Usage:
 
     ctx = create_algebra(3)
@@ -25,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .errors import ConfigError, ContextError, NotInvertible, ParityError
 from . import linalg
@@ -235,30 +244,41 @@ class GrassmannElement:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.terms:
+        if type(other) is not GrassmannElement or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        b = other.terms
+        if not b:
             return self
         if not self.terms:
             return other
         terms = dict(self.terms)
-        for idx, c in other.terms.items():
+        for idx, c in b.items():
             prev = terms.get(idx)
             if prev is None:
                 terms[idx] = c
                 continue
-            s = prev + c
-            if s:
-                terms[idx] = s
+            pn, pd = prev._numerator, prev._denominator
+            cn, cd = c._numerator, c._denominator
+            if pd == cd:
+                num = pn + cn
+            else:
+                num = pn * cd + cn * pd
+                pd *= cd
+            if num:
+                terms[idx] = _ratio(num, pd)
             else:
                 del terms[idx]
-        return GrassmannElement(self.ctx, terms)
+        return _element(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(self.ctx, {idx: -c for idx, c in self.terms.items()})
+        return _element(
+            self.ctx,
+            {idx: _ratio(-c._numerator, c._denominator) for idx, c in self.terms.items()},
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -273,9 +293,10 @@ class GrassmannElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GrassmannElement or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
             return self.ctx._zero
@@ -284,12 +305,12 @@ class GrassmannElement:
         if len(a) == 1 and () in a:
             return other._scaled(a[()])
         # sums are kept as unreduced (numerator, denominator) int pairs, so
-        # each output coefficient costs one Fraction; a key whose running sum
+        # each output coefficient costs one _ratio; a key whose running sum
         # cancels is dropped and re-enters at the end, as with Fraction sums
-        right = [(ib, cb.numerator, cb.denominator) for ib, cb in b.items()]
+        right = [(ib, cb._numerator, cb._denominator) for ib, cb in b.items()]
         acc = {}
         for ia, ca in a.items():
-            na, da = ca.numerator, ca.denominator
+            na, da = ca._numerator, ca._denominator
             for ib, nb, db in right:
                 sign, idx = _mul_monomials(ia, ib)
                 if not sign:
@@ -308,18 +329,16 @@ class GrassmannElement:
                         del acc[idx]
                         continue
                 acc[idx] = (num, den)
-        return GrassmannElement(
-            self.ctx, {idx: Fraction(n, d) for idx, (n, d) in acc.items()}
-        )
+        return _element(self.ctx, {idx: _ratio(n, d) for idx, (n, d) in acc.items()})
 
     def _scaled(self, c):
         """self times the nonzero rational c."""
-        nc, dc = c.numerator, c.denominator
+        nc, dc = c._numerator, c._denominator
         if nc == dc:
             return self
-        return GrassmannElement(
+        return _element(
             self.ctx,
-            {idx: Fraction(ca.numerator * nc, ca.denominator * dc)
+            {idx: _ratio(ca._numerator * nc, ca._denominator * dc)
              for idx, ca in self.terms.items()},
         )
 
@@ -370,8 +389,7 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent remainder: self minus body."""
-        terms = {idx: c for idx, c in self.terms.items() if idx}
-        return GrassmannElement(self.ctx, terms)
+        return _element(self.ctx, {idx: c for idx, c in self.terms.items() if idx})
 
     def body_soul(self):
         return self.body(), self.soul()
@@ -461,6 +479,34 @@ class GrassmannElement:
 # the slot setters, which bypass the immutability guard in __setattr__
 _set_ctx = GrassmannElement.ctx.__set__
 _set_terms = GrassmannElement.terms.__set__
+_new = object.__new__
+
+
+def _element(ctx, terms):
+    """A GrassmannElement around canonical ``terms`` of ``ctx``, unchecked:
+    the results of arithmetic.  A plain function, like ``poly._canonical``."""
+    x = _new(GrassmannElement)
+    _set_ctx(x, ctx)
+    _set_terms(x, terms)
+    return x
+
+
+def _ratio(n, d):
+    """The Fraction n/d of the ints n and d > 0.
+
+    Reduces by gcd and sets the two slots of a bare Fraction, as CPython's
+    ``fractions`` does internally for a pair it knows to be coprime, so the
+    Python-level ``Fraction.__new__`` and its type dispatch are skipped.  The
+    result is the same canonical Fraction that ``Fraction(n, d)`` returns.
+    """
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 class AnnihilatorBasis:

@@ -77,7 +77,10 @@ def parse_alpha(text: str, ctx: AlgebraContext):
             if tok == "-":
                 sign = -sign
         elif tok.startswith("xi"):
-            k = int(tok[2:])
+            try:
+                k = int(tok[2:])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"generator index too long in {tok[:12]!r}...") from None
             if not 1 <= k <= ctx.n:
                 raise ParseError(f"generator xi{k} outside 1..{ctx.n}")
             factor = ctx.gen(k)
@@ -87,6 +90,8 @@ def parse_alpha(text: str, ctx: AlgebraContext):
                 factor = ctx.scalar(Fraction(tok))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in coefficient {tok!r}") from None
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"coefficient too long: {tok[:12]!r}...") from None
             term = factor if term is None else term * factor
     if term is None:
         raise ParseError("alpha expression ends with a dangling sign")

@@ -147,9 +147,14 @@ class SparsePoly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self) or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for key, c in other.terms.items():
             acc = terms.get(key)
@@ -178,12 +183,18 @@ class SparsePoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self) or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
             return _canonical(type(self), self.ctx, {})
+        # times the shared constant 1 (ctx.one()), the product is the other side
+        if len(b) == 1 and b.get(_CONSTANT) is self.ctx._one:
+            return self
+        if len(a) == 1 and a.get(_CONSTANT) is self.ctx._one:
+            return other
         lo, hi = self.BOUNDS
         terms = {}
         for (ea, fa), ca in a.items():

@@ -47,18 +47,19 @@ def _as_grid(rows):
 
 
 def _grid_mul(x, y):
-    rows = len(x)
-    inner = len(y)
-    cols = len(y[0])
+    """The grid product x y, summing only the pairs of nonzero entries; an
+    entry with no such pair is row[0] * col[0], a zero of the product's kind."""
+    cols = list(zip(*y))
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = x[i][0] * y[0][j]
-            for k in range(1, inner):
-                acc = acc + x[i][k] * y[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in x:
+        out_row = []
+        for col in cols:
+            acc = None
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = a * b if acc is None else acc + a * b
+            out_row.append(row[0] * col[0] if acc is None else acc)
+        out.append(out_row)
     return out
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from superband.algebra import (
     AlgebraContext,
     AnnihilatorBasis,
+    _ratio,
     annihilator_odd,
     create_algebra,
 )
@@ -447,6 +448,66 @@ class TestAnnihilator:
         for x in candidates:
             expected = _local_rank(coords + [_coordinates(x, odd)]) == len(vectors)
             assert g.contains(x) == expected
+
+
+class TestRatio:
+    """``_ratio`` builds coefficients by setting Fraction's slots; the public
+    ``Fraction(n, d)`` constructor is its oracle."""
+
+    _ints = st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=-(2**200), max_value=2**200),
+    )
+
+    def test_fraction_slots_are_the_ones_set(self):
+        # a Python that renames these slots must fail here, not compute wrongly
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    @given(_ints, _ints.map(lambda d: abs(d) + 1))
+    def test_equals_public_constructor(self, n, d):
+        got, want = _ratio(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want)
+
+    def test_integers_keep_equality_and_hash(self):
+        assert _ratio(4, 2) == 2 and hash(_ratio(4, 2)) == hash(2)
+        assert _ratio(0, 7) == 0 and _ratio(0, 7).denominator == 1
+        assert _ratio(-6, 4) == Fraction(-3, 2)
+        big = 2**100 + 1
+        assert _ratio(3 * big, 3) == big and hash(_ratio(3 * big, 3)) == hash(big)
+        x = _ratio(-6, 4)
+        assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+
+
+def _oracle_sum(x, y, sign=1):
+    """Dict-level x + sign*y over Fraction, the ground truth for + and -."""
+    acc = dict(x.terms)
+    for key, c in y.terms.items():
+        acc[key] = acc.get(key, Fraction(0)) + sign * c
+    return {k: v for k, v in acc.items() if v}
+
+
+class TestSumOracle:
+    @given(element_triples())
+    def test_add_sub_neg_match_fraction_sums(self, xyz):
+        x, y, _ = xyz
+        assert (x + y).terms == _oracle_sum(x, y)
+        assert (x - y).terms == _oracle_sum(x, y, -1)
+        assert (-x).terms == _oracle_sum(x.ctx.zero(), x, -1)
+        for c in (x + y).terms.values():
+            assert type(c) is Fraction
+
+    @given(element_triples())
+    def test_identities_match_the_oracles(self, xyz):
+        x, _, _ = xyz
+        ctx = x.ctx
+        for zero in (ctx.zero(), 0, Fraction(0)):
+            assert (x + zero).terms == (zero + x).terms == _oracle_sum(x, ctx.zero())
+        for one in (ctx.one(), 1, ctx.scalar(Fraction(2, 2))):
+            assert (x * one).terms == (one * x).terms == _oracle_mul(x, ctx.one())
+        assert (x * ctx.zero()).terms == (ctx.zero() * x).terms == {}
 
 
 class TestHashAgreesWithEquality:

@@ -286,6 +286,15 @@ def test_unreadable_file_is_usage_error(capsys, tmp_path, flag, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", ("9" * 5000 + " xi1", "xi" + "1" * 5000))
+def test_overlong_alpha_integer_is_usage_error(capsys, alpha):
+    """Integers past int()'s digit limit are refused, not a traceback."""
+    code, out, err = run_cli(capsys, "annihilator", "--alpha", alpha, "--generators", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("superband: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 class TestAnalyze:
     def test_band_family_agrees(self, capsys, tmp_path):
         ctx = create_algebra(4)

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superband.algebra import create_algebra
 from superband.errors import ConfigError, ContextError, ParityError
@@ -201,6 +203,61 @@ class TestProductOracle:
         # Laurent exponents have no cap
         big = LaurentScalar.term(ctx.one(), iz=MAX_VAR_DEGREE, iw=-MAX_VAR_DEGREE)
         assert (big * big).coefficient(2 * MAX_VAR_DEGREE, -2 * MAX_VAR_DEGREE) == ctx.one()
+
+
+def _oracle_sum(left, right):
+    """The sum of two ``sorted_terms()`` lists, term by term, sharing no code
+    with the polynomial classes."""
+    sums = dict(left)
+    for key, c in right:
+        sums[key] = sums[key] + c if key in sums else c
+    return sorted((key, c) for key, c in sums.items() if not c.is_zero())
+
+
+@st.composite
+def _kind_and_value(draw):
+    """A polynomial kind and one of its values over 1..4 generators, with
+    coefficients that include zero-body, odd and scalar elements."""
+    cls, exponents = draw(st.sampled_from(TestProductOracle.KINDS))
+    ctx = create_algebra(draw(st.integers(min_value=1, max_value=4)))
+    terms = {}
+    for key in draw(st.lists(st.tuples(*[st.sampled_from(exponents)] * 2), max_size=4)):
+        monos = draw(st.lists(st.sampled_from(ctx.basis()), max_size=3, unique=True))
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        terms[key] = ctx.element({m: draw(coeffs) for m in monos})
+    return cls, cls(ctx, terms)
+
+
+class TestIdentityOperands:
+    """Adding zero and multiplying by one give what the schoolbook oracles
+    give, whether the zero or one is a value of the kind, an element or an
+    int, and whether it is the shared constant ``ctx.one()`` or a new one."""
+
+    @given(_kind_and_value())
+    def test_add_zero(self, kind_value):
+        cls, x = kind_value
+        zeros = (cls.zero(x.ctx), x.ctx.zero(), 0, cls(x.ctx, {}))
+        want = _oracle_sum(x.sorted_terms(), [])
+        for zero in zeros:
+            for got in (x + zero, zero + x):
+                assert type(got) is cls and got.sorted_terms() == want
+
+    @given(_kind_and_value())
+    def test_multiply_by_one(self, kind_value):
+        cls, x = kind_value
+        ctx = x.ctx
+        ones = (
+            cls.constant(ctx.one()),
+            cls.constant(ctx.scalar(1)),
+            ctx.one(),
+            1,
+        )
+        want = _oracle_product(x.sorted_terms(), [((0, 0), ctx.one())])
+        for one in ones:
+            for got in (x * one, one * x):
+                assert type(got) is cls and got.sorted_terms() == want
+        zero = cls.zero(ctx)
+        assert (x * zero).terms == (zero * x).terms == {}
 
 
 class TestCalculus:

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superband import serialize
 from superband.algebra import create_algebra
@@ -21,9 +23,11 @@ from superband.randgen import (
 )
 from superband.evolution import LaurentMatrix
 from superband.families import ParamSuperMatrix, ParamSuperVector
+from superband.poly import GrassmannPoly, LaurentScalar
 from superband.supermatrix import (
     SuperMatrix,
     SuperVector,
+    _grid_mul,
     ber_parts,
     berezinian,
     classify_reduction,
@@ -319,6 +323,102 @@ class TestKindsStayApart:
             assert set(serialize.to_obj(kinds[cls])) == {"n", "p", "q", "rows"}
         assert "iz" in serialize.dumps(kinds[LaurentMatrix])
         assert "iz" not in serialize.dumps(kinds[ParamSuperMatrix])
+
+
+def _oracle_grid_mul(x, y):
+    """Every x[i][k] * y[k][j] summed with +, zeros and ones included."""
+    out = []
+    for i in range(len(x)):
+        row = []
+        for j in range(len(y[0])):
+            acc = x[i][0] * y[0][j]
+            for k in range(1, len(y)):
+                acc = acc + x[i][k] * y[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+#: the entries of SuperMatrix (elements), ParamSuperMatrix and LaurentMatrix,
+#: with the exponents the polynomial test entries use (GrassmannPoly products
+#: of these stay under the degree cap)
+_ENTRY_KINDS = ((None, None), (GrassmannPoly, range(0, 3)), (LaurentScalar, range(-2, 3)))
+
+
+@st.composite
+def _entries(draw, ctx, kind, exponents):
+    """Zero, the shared one, a fresh one, or a sparse value of the kind."""
+    def element():
+        monos = draw(st.lists(st.sampled_from(ctx.basis()), max_size=3, unique=True))
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        return ctx.element({m: draw(coeffs) for m in monos})
+
+    pick = draw(st.sampled_from(("zero", "one", "fresh one", "value", "value")))
+    if kind is None:
+        if pick == "value":
+            return element()
+        return {"zero": ctx.zero(), "one": ctx.one(), "fresh one": ctx.scalar(1)}[pick]
+    if pick == "zero":
+        return kind.zero(ctx)
+    if pick == "one":
+        return kind.constant(ctx.one())
+    if pick == "fresh one":
+        return kind.constant(ctx.scalar(1))
+    keys = draw(st.lists(st.tuples(*[st.sampled_from(exponents)] * 2), max_size=3))
+    return kind(ctx, {key: element() for key in keys})
+
+
+@st.composite
+def _grid_pairs(draw):
+    kind, exponents = draw(st.sampled_from(_ENTRY_KINDS))
+    ctx = create_algebra(draw(st.integers(min_value=1, max_value=4)))
+    rows, inner, cols = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+
+    def grid(height, width):
+        return [[draw(_entries(ctx, kind, exponents)) for _ in range(width)]
+                for _ in range(height)]
+
+    return grid(rows, inner), grid(inner, cols)
+
+
+class TestGridMulOracle:
+    """``_grid_mul`` skips the pairs with a zero entry; the plain triple loop
+    over every pair is its oracle, down to the kind of each zero."""
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for row, expected in zip(got, want):
+            assert [type(v) for v in row] == [type(v) for v in expected]
+            assert row == expected
+
+    @given(_grid_pairs())
+    def test_matches_the_triple_loop(self, pair):
+        x, y = pair
+        self._same(_grid_mul(x, y), _oracle_grid_mul(x, y))
+
+    @given(st.data())
+    def test_polynomial_rows_times_constant_column(self, data):
+        ctx = create_algebra(data.draw(st.integers(min_value=1, max_value=4)))
+        size = data.draw(st.integers(min_value=1, max_value=3))
+        x = [[data.draw(_entries(ctx, GrassmannPoly, range(0, 3))) for _ in range(size)]
+             for _ in range(size)]
+        column = [[data.draw(_entries(ctx, None, None))] for _ in range(size)]
+        got = _grid_mul(x, column)
+        self._same(got, _oracle_grid_mul(x, column))
+        assert all(type(v) is GrassmannPoly for v, in got)
+
+    def test_apply_of_a_zero_vector_keeps_the_polynomial_kind(self):
+        ctx = create_algebra(2)
+        m = ParamSuperMatrix.from_supermatrix(SuperMatrix.identity(ctx, 1, 1))
+        out = m.apply(SuperVector([ctx.zero()], [ctx.zero()]))
+        assert type(out) is ParamSuperVector
+        assert all(type(v) is GrassmannPoly and v.is_zero() for v in out.even + out.odd)
+        v = SuperVector([ctx.one()], [ctx.gen(1)])
+        assert m.apply(v) == ParamSuperVector(
+            [GrassmannPoly.constant(ctx.one())], [GrassmannPoly.constant(ctx.gen(1))]
+        )
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
