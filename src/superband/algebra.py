@@ -294,6 +294,8 @@ class GrassmannElement:
 
     def __mul__(self, other):
         if type(other) is not GrassmannElement or other.ctx is not self.ctx:
+            if isinstance(other, _Rational):
+                return self._times(other)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -301,9 +303,11 @@ class GrassmannElement:
         if not a or not b:
             return self.ctx._zero
         if len(b) == 1 and () in b:
-            return self._scaled(b[()])
+            c = b[()]
+            return self._scaled(c._numerator, c._denominator)
         if len(a) == 1 and () in a:
-            return other._scaled(a[()])
+            c = a[()]
+            return other._scaled(c._numerator, c._denominator)
         # sums are kept as unreduced (numerator, denominator) int pairs, so
         # each output coefficient costs one _ratio; a key whose running sum
         # cancels is dropped and re-enters at the end, as with Fraction sums
@@ -331,9 +335,8 @@ class GrassmannElement:
                 acc[idx] = (num, den)
         return _element(self.ctx, {idx: _ratio(n, d) for idx, (n, d) in acc.items()})
 
-    def _scaled(self, c):
-        """self times the nonzero rational c."""
-        nc, dc = c._numerator, c._denominator
+    def _scaled(self, nc, dc):
+        """self times the nonzero rational nc / dc, in lowest terms, dc > 0."""
         if nc == dc:
             return self
         return _element(
@@ -342,8 +345,18 @@ class GrassmannElement:
              for idx, ca in self.terms.items()},
         )
 
+    def _times(self, r):
+        """self times the int or Fraction r, with no scalar element built."""
+        if not r or not self.terms:
+            return self.ctx._zero
+        if isinstance(r, int):
+            return self._scaled(r, 1)
+        return self._scaled(r._numerator, r._denominator)
+
     def __rmul__(self, other):
         # scalars commute with everything, so left and right agree here
+        if isinstance(other, _Rational):
+            return self._times(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

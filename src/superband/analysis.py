@@ -250,19 +250,16 @@ def equivalence_sides(family: ParamSuperMatrix) -> dict:
     }
 
 
-def equivalence_report(
-    family: ParamSuperMatrix, restrict_linear: bool = True
-) -> EquivalenceReport:
+def equivalence_report(family: ParamSuperMatrix) -> EquivalenceReport:
     """Evaluate the band law, the functional equation with first-derivative
-    correction, and the differential description on one family.
+    correction, and the differential description on one degree-one family.
 
-    For degree-one families the three truth values provably coincide; pass
-    ``restrict_linear=False`` to inspect higher-degree families anyway (the
-    values then need not agree)."""
-    if restrict_linear:
-        degree = max(x.degree("t") for row in family.rows for x in row)
-        if degree > 1:
-            raise ShapeError(f"degree-one family required, got degree {degree}")
+    For degree-one families the three truth values provably coincide.
+    ``EquivalenceReport.from_sides(equivalence_sides(family))`` inspects a
+    higher-degree family anyway (the values then need not agree)."""
+    degree = max(x.degree("t") for row in family.rows for x in row)
+    if degree > 1:
+        raise ShapeError(f"degree-one family required, got degree {degree}")
     return EquivalenceReport.from_sides(equivalence_sides(family))
 
 

@@ -202,14 +202,14 @@ def nilpotent_time_commute_check(
     return frozen.is_zero()
 
 
-def matrix_exp_nilpotent(m: SuperMatrix, var: str = "t") -> ParamSuperMatrix:
+def matrix_exp_nilpotent(m: SuperMatrix) -> ParamSuperMatrix:
     """exp(M t) as a terminating series; M must be nilpotent as a matrix."""
     ctx = m.ctx
     acc = ParamSuperMatrix.identity(ctx, m.p, m.q)
     power = ParamSuperMatrix.from_supermatrix(m)
     k = 1
     factorial = 1
-    tvar = GrassmannPoly.variable(ctx, var)
+    tvar = GrassmannPoly.variable(ctx, "t")
     tpow = tvar
     while not power.is_zero():
         if k > 2 * (m.p + m.q) * (ctx.n + 1):
@@ -444,8 +444,9 @@ def intertwiner_check(sigma, rho, u, v, alpha) -> dict:
     }
 
 
-def inverse_relations_check(alpha: GrassmannElement, max_power: int = 5) -> dict:
-    """The one-sided inverse laws tying P, T and Y together."""
+def inverse_relations_check(alpha: GrassmannElement) -> dict:
+    """The one-sided inverse laws tying P, T and Y together; the power laws
+    ``tp1`` (T^n P = P(t (n + 1))) and ``tp2`` (P^n T = P) for n = 1..5."""
     alpha = _family_alpha(alpha)
     p = make_family("P", alpha)
     t_fam = make_family("T", alpha)
@@ -469,7 +470,7 @@ def inverse_relations_check(alpha: GrassmannElement, max_power: int = 5) -> dict
     pn = ParamSuperMatrix.identity(ctx, 1, 1)
     tp1 = True
     tp2 = True
-    for n in range(1, max_power + 1):
+    for n in range(1, 6):
         tn = tn @ t_fam
         pn = pn @ p
         tp1 = tp1 and tn @ p == p_at(n + 1)

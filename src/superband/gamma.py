@@ -334,7 +334,7 @@ def _random_invertible_even_grid(rng, ctx, q):
     ]
 
 
-def random_strong_family(rng, ctx, p=1, q=1, length=3, span_size=None):
+def random_strong_family(rng, ctx, p=1, q=1, length=3):
     """Pairwise-strong antitriangle matrices built from a random odd span.
 
     Upper-odd entries are rational combinations of the span vectors,
@@ -344,8 +344,7 @@ def random_strong_family(rng, ctx, p=1, q=1, length=3, span_size=None):
     """
     seeds, ann = [ctx.gen(1)], None
     for _ in range(24):
-        k = span_size if span_size else rng.randint(1, 2)
-        trial = [random_nonzero_odd(rng, ctx) for _ in range(k)]
+        trial = [random_nonzero_odd(rng, ctx) for _ in range(rng.randint(1, 2))]
         basis = annihilator_odd(trial, ctx)
         if basis.dim:
             seeds, ann = trial, basis

@@ -130,22 +130,18 @@ def random_element(rng, ctx: AlgebraContext, parity=None, max_terms=3, body=None
     return GrassmannElement(ctx, terms)
 
 
-def random_odd(rng, ctx, max_terms=3):
-    return random_element(rng, ctx, parity="odd", max_terms=max_terms)
-
-
-def random_nonzero_odd(rng, ctx, max_terms=3):
+def random_nonzero_odd(rng, ctx):
     while True:
-        x = random_odd(rng, ctx, max_terms=max_terms)
+        x = random_element(rng, ctx, parity="odd")
         if x:
             return x
 
 
-def random_even_invertible(rng, ctx, max_terms=2):
+def random_even_invertible(rng, ctx):
     body = 0
     while body == 0:
         body = rng.randint(-4, 4)
-    return random_element(rng, ctx, parity="even", max_terms=max_terms, body=body)
+    return random_element(rng, ctx, parity="even", max_terms=2, body=body)
 
 
 def _body_det(grid):

@@ -1,11 +1,13 @@
 """Deterministic verification suites behind ``superband verify``.
 
-Each suite draws all of its random instances from one seeded generator
-(``random.Random(f"{seed}:{name}")``), evaluates a fixed battery of labeled
-identity checks, and reports one pass/fail line per label.  A label passes
-only if it held on every instance.  Its first counterexample is kept as the
-raw value and serialized only when the report is assembled, in the same JSON
-form the command line accepts, so failures can be replayed through
+Each suite is a generator that draws all of its random instances from one
+seeded generator (``random.Random(f"{seed}:{name}")``) and yields groups
+``(witness, {label: verdict, ...})``: one group holds every label checked
+on the same witness, the value a failure is reported with (``None`` for
+none).  The report has one pass/fail line per label.  A label passes only if
+it held in every group; a failing label keeps the raw witness of its first
+failing group, serialized only when the report is assembled, in the same
+JSON form the command line accepts, so failures can be replayed through
 ``parse_input``.  Each value a sample's checks share is computed once.  The
 random draws mirror ``random.Random`` (see ``randgen``).  Reports carry no
 timing, which keeps the JSON output byte-identical for identical
@@ -86,33 +88,40 @@ from .supermatrix import (
 
 _SHAPES = ((1, 1), (1, 2), (2, 2))
 
+_SUITE_FUNCS = {}  # suite name -> f(cfg, rng) returning the checks list
 
-class _Battery:
-    """Accumulates per-label verdicts across random instances.
 
-    A label maps to None while it holds and to ``(witness,)`` from its first
-    failure on; the witness is kept as the raw value and serialized only
-    when the report is assembled.
+def _fold(groups):
+    """The sorted checks list of ``(witness, {label: verdict})`` groups.
+
+    A label passes only if it held in every group; a failing label keeps the
+    raw witness of its first failing group, serialized here.
     """
+    failed = {}  # label -> None while it holds, (witness,) from its first failure
+    for witness, verdicts in groups:
+        for label, ok in verdicts.items():
+            if ok:
+                failed.setdefault(label, None)
+            elif failed.get(label) is None:
+                failed[label] = (witness,)
+    out = []
+    for label in sorted(failed):
+        entry = {"label": label, "passed": failed[label] is None}
+        if not entry["passed"] and failed[label][0] is not None:
+            entry["counterexample"] = to_obj(failed[label][0])
+        out.append(entry)
+    return out
 
-    def __init__(self):
-        self._results = {}
 
-    def record(self, label, ok, witness=None):
-        if ok:
-            self._results.setdefault(label, None)
-        elif self._results.get(label) is None:
-            self._results[label] = (witness,)
+def _suite(groups):
+    """Register the group generator ``_<name>(ctx, cfg, rng)`` as suite
+    ``name``, run on a fresh algebra of ``cfg.generators`` generators."""
 
-    def checks(self):
-        out = []
-        for label in sorted(self._results):
-            failed = self._results[label]
-            entry = {"label": label, "passed": failed is None}
-            if failed is not None and failed[0] is not None:
-                entry["counterexample"] = to_obj(failed[0])
-            out.append(entry)
-        return out
+    def checks(cfg, rng):
+        return _fold(groups(create_algebra(cfg.generators), cfg, rng))
+
+    _SUITE_FUNCS[groups.__name__[1:]] = checks
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -136,106 +145,91 @@ def _random_antitriangle(rng, ctx, p, q):
 # ---------------------------------------------------------------------------
 
 
-def _algebra_checks(cfg, rng):
-    ctx = create_algebra(cfg.generators)
-    b = _Battery()
+@_suite
+def _algebra(ctx, cfg, rng):
     ann_every = max(1, cfg.samples // 10)
     for i in range(cfg.samples):
         x = random_element(rng, ctx)
         y = random_element(rng, ctx)
         z = random_element(rng, ctx)
-        b.record("assoc", (x * y) * z == x * (y * z), x)
-        b.record("distrib", x * (y + z) == x * y + x * z, x)
         xo = random_element(rng, ctx, parity="odd")
         yo = random_element(rng, ctx, parity="odd")
         e = random_element(rng, ctx, parity="even")
-        b.record("anticomm", xo * yo == -(yo * xo), xo)
-        b.record("oddsq", (xo * xo).is_zero(), xo)
-        b.record("central", e * x == x * e, e)
-        b.record(
-            "grading",
-            (xo * yo).is_even() and (e * xo).is_odd() and (e * e).is_even(),
-            xo,
-        )
-        b.record("body", (x * y).body() == x.body() * y.body(), x)
         u = random_element(rng, ctx, body=rng.choice([-3, -2, -1, 1, 2, 3]))
+        yield x, {
+            "assoc": (x * y) * z == x * (y * z),
+            "distrib": x * (y + z) == x * y + x * z,
+            "body": (x * y).body() == x.body() * y.body(),
+            "nilp": (x.soul() ** (ctx.n + 1)).is_zero(),
+        }
+        yield xo, {
+            "anticomm": xo * yo == -(yo * xo),
+            "oddsq": (xo * xo).is_zero(),
+            "grading": (xo * yo).is_even() and (e * xo).is_odd() and (e * e).is_even(),
+        }
+        yield e, {"central": e * x == x * e}
         inv = u.inverse()
-        b.record("inv", u * inv == ctx.one() and inv * u == ctx.one(), u)
-        soul = x.soul()
-        power = ctx.one()
-        for _ in range(ctx.n + 1):
-            power = power * soul
-        b.record("nilp", power.is_zero(), x)
+        yield u, {"inv": u * inv == ctx.one() and inv * u == ctx.one()}
         if i % ann_every == 0:
             alpha = random_nonzero_odd(rng, ctx)
             ann = annihilator_odd([alpha])
-            sound = all(
-                (alpha * v).is_zero() and (v * alpha).is_zero() for v in ann.basis
-            )
-            b.record("ann_sound", sound, alpha)
-            complete = True
-            for idx in ctx.odd_monomials():
-                mono = ctx.monomial(idx)
-                if (alpha * mono).is_zero() and not ann.contains(mono):
-                    complete = False
-            combo = ctx.zero()
-            for v in ann.basis:
-                combo = combo + v * ctx.scalar(rng.randint(-3, 3))
-            complete = complete and ann.contains(combo)
-            b.record("ann_complete", complete, alpha)
-    return b.checks()
+            combo = sum((v * rng.randint(-3, 3) for v in ann.basis), ctx.zero())
+            yield alpha, {
+                "ann_sound": all(
+                    (alpha * v).is_zero() and (v * alpha).is_zero() for v in ann.basis
+                ),
+                "ann_complete": all(
+                    ann.contains(m)
+                    for m in map(ctx.monomial, ctx.odd_monomials())
+                    if (alpha * m).is_zero()
+                ) and ann.contains(combo),
+            }
 
 
-def _supermatrix_checks(cfg, rng):
-    ctx = create_algebra(cfg.generators)
-    b = _Battery()
+@_suite
+def _supermatrix(ctx, cfg, rng):
+    zero = ctx.zero()
     for _ in range(cfg.samples):
         m = random_supermatrix(rng, ctx, 1, 1, invertible_b=True)
         ber = berezinian(m)
         even_ber, odd_ber = ber_parts(m)
-        b.record("7a", ber == even_ber + odd_ber, m)
-        b.record("b0", (odd_ber * odd_ber).is_zero(), m)
-        a, al, be, bb = m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1]
-        direct = a * bb.inverse() + be * al * (bb * bb).inverse()
-        b.record("ber11", ber == direct, m)
-        zero = ctx.zero()
+        (a, al), (be, bb) = m.rows
         modd = SuperMatrix(1, 1, [[zero, al], [be, bb]])
         meven = SuperMatrix(1, 1, [[a, zero], [zero, bb]])
         expect_even = "odd_reduced" if a.is_zero() else "even_reduced"
-        b.record(
-            "classify",
-            classify_reduction(modd) == "odd_reduced"
+        yield m, {
+            "7a": ber == even_ber + odd_ber,
+            "b0": (odd_ber * odd_ber).is_zero(),
+            "ber11": ber == a * bb.inverse() + be * al * (bb * bb).inverse(),
+            "classify": classify_reduction(modd) == "odd_reduced"
             and classify_reduction(meven) == expect_even,
-            m,
-        )
-    return b.checks()
+        }
 
 
-def _gamma_checks(cfg, rng):
-    ctx = create_algebra(cfg.generators)
-    b = _Battery()
+@_suite
+def _gamma(ctx, cfg, rng):
     for _ in range(max(1, cfg.samples // 4)):
         p, q = _SHAPES[rng.randrange(len(_SHAPES))]
         m = _random_antitriangle(rng, ctx, p, q)
         n = _random_antitriangle(rng, ctx, p, q)
         blocks = antitriangle_product_blocks(m, n)
-        b.record("mm", m @ n == SuperMatrix.from_blocks(*blocks), m)
+        yield m, {"mm": m @ n == SuperMatrix.from_blocks(*blocks)}
     for i in range(max(1, cfg.samples // 8)):
         p, q = _SHAPES[i % len(_SHAPES)]
         fam = random_strong_family(rng, ctx, p, q, length=rng.randint(2, 5))
-        b.record("strong", strong_gamma_check(fam).is_strong)
+        strong = strong_gamma_check(fam).is_strong
         report = chain_product_verify(fam)
-        b.record("mmn", report.matches_closed_form)
-        b.record("bmn", report.ber_matches is not False)
+        yield None, {
+            "strong": strong,
+            "mmn": report.matches_closed_form,
+            "bmn": report.ber_matches is not False,
+        }
         head = fam[0]
-        b.record("idem", idempotent_strong_check(head) == (head @ head == head),
-                 head)
-    return b.checks()
+        yield head, {"idem": idempotent_strong_check(head) == (head @ head == head)}
 
 
-def _families_checks(cfg, rng):
-    ctx = create_algebra(cfg.generators)
-    b = _Battery()
+@_suite
+def _families(ctx, cfg, rng):
     runs = max(1, cfg.samples // 8)
     table_every = max(1, runs // 4)
     tvar = GrassmannPoly.variable(ctx, "t")
@@ -244,109 +238,92 @@ def _families_checks(cfg, rng):
     ident = ParamSuperMatrix.identity(ctx, 1, 1)
     for i in range(runs):
         alpha = random_nonzero_odd(rng, ctx)
+        tau = alpha * random_element(rng, ctx, parity="odd", max_terms=2)
+        sigma = random_nonzero_odd(rng, ctx)
+        rho = random_nonzero_odd(rng, ctx)
+        uu = random_element(rng, ctx, parity="even", max_terms=2)
+        vv = random_element(rng, ctx, parity="even", max_terms=2)
         p = make_family("P", alpha)
         q = make_family("Q", alpha)
         t_fam = make_family("T", alpha)
         e = make_family("E", alpha)
         a = make_family("A", alpha)
-        z = make_family("Z", alpha)
         ps = in_var(p, "s")
         qs = in_var(q, "s")
         ts = in_var(t_fam, "s")
         pp, sp = p @ ps, ps @ p  # P(t)P(s) and P(s)P(t)
         a_t, a_ts = a.scale(tvar), a.scale(tvar - svar)
-
-        b.record("m111", pp == p, alpha)
-        b.record("m1q1", q @ qs == qs, alpha)
-        b.record("ppp1", pp @ p == p, alpha)
-        b.record("pp2", sp @ ps == ps, alpha)
-        b.record("qqq1", qs @ q @ qs == qs, alpha)
-        b.record("qqq2", q @ qs @ q == q, alpha)
-        b.record("qp", q @ ps == e, alpha)
-        b.record("ep", p @ e == p and e @ p == e, alpha)
-        b.record("eq", q @ e == e and e @ q == q, alpha)
-        b.record(
-            "pq1",
-            p.eval_at({"t": 1}) == q.eval_at({"t": 1}) == e.eval_at({}),
-            alpha,
-        )
-        b.record("paz1", p @ a == z, alpha)
-        b.record("paz2", a @ p == a, alpha)
-        b.record("ptu", p - ps == a_ts, alpha)
         p0 = ParamSuperMatrix.from_supermatrix(p.eval_at({"t": 0}))
-        b.record("pt", p == p0 + a_t, alpha)
-        b.record("tpp", commutator(t_fam, ps) == a_t, alpha)
-        b.record("pppa", pp - sp == a_ts, alpha)
         gen_p = generator_of(p)
-        b.record("exp", matrix_exp_nilpotent(gen_p) == t_fam, alpha)
         gen = ParamSuperMatrix.from_supermatrix(gen_p)
-        b.record("pap0", p.derivative("t") == gen @ p, alpha)
-        b.record("tat", t_fam.derivative("t") == gen @ t_fam, alpha)
-        b.record("pta", gen_p == generator_of(t_fam) == a.eval_at({}), alpha)
-        tau = alpha * random_element(rng, ctx, parity="odd", max_terms=2)
-        b.record(
-            "ta",
-            nilpotent_time_commute_check(p, ts, tau, alpha)
-            and not nilpotent_time_commute_check(p, ts, 1, alpha),
-            alpha,
-        )
         smooth_p = smoothing(p)
-        b.record("v1", smooth_p == (p + p0).scale(half_t), alpha)
-        b.record("v2", smoothing(t_fam) == (t_fam + ident).scale(half_t), alpha)
         seq = differential_sequence(alpha, 3)
-        chain = all(seq[k].derivative("t") == seq[k - 1] for k in range(1, 4))
-        b.record("ss2", chain and seq[0].derivative("t") == a, alpha)
-        b.record("p2", seq[0] == p, alpha)
-        b.record("pv", seq[1] == smooth_p, alpha)
-
-        inv = inverse_relations_check(alpha)
-        for label in ("ptp", "tpt", "ty", "yp1", "yp2", "yy", "tp1", "tp2"):
-            b.record(label, inv[label], alpha)
-        sigma = random_nonzero_odd(rng, ctx)
-        rho = random_nonzero_odd(rng, ctx)
-        uu = random_element(rng, ctx, parity="even", max_terms=2)
-        vv = random_element(rng, ctx, parity="even", max_terms=2)
         conn = intertwiner_check(sigma, rho, uu, vv, alpha)
-        b.record("tu", conn["tu"], alpha)
-        b.record("ut", conn["ut"], alpha)
-        b.record("usq", conn["u_squared"], alpha)
-
+        yield alpha, {
+            "m111": pp == p,
+            "m1q1": q @ qs == qs,
+            "ppp1": pp @ p == p,
+            "pp2": sp @ ps == ps,
+            "qqq1": qs @ q @ qs == qs,
+            "qqq2": q @ qs @ q == q,
+            "qp": q @ ps == e,
+            "ep": p @ e == p and e @ p == e,
+            "eq": q @ e == e and e @ q == q,
+            "pq1": p.eval_at({"t": 1}) == q.eval_at({"t": 1}) == e.eval_at({}),
+            "paz1": p @ a == make_family("Z", alpha),
+            "paz2": a @ p == a,
+            "ptu": p - ps == a_ts,
+            "pt": p == p0 + a_t,
+            "tpp": commutator(t_fam, ps) == a_t,
+            "pppa": pp - sp == a_ts,
+            "exp": matrix_exp_nilpotent(gen_p) == t_fam,
+            "pap0": p.derivative("t") == gen @ p,
+            "tat": t_fam.derivative("t") == gen @ t_fam,
+            "pta": gen_p == generator_of(t_fam) == a.eval_at({}),
+            "ta": nilpotent_time_commute_check(p, ts, tau, alpha)
+            and not nilpotent_time_commute_check(p, ts, 1, alpha),
+            "v1": smooth_p == (p + p0).scale(half_t),
+            "v2": smoothing(t_fam) == (t_fam + ident).scale(half_t),
+            "ss2": all(seq[k].derivative("t") == seq[k - 1] for k in range(1, 4))
+            and seq[0].derivative("t") == a,
+            "p2": seq[0] == p,
+            "pv": seq[1] == smooth_p,
+            **inverse_relations_check(alpha),
+            "tu": conn["tu"],
+            "ut": conn["ut"],
+            "usq": conn["u_squared"],
+        }
         if i % table_every == 0:
-            b.record("table", cayley_table_verify(alpha).matches_known, alpha)
-    return b.checks()
+            yield alpha, {"table": cayley_table_verify(alpha).matches_known}
 
 
-def _analysis_checks(cfg, rng):
-    ctx = create_algebra(cfg.generators)
-    b = _Battery()
+@_suite
+def _analysis(ctx, cfg, rng):
+    tvar = GrassmannPoly.variable(ctx, "t")
     for i in range(max(1, cfg.samples // 8)):
         p, q = _SHAPES[i % len(_SHAPES)]
         comps = random_band_components(rng, ctx, p, q, degree=rng.randint(1, 4))
-        fam = comps.family("t")  # the witness, in the form analyze reads
-        b.record("kn", band_component_system_check(comps).holds, fam)
-        b.record("nsum", n_functional_residual(comps).matches, fam)
-        b.record("utail", n_differential_defect(comps) == derivative_tail(comps), fam)
+        yield comps.family("t"), {  # the witness, in the form analyze reads
+            "kn": band_component_system_check(comps).holds,
+            "nsum": n_functional_residual(comps).matches,
+            "utail": n_differential_defect(comps) == derivative_tail(comps),
+        }
         k0 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
         k1 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
         linear = (
             ParamSuperMatrix.from_supermatrix(k0)
-            + ParamSuperMatrix.from_supermatrix(k1).scale(
-                GrassmannPoly.variable(ctx, "t")
-            )
+            + ParamSuperMatrix.from_supermatrix(k1).scale(tvar)
         )
-        b.record("equiv", equivalence_report(linear).agree, linear)
+        yield linear, {"equiv": equivalence_report(linear).agree}
         band_linear = random_band_components(rng, ctx, p, q, degree=1).family("t")
-        b.record("equiv", equivalence_report(band_linear).agree, band_linear)
+        yield band_linear, {"equiv": equivalence_report(band_linear).agree}
     alpha = ctx.gen(1)
     pos = equivalence_report(make_family("P", alpha))
     neg = equivalence_report(make_family("T", alpha))
-    b.record(
-        "posneg",
-        pos.band and pos.functional and pos.differential
+    yield alpha, {
+        "posneg": pos.band and pos.functional and pos.differential
         and not (neg.band or neg.functional or neg.differential),
-        alpha,
-    )
-    return b.checks()
+    }
 
 
 def _expected_resolvents(ctx, alpha):
@@ -370,76 +347,45 @@ def _expected_resolvents(ctx, alpha):
     return rp, rt
 
 
-def _resolvent_checks(cfg, rng):
-    ctx = create_algebra(cfg.generators)
-    b = _Battery()
+@_suite
+def _resolvent(ctx, cfg, rng):
+    zero = ctx.zero()
     for _ in range(max(1, cfg.samples // 4)):
         alpha = random_nonzero_odd(rng, ctx)
+        x0 = random_supervector(rng, ctx, 1, 1)
         p_fam = make_family("P", alpha)
         t_fam = make_family("T", alpha)
         rp, rt = laplace(p_fam), laplace(t_fam)
         want_rp, want_rt = _expected_resolvents(ctx, alpha)
-        b.record("rz", rp == want_rp, alpha)
-        b.record("rz1", rt == want_rt, alpha)
-        b.record("rrt", resolvent_defect(rt).is_zero(), alpha)
         # A is built from alpha here, not read off P by generator_of
-        gen = SuperMatrix(1, 1, [[ctx.zero(), alpha], [ctx.zero(), ctx.zero()]])
-        b.record("rra", resolvent_defect(rp) == resolvent_tail(gen), alpha)
-
-        x0 = random_supervector(rng, ctx, 1, 1)
+        gen = SuperMatrix(1, 1, [[zero, alpha], [zero, zero]])
         even0, odd0 = x0.even[0], x0.odd[0]
         xp = orbit(p_fam, x0)
         xt = orbit(t_fam, x0)
-        b.record(
-            "xx",
-            xp.even[0] == GrassmannPoly.term(alpha * odd0, t=1)
+        pinned = SuperVector([zero], [odd0])
+        yield alpha, {
+            "rz": rp == want_rp,
+            "rz1": rt == want_rt,
+            "rrt": resolvent_defect(rt).is_zero(),
+            "rra": resolvent_defect(rp) == resolvent_tail(gen),
+            "xx": xp.even[0] == GrassmannPoly.term(alpha * odd0, t=1)
             and xp.odd[0] == GrassmannPoly.constant(alpha * even0 + odd0),
-            alpha,
-        )
-        b.record(
-            "xxt",
-            xt.even[0]
+            "xxt": xt.even[0]
             == GrassmannPoly.constant(even0) + GrassmannPoly.term(alpha * odd0, t=1)
             and xt.odd[0] == GrassmannPoly.constant(odd0),
-            alpha,
-        )
-        pinned = SuperVector([ctx.zero()], [odd0])
-        b.record(
-            "x0",
-            xp.odd[0].degree("t") == 0
+            "x0": xp.odd[0].degree("t") == 0
             and xt.odd[0].degree("t") == 0
             and orbit(p_fam, pinned) == orbit(t_fam, pinned),
-            alpha,
-        )
-        b.record(
-            "xax",
-            cauchy_defect(p_fam, x0).is_zero() and cauchy_defect(t_fam, x0).is_zero(),
-            alpha,
-        )
-        b.record(
-            "xxp",
-            moving_time_check(p_fam) == "moving_time"
+            "xax": cauchy_defect(p_fam, x0).is_zero()
+            and cauchy_defect(t_fam, x0).is_zero(),
+            "xxp": moving_time_check(p_fam) == "moving_time"
             and moving_time_check(t_fam) == "translational",
-            alpha,
-        )
-        sweep = True
-        for idx in ctx.odd_monomials():
-            mono = ctx.monomial(idx)
-            vec = SuperVector([ctx.one()], [mono])
-            obstruction = commutativity_obstruction(vec, alpha)
-            sweep = sweep and obstruction.is_zero() == (alpha * mono).is_zero()
-        b.record("apx", sweep, alpha)
-    return b.checks()
-
-
-_SUITE_FUNCS = {
-    "algebra": _algebra_checks,
-    "supermatrix": _supermatrix_checks,
-    "gamma": _gamma_checks,
-    "families": _families_checks,
-    "analysis": _analysis_checks,
-    "resolvent": _resolvent_checks,
-}
+            "apx": all(
+                commutativity_obstruction(SuperVector([ctx.one()], [m]), alpha).is_zero()
+                == (alpha * m).is_zero()
+                for m in map(ctx.monomial, ctx.odd_monomials())
+            ),
+        }
 
 
 # ---------------------------------------------------------------------------

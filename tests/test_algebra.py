@@ -510,6 +510,32 @@ class TestSumOracle:
         assert (x * ctx.zero()).terms == (ctx.zero() * x).terms == {}
 
 
+class TestRationalOperands:
+    """An int or Fraction operand scales an element without a scalar
+    element built for it; the result must be the product with that scalar
+    element, coefficients kept as Fractions."""
+
+    RATIONALS = (0, 1, -1, 3, Fraction(-2, 3))
+
+    def test_rational_products_match_scalar_element_products(self):
+        rng = random.Random(11)
+        ctx = create_algebra(4)
+        xs = [ctx.zero(), ctx.scalar(Fraction(5, 2))]
+        xs += [random_element(rng, ctx, max_terms=6) for _ in range(60)]
+        for x in xs:
+            for r in self.RATIONALS:
+                want = (x * ctx.scalar(r)).terms
+                assert want == _oracle_mul(x, ctx.scalar(r))
+                pairs = [(x * r, want), (r * x, want)]
+                if r:
+                    pairs.append((x / r, (x * ctx.scalar(1 / Fraction(r))).terms))
+                else:
+                    assert x * r is r * x is ctx.zero()
+                for got, expect in pairs:
+                    assert got.terms == expect
+                    assert all(type(c) is Fraction for c in got.terms.values())
+
+
 class TestHashAgreesWithEquality:
     def test_constants_hash_like_what_they_equal(self):
         ctx = create_algebra(3)

@@ -8,10 +8,12 @@ import pytest
 from superband.algebra import create_algebra
 from superband.analysis import (
     ComponentList,
+    EquivalenceReport,
     band_component_system_check,
     components_of,
     derivative_tail,
     equivalence_report,
+    equivalence_sides,
     n_differential_defect,
     n_functional_residual,
     random_band_components,
@@ -229,7 +231,7 @@ class TestEquivalence:
         ctx = _ctx3()
         with pytest.raises(ShapeError):
             equivalence_report(_power_family(ctx))
-        report = equivalence_report(_power_family(ctx), restrict_linear=False)
+        report = EquivalenceReport.from_sides(equivalence_sides(_power_family(ctx)))
         assert report.band and not report.functional
         assert not report.agree
 

@@ -43,6 +43,10 @@ def test_fan_out_report_equals_the_one_cpu_report(monkeypatch, n):
     _no_children_left()
 
 
+def test_suite_table_lists_the_config_suites_in_order():
+    assert tuple(suites._SUITE_FUNCS) == SUITES
+
+
 def test_one_cpu_or_one_suite_forks_nothing(monkeypatch):
     def refuse():
         raise AssertionError("os.fork called")

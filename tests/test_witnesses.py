@@ -77,3 +77,42 @@ def test_component_label_witness_is_the_family_analyze_reads(monkeypatch):
     # every other label still passes and records no counterexample
     others = [c for c in suite["checks"] if c["label"] != "kn"]
     assert others and all(c == {"label": c["label"], "passed": True} for c in others)
+
+
+def test_label_with_two_witnesses_per_sample_reports_the_failing_one(monkeypatch):
+    # "equiv" is checked twice per sample: on a random linear family, then
+    # on a band family; spoil the band family of the second sample only
+    cfg = SuiteConfig(generators=4, seed=3, suite="analysis", samples=24)
+    real = suites.equivalence_report
+    calls = []
+
+    def broken(family):
+        calls.append(family)
+        report = real(family)
+        if len(calls) == 4:
+            report = report._replace(band=not report.band)
+        return report
+
+    monkeypatch.setattr(suites, "equivalence_report", broken)
+    (suite,) = suites.run_suite(cfg).report["suites"]
+
+    (entry,) = [c for c in suite["checks"] if c["label"] == "equiv"]
+    assert entry["passed"] is False
+    assert load_value(entry["counterexample"]) == calls[3]
+    assert entry["counterexample"] != to_obj(calls[2])
+    others = [c for c in suite["checks"] if c["label"] != "equiv"]
+    assert others and all(c == {"label": c["label"], "passed": True} for c in others)
+
+
+def test_label_without_a_witness_reports_no_counterexample(monkeypatch):
+    cfg = SuiteConfig(generators=4, seed=3, suite="gamma", samples=24)
+    real = suites.strong_gamma_check
+
+    def broken(family):
+        return real(family)._replace(is_strong=False)
+
+    monkeypatch.setattr(suites, "strong_gamma_check", broken)
+    (suite,) = suites.run_suite(cfg).report["suites"]
+
+    (entry,) = [c for c in suite["checks"] if c["label"] == "strong"]
+    assert entry == {"label": "strong", "passed": False}
