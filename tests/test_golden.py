@@ -47,6 +47,9 @@ CASES = {
     "table_n4.json": (
         "table", "--generators", "4", "--alpha", ALPHA, "--format", "json",
     ),
+    "table_n6.json": (
+        "table", "--generators", "6", "--alpha", ALPHA, "--format", "json",
+    ),
     "annihilator_n6.json": (
         "annihilator", "--generators", "6",
         "--alpha", "xi1*xi2*xi3 + 2 xi4 - 1/3 xi2*xi5*xi6", "--format", "json",
@@ -70,6 +73,10 @@ CASES = {
     ),
     "resolvent_P_rra_n4.json": (
         "resolvent", "--family", "P", "--alpha", ALPHA, "--generators", "4",
+        "--check", "rra", "--format", "json",
+    ),
+    "resolvent_P_rra_n6.json": (
+        "resolvent", "--family", "P", "--alpha", ALPHA, "--generators", "6",
         "--check", "rra", "--format", "json",
     ),
     "orbit_P_n4.json": (
