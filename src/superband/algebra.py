@@ -143,7 +143,9 @@ class AlgebraContext:
         return self._one
 
     def scalar(self, value) -> "GrassmannElement":
-        if type(value) is not Fraction:
+        if type(value) is int:
+            value = _ratio(value, 1)
+        elif type(value) is not Fraction:
             value = Fraction(value)
         return GrassmannElement(self, {(): value} if value else {})
 
@@ -444,7 +446,11 @@ class GrassmannElement:
         body, soul = self.body_soul()
         if body == 0:
             raise NotInvertible("body vanishes, element has no inverse")
-        step = soul * (Fraction(-1) / body)
+        # 1/body = d/n, with the sign moved into d so that n > 0 for _scaled
+        n, d = body._numerator, body._denominator
+        if n < 0:
+            n, d = -n, -d
+        step = soul._scaled(-d, n)
         acc = self.ctx.one()
         power = self.ctx.one()
         while True:
@@ -452,7 +458,7 @@ class GrassmannElement:
             if not power:
                 break
             acc = acc + power
-        return acc * (Fraction(1) / body)
+        return acc._scaled(d, n)
 
     def nilpotency_index(self):
         """Smallest k >= 1 with self**k == 0, or None if body is nonzero."""

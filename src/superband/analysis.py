@@ -100,7 +100,7 @@ def components_of(family: ParamSuperMatrix) -> ComponentList:
     mats = []
     for m in range(degree + 1):
         mats.append(
-            SuperMatrix(
+            SuperMatrix._graded(
                 family.p,
                 family.q,
                 [[x.coefficient(t=m) for x in row] for row in family.rows],

@@ -63,11 +63,6 @@ class ParamSuperMatrix(GradedMatrix):
                 used |= x.variables()
         return used
 
-    def map_entries(self, fn):
-        return ParamSuperMatrix(
-            self.p, self.q, [[fn(x) for x in row] for row in self.rows]
-        )
-
     def derivative(self, var: str = "t"):
         # integer multiples of graded coefficients keep the grading
         return self._graded(
@@ -75,13 +70,20 @@ class ParamSuperMatrix(GradedMatrix):
         )
 
     def substitute(self, var: str, replacement: GrassmannPoly):
-        return self.map_entries(lambda x: x.substitute(var, replacement))
+        """Each entry's ``substitute``, sharing one table of replacement powers."""
+        first = self.rows[0][0]
+        i = first.VARS.index(var)
+        powers = first._powers(replacement)
+        rows = [[x._substituted(i, powers) for x in row] for row in self.rows]
+        if powers[1].is_even():
+            return self._graded(self.p, self.q, rows)
+        return type(self)(self.p, self.q, rows)
 
     def eval_at(self, assignment: dict) -> SuperMatrix:
-        return SuperMatrix(
-            self.p,
-            self.q,
-            [[x.eval_at(assignment) for x in row] for row in self.rows],
+        """Each entry's ``eval_at``, checking ``assignment`` once for all of them."""
+        powers = self.rows[0][0]._value_powers(assignment, self.variables())
+        return SuperMatrix._graded(
+            self.p, self.q, [[x._evaluated(powers) for x in row] for row in self.rows]
         )
 
 
@@ -121,7 +123,7 @@ def make_family(kind: str, alpha: GrassmannElement) -> ParamSuperMatrix:
         rows = [[zero, zero], [zero, zero]]
     else:
         raise ConfigError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
-    return ParamSuperMatrix(1, 1, rows)
+    return ParamSuperMatrix._graded(1, 1, rows)
 
 
 def in_var(family: ParamSuperMatrix, var: str) -> ParamSuperMatrix:
@@ -226,7 +228,9 @@ def smoothing(family: ParamSuperMatrix) -> ParamSuperMatrix:
     """Entrywise integral from 0 to t."""
     if "s" in family.variables():
         raise ConfigError("expected a family in t only")
-    return family.map_entries(lambda x: x.integrate("t"))
+    return family._graded(
+        family.p, family.q, [[x.integrate("t") for x in row] for row in family.rows]
+    )
 
 
 def differential_sequence(alpha: GrassmannElement, nmax: int):

@@ -81,6 +81,9 @@ class SparsePoly:
     def _key(cls, exponents, named):
         """The exponent pair given to ``term`` or ``coefficient``: up to two
         exponents by position or by the names in KEYWORDS, 0 when left out."""
+        if not exponents and not named.keys() - cls.KEYWORDS:
+            a, b = cls.KEYWORDS
+            return named.get(a, 0), named.get(b, 0)
         key = dict(zip(cls.KEYWORDS, exponents))
         if len(exponents) > 2 or any(k in key or k not in cls.KEYWORDS for k in named):
             raise TypeError(
@@ -348,16 +351,26 @@ class GrassmannPoly(SparsePoly):
     def substitute(self, var: str, replacement: "GrassmannPoly") -> "GrassmannPoly":
         """Replace ``var`` by a polynomial (e.g. t -> t+s or t -> t/2)."""
         i = self.VARS.index(var)
-        replacement = self._coerce(replacement)
-        out = GrassmannPoly.zero(self.ctx)
-        powers = {0: GrassmannPoly.constant(self.ctx.one())}
+        return self._substituted(i, self._powers(replacement))
+
+    def _powers(self, replacement):
+        """{0: 1, 1: replacement}, which ``_substituted`` extends with each
+        power it uses, so that the entries of one matrix can share it."""
+        r = self._coerce(replacement)
+        if r is None:
+            raise TypeError(f"cannot substitute a {type(replacement).__name__}")
+        return {0: self.constant(self.ctx.one()), 1: r}
+
+    def _substituted(self, i, powers):
+        out = _canonical(type(self), self.ctx, {})
         for key, c in self.terms.items():
             e = key[i]
-            if e not in powers:
-                powers[e] = replacement ** e
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = powers[1] ** e
             rest = list(key)
             rest[i] = 0
-            out = out + _canonical(type(self), self.ctx, {tuple(rest): c}) * powers[e]
+            out = out + _canonical(type(self), self.ctx, {tuple(rest): c}) * power
         return out
 
     def rename(self, src: str, dst: str) -> "GrassmannPoly":
@@ -378,10 +391,15 @@ class GrassmannPoly(SparsePoly):
 
     def eval_at(self, assignment: dict) -> GrassmannElement:
         """Evaluate with even (or rational) values for every occurring parameter."""
-        values = {}
-        for var in self.variables():
+        return self._evaluated(self._value_powers(assignment, self.variables()))
+
+    def _value_powers(self, assignment, used):
+        """{(var, 1): value} for the checked ``assignment``, which ``_evaluated``
+        extends with each power it uses; ``used`` names the required parameters."""
+        for var in used:
             if var not in assignment:
                 raise ConfigError(f"no value supplied for parameter {var!r}")
+        powers = {}
         for var, raw in assignment.items():
             if var not in self.VARS:
                 raise ConfigError(f"unknown parameter {var!r}")
@@ -390,14 +408,19 @@ class GrassmannPoly(SparsePoly):
                 raise ContextError("element from a different algebra")
             if not value.is_even():
                 raise ParityError(f"parameter {var} must take an even value, got {value}")
-            values[var] = value
+            powers[var, 1] = value
+        return powers
+
+    def _evaluated(self, powers):
         acc = self.ctx.zero()
-        for (et, es), c in self.terms.items():
+        for key, c in self.terms.items():
             term = c
-            if et:
-                term = term * values["t"] ** et
-            if es:
-                term = term * values["s"] ** es
+            for var, e in zip(self.VARS, key):
+                if e:
+                    power = powers.get((var, e))
+                    if power is None:
+                        power = powers[var, e] = powers[var, 1] ** e
+                    term = term * power
             acc = acc + term
         return acc
 

@@ -43,7 +43,7 @@ _Rational = (int, Fraction)
 
 
 def _as_grid(rows):
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def _grid_mul(x, y):
@@ -56,11 +56,16 @@ def _grid_mul(x, y):
         for col in cols:
             acc = None
             for a, b in zip(row, col):
-                if a and b:
+                if a.terms and b.terms:
                     acc = a * b if acc is None else acc + a * b
             out_row.append(row[0] * col[0] if acc is None else acc)
         out.append(out_row)
     return out
+
+
+def _check_blocks(p, q):
+    if p < 1 or q < 1:
+        raise ShapeError(f"block sizes must be at least 1, got ({p}|{q})")
 
 
 def _grid_sub(x, y):
@@ -157,8 +162,7 @@ class GradedMatrix:
         return x
 
     def __init__(self, p: int, q: int, rows):
-        if p < 1 or q < 1:
-            raise ShapeError(f"block sizes must be at least 1, got ({p}|{q})")
+        _check_blocks(p, q)
         grid = _as_grid(rows)
         d = p + q
         if len(grid) != d or any(len(r) != d for r in grid):
@@ -194,8 +198,17 @@ class GradedMatrix:
         Only for rows that keep the grading by construction: sums,
         differences, negation, products or even rescaling of graded matrices
         of one shape and algebra, and entrywise maps that keep the parity of
-        every coefficient.  Everything else goes through the validating
-        constructor.
+        every coefficient.  Among the latter:
+
+        - ``ParamSuperMatrix.substitute`` with an even replacement, and
+          ``ParamSuperMatrix.eval_at``, whose values are checked even: a
+          coefficient times an even power keeps its parity;
+        - ``families.smoothing``: rational multiples of each coefficient;
+        - ``analysis.components_of``: the coefficients of graded entries;
+        - ``families.make_family`` (alpha checked odd, off the diagonal),
+          ``zero`` and ``identity`` (block sizes checked): graded as built.
+
+        Everything else goes through the validating constructor.
         """
         m = object.__new__(cls)
         m.rows = _as_grid(rows)
@@ -221,15 +234,17 @@ class GradedMatrix:
 
     @classmethod
     def zero(cls, ctx: AlgebraContext, p: int, q: int):
+        _check_blocks(p, q)
         z = cls._constant(ctx.zero())
         d = p + q
-        return cls(p, q, [[z] * d for _ in range(d)])
+        return cls._graded(p, q, [[z] * d for _ in range(d)])
 
     @classmethod
     def identity(cls, ctx: AlgebraContext, p: int, q: int):
+        _check_blocks(p, q)
         z, one = cls._constant(ctx.zero()), cls._constant(ctx.one())
         d = p + q
-        return cls(p, q, [[one if i == j else z for j in range(d)] for i in range(d)])
+        return cls._graded(p, q, [[one if i == j else z for j in range(d)] for i in range(d)])
 
     # -- blocks --------------------------------------------------------
 

@@ -278,9 +278,14 @@ class TestRingLaws:
 
 
 class TestInverse:
-    @given(element_triples(), st.integers(min_value=-5, max_value=5).filter(bool))
+    @given(
+        element_triples(),
+        st.integers(min_value=-5, max_value=5).filter(bool)
+        | st.sampled_from([Fraction(-2, 3), Fraction(5, 7), Fraction(-4, 9)]),
+    )
     def test_inverse_roundtrip(self, xyz, b):
-        """x * x.inverse() == 1 whenever the body is nonzero."""
+        """x * x.inverse() == 1 whenever the body is nonzero, negative and
+        fractional bodies included."""
         x = xyz[0].soul() + b
         assert x * x.inverse() == 1
         assert x.inverse() * x == 1

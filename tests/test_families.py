@@ -8,9 +8,12 @@ every law is claimed for arbitrary odd alpha (equivalently alpha^2 = 0).
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superband.algebra import create_algebra
 from superband.errors import ConfigError, ParityError
@@ -403,6 +406,88 @@ class TestExponentialFamily:
         ctx = create_algebra(2)
         with pytest.raises(ConfigError):
             matrix_exp_nilpotent(SuperMatrix.identity(ctx, 1, 1))
+
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _graded_elements(draw, ctx, odd):
+    pool = ctx.odd_monomials() if odd else ctx.even_monomials()
+    monos = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+    return ctx.element({m: draw(_coeffs) for m in monos})
+
+
+@st.composite
+def _graded_polys(draw, ctx, odd):
+    """A polynomial in t and s of degree at most 2 in each, with coefficients
+    of one parity."""
+    keys = draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=3, unique=True)
+    )
+    return GrassmannPoly(ctx, {k: draw(_graded_elements(ctx, odd)) for k in keys})
+
+
+@st.composite
+def _families(draw):
+    """A random (p|q) family at n <= 5 with p, q <= 2, built through the
+    validating constructor."""
+    ctx = create_algebra(draw(st.integers(1, 5)))
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    d = p + q
+    return ParamSuperMatrix(
+        p, q,
+        [[draw(_graded_polys(ctx, (i < p) != (j < p))) for j in range(d)] for i in range(d)],
+    )
+
+
+class TestEntrywiseOracle:
+    """The matrix-wide substitute and eval_at, which share one conversion
+    and one table of powers across the entries and skip the grading check,
+    against the matrix built entry by entry through the validating
+    constructor."""
+
+    @given(_families(), st.sampled_from("ts"), st.booleans(), st.data())
+    def test_substitute(self, family, var, odd, data):
+        r = data.draw(_graded_polys(family.ctx, odd))
+        rows = [[x.substitute(var, r) for x in row] for row in family.rows]
+        try:
+            want = ParamSuperMatrix(family.p, family.q, rows)
+        except ParityError:
+            # an odd replacement can break the grading, and must still say so
+            with pytest.raises(ParityError):
+                family.substitute(var, r)
+            return
+        got = family.substitute(var, r)
+        assert got == want and got.ctx is family.ctx
+
+    @given(_families(), st.data())
+    def test_eval_at(self, family, data):
+        ctx = family.ctx
+        values = st.integers(-3, 3) | _coeffs | _graded_elements(ctx, odd=False)
+        assignment = {var: data.draw(values) for var in ("t", "s")}
+        want = SuperMatrix(
+            family.p, family.q, [[x.eval_at(assignment) for x in row] for row in family.rows]
+        )
+        got = family.eval_at(assignment)
+        assert got == want and got.ctx is ctx
+
+    def test_eval_at_refusals_match_the_entries(self):
+        """A missing parameter, an unknown one and an odd value are refused
+        with the error of GrassmannPoly.eval_at."""
+        ctx = create_algebra(2)
+        p = make_family("P", ctx.gen(1))
+        entry = p.rows[0][1]
+        for assignment, error in (
+            ({}, ConfigError),
+            ({"s": 1}, ConfigError),
+            ({"t": 1, "x": 2}, ConfigError),
+            ({"t": ctx.gen(2)}, ParityError),
+        ):
+            with pytest.raises(error) as want:
+                entry.eval_at(assignment)
+            with pytest.raises(error, match=re.escape(str(want.value))):
+                p.eval_at(assignment)
 
 
 if __name__ == "__main__":

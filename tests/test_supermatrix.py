@@ -59,6 +59,14 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             SuperMatrix(0, 2, [[z, z], [z, z]])
 
+    @pytest.mark.parametrize("cls", [SuperMatrix, ParamSuperMatrix, LaurentMatrix])
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (0, 0)])
+    def test_zero_and_identity_refuse_empty_blocks(self, cls, p, q):
+        ctx = create_algebra(2)
+        for build in (cls.zero, cls.identity):
+            with pytest.raises(ShapeError, match="block sizes must be at least 1"):
+                build(ctx, p, q)
+
     def test_context_enforced(self):
         a = create_algebra(2)
         b = create_algebra(3)
