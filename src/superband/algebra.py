@@ -31,7 +31,7 @@ Usage:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -49,7 +49,7 @@ MIXED = "mixed"
 _Rational = (int, Fraction)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _basis(n):
     """All monomial index tuples for n generators, in lexicographic order."""
     monos = []
@@ -58,32 +58,44 @@ def _basis(n):
     return tuple(sorted(monos))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _graded_basis(n, parity):
     """The monomials of _basis(n) whose length has the given parity (0 or 1)."""
     return tuple(m for m in _basis(n) if len(m) % 2 == parity)
 
 
-# Bounded: 4096 pairs hold every monomial pair up to n = 6; at larger n the
-# least recently used pairs are merged again.
-@lru_cache(maxsize=4096)
-def _mul_monomials(a, b):
-    """Multiply two strictly increasing index tuples.
+#: the monomial product table, ``left -> {right: (sign, merged)}``, and its
+#: limits: a row for every left factor at n <= 12 and every pair at n <= 8.
+#: A new row that finds a limit reached empties the table first, so memory
+#: stays bounded and at larger n the table follows the pairs in use.
+_PRODUCTS = {}
+_TABLE_ROWS, _TABLE_PAIRS = 2 ** 12, 4 ** 8
+_stored = 0  # pairs stored since the table was last emptied
 
-    Returns (sign, merged) where sign counts the transpositions needed to
-    interleave b into a; a repeated index gives (0, ()) since xi*xi = 0.
+
+def _row(left):
+    """A new, empty table row for the left factor ``left``."""
+    global _stored
+    if len(_PRODUCTS) >= _TABLE_ROWS or _stored >= _TABLE_PAIRS:
+        _PRODUCTS.clear()
+        _stored = 0
+    row = _PRODUCTS[left] = {}
+    return row
+
+
+def _product(row, a, b):
+    """(sign, merged) for the strictly increasing index tuples a and b, kept
+    in a's ``row`` while the table has room.  sign counts the transpositions
+    that interleave b into a; a repeated index gives (0, ()) since xi*xi = 0.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
+    global _stored
     out = []
-    i = j = 0
-    swaps = 0
+    i = j = swaps = 0
     la, lb = len(a), len(b)
     while i < la and j < lb:
         if a[i] == b[j]:
-            return 0, ()
+            hit = 0, ()
+            break
         if a[i] < b[j]:
             out.append(a[i])
             i += 1
@@ -92,9 +104,14 @@ def _mul_monomials(a, b):
             out.append(b[j])
             j += 1
             swaps += la - i
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return (-1 if swaps & 1 else 1), tuple(out)
+    else:
+        out.extend(a[i:])
+        out.extend(b[j:])
+        hit = (-1 if swaps & 1 else 1), tuple(out)
+    if _stored < _TABLE_PAIRS:
+        row[b] = hit
+        _stored += 1
+    return hit
 
 
 _CONTEXTS = {}
@@ -317,8 +334,11 @@ class GrassmannElement:
         acc = {}
         for ia, ca in a.items():
             na, da = ca._numerator, ca._denominator
+            # a (sign, merged) pair is never falsy, and an empty row is
+            # as good as none
+            row = _PRODUCTS.get(ia) or _row(ia)
             for ib, nb, db in right:
-                sign, idx = _mul_monomials(ia, ib)
+                sign, idx = row.get(ib) or _product(row, ia, ib)
                 if not sign:
                     continue
                 num = sign * na * nb
@@ -587,8 +607,9 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     for a in gens:
         by_target = {}
         for m in odd:
+            row = _PRODUCTS.get(m) or _row(m)
             for idx, c in a.terms.items():
-                sign, target = _mul_monomials(m, idx)
+                sign, target = row.get(idx) or _product(row, m, idx)
                 if sign:
                     by_target.setdefault(target, {})[m] = c if sign > 0 else -c
         rows.extend(by_target.values())

@@ -74,13 +74,9 @@ class ComponentList:
         """Rebuild the polynomial family sum Km var^m."""
         if var not in ("t", "s"):
             raise ConfigError(f"unknown parameter {var!r}")
-        acc = ParamSuperMatrix.zero(self.ctx, self[0].p, self[0].q)
-        for m, k in enumerate(self.components):
-            weight = GrassmannPoly.term(
-                self.ctx.one(), t=m if var == "t" else 0, s=m if var == "s" else 0
-            )
-            acc = acc + ParamSuperMatrix.from_supermatrix(k).scale(weight)
-        return acc
+        return ParamSuperMatrix._from_coefficients(self[0], {
+            (m, 0) if var == "t" else (0, m): (k, 1) for m, k in enumerate(self.components)
+        })
 
     def __repr__(self):
         return f"ComponentList(degree={self.degree}, shape=({self[0].p}|{self[0].q}))"
@@ -162,11 +158,9 @@ def n_functional_residual(components) -> FunctionalReport:
     c = _as_components(components)
     residual = functional_residual(c.family("t"))
     n = c.degree
-    taylor = ParamSuperMatrix.zero(c.ctx, c[0].p, c[0].q)
-    for m in range(1, n + 1):
-        for l in range(m, n + 1):
-            weight = GrassmannPoly.term(c.ctx.scalar(comb(l, m)), t=l - m, s=m)
-            taylor = taylor + ParamSuperMatrix.from_supermatrix(c[l]).scale(weight)
+    taylor = ParamSuperMatrix._from_coefficients(c[0], {
+        (l - m, m): (c[l], comb(l, m)) for m in range(1, n + 1) for l in range(m, n + 1)
+    })
     return FunctionalReport(residual, taylor, residual == taylor)
 
 
@@ -181,11 +175,9 @@ def n_differential_defect(components) -> ParamSuperMatrix:
 def derivative_tail(components) -> ParamSuperMatrix:
     """sum_{m=2..n} m Km t^(m-1), the part of K' beyond the generator term."""
     c = _as_components(components)
-    acc = ParamSuperMatrix.zero(c.ctx, c[0].p, c[0].q)
-    for m in range(2, len(c.components)):
-        weight = GrassmannPoly.term(c.ctx.scalar(m), t=m - 1)
-        acc = acc + ParamSuperMatrix.from_supermatrix(c[m]).scale(weight)
-    return acc
+    return ParamSuperMatrix._from_coefficients(
+        c[0], {(m - 1, 0): (c[m], m) for m in range(2, len(c.components))}
+    )
 
 
 class EquivalenceReport(

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 
 from .algebra import GrassmannElement
 from .config import FAMILY_KINDS
 from .errors import ConfigError, ContextError, ParityError
-from .poly import GrassmannPoly
+from .poly import MAX_VAR_DEGREE, GrassmannPoly, _canonical
 from .supermatrix import GradedMatrix, GradedVector, SuperMatrix
 
 
@@ -55,6 +56,22 @@ class ParamSuperMatrix(GradedMatrix):
     _entry = GrassmannPoly
     _vector = ParamSuperVector
     _constant = staticmethod(GrassmannPoly.constant)
+
+    @classmethod
+    def _from_coefficients(cls, like, coeffs):
+        """sum r K t^e s^f over ``coeffs`` = {(e, f): (K, r)}, for constant K
+        shaped like ``like``, nonzero rationals r and e, f <= MAX_VAR_DEGREE:
+        each nonzero entry of K, times r, becomes its entry's (e, f) term."""
+        d = like.p + like.q
+        rows = [[{} for _ in range(d)] for _ in range(d)]
+        for key, (k, r) in coeffs.items():
+            for row, k_row in zip(rows, k.rows):
+                for terms, x in zip(row, k_row):
+                    if x.terms:
+                        terms[key] = x._times(r)
+        return cls._graded(like.p, like.q, [
+            [_canonical(GrassmannPoly, like.ctx, t) for t in row] for row in rows
+        ])
 
     def variables(self):
         used = set()
@@ -205,23 +222,15 @@ def nilpotent_time_commute_check(
 
 
 def matrix_exp_nilpotent(m: SuperMatrix) -> ParamSuperMatrix:
-    """exp(M t) as a terminating series; M must be nilpotent as a matrix."""
-    ctx = m.ctx
-    acc = ParamSuperMatrix.identity(ctx, m.p, m.q)
-    power = ParamSuperMatrix.from_supermatrix(m)
-    k = 1
-    factorial = 1
-    tvar = GrassmannPoly.variable(ctx, "t")
-    tpow = tvar
-    while not power.is_zero():
-        if k > 2 * (m.p + m.q) * (ctx.n + 1):
-            raise ConfigError("matrix is not nilpotent; exp series does not terminate")
-        acc = acc + power.scale(tpow * Fraction(1, factorial))
-        power = power @ ParamSuperMatrix.from_supermatrix(m)
-        k += 1
-        factorial *= k
-        tpow = tpow * tvar
-    return acc
+    """exp(M t) as a terminating series; M^MAX_VAR_DEGREE must vanish."""
+    coeffs = {}
+    power = SuperMatrix.identity(m.ctx, m.p, m.q)
+    for k in range(MAX_VAR_DEGREE + 1):
+        if power.is_zero():
+            return ParamSuperMatrix._from_coefficients(m, coeffs)
+        coeffs[k, 0] = (power, Fraction(1, factorial(k)))
+        power = power @ m
+    raise ConfigError(f"M^{MAX_VAR_DEGREE} is nonzero: exp(M t) passes the degree cap")
 
 
 def smoothing(family: ParamSuperMatrix) -> ParamSuperMatrix:

@@ -396,8 +396,8 @@ class GrassmannPoly(SparsePoly):
     def _value_powers(self, assignment, used):
         """{(var, 1): value} for the checked ``assignment``, which ``_evaluated``
         extends with each power it uses; ``used`` names the required parameters."""
-        for var in used:
-            if var not in assignment:
+        for var in self.VARS:  # in order, so the message names the first
+            if var in used and var not in assignment:
                 raise ConfigError(f"no value supplied for parameter {var!r}")
         powers = {}
         for var, raw in assignment.items():

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import ceil, log
 
 from .algebra import AlgebraContext, GrassmannElement
-from .supermatrix import SuperMatrix, SuperVector, _det
+from .supermatrix import SuperMatrix, SuperVector, _check_blocks, _det
 
 #: every value random_coeff draws, as _COEFFS[a + 4][b - 1] for
 #: ``randint(-4, 4)`` then ``randint(1, 3)``; the values are immutable, so
@@ -99,9 +99,14 @@ def _random_terms(rng, pool, max_terms):
         return {}
     terms = {}
     for m in _sample(bits, pool, count):
-        c = _coeff(bits)
-        if c:
-            terms[m] = c
+        a = bits(4)  # the draws of _coeff, without a call per term
+        while a >= 9:
+            a = bits(4)
+        b = bits(2)
+        while b == 3:
+            b = bits(2)
+        if a != 4:  # a zero numerator drops the term
+            terms[m] = _COEFFS[a][b]
     return terms
 
 
@@ -157,6 +162,7 @@ def _body_det(grid):
 def random_supermatrix(rng, ctx, p=1, q=1, invertible_b=True):
     """Random even (p|q) supermatrix; with invertible_b the body of det B is
     kept nonzero, by rejection that builds elements for the accepted try only."""
+    _check_blocks(p, q)
     even, odd = ctx.even_monomials(), ctx.odd_monomials()
     while True:
         rows = [
@@ -165,7 +171,7 @@ def random_supermatrix(rng, ctx, p=1, q=1, invertible_b=True):
             for i in range(p + q)
         ]
         if not invertible_b or _body_det([row[p:] for row in rows[p:]]):
-            return SuperMatrix(
+            return SuperMatrix._graded(
                 p, q, [[GrassmannElement(ctx, terms) for terms in row] for row in rows]
             )
 

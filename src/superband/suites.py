@@ -194,8 +194,8 @@ def _supermatrix(ctx, cfg, rng):
         ber = berezinian(m)
         even_ber, odd_ber = ber_parts(m)
         (a, al), (be, bb) = m.rows
-        modd = SuperMatrix(1, 1, [[zero, al], [be, bb]])
-        meven = SuperMatrix(1, 1, [[a, zero], [zero, bb]])
+        modd = SuperMatrix._graded(1, 1, [[zero, al], [be, bb]])
+        meven = SuperMatrix._graded(1, 1, [[a, zero], [zero, bb]])
         expect_even = "odd_reduced" if a.is_zero() else "even_reduced"
         yield m, {
             "7a": ber == even_ber + odd_ber,
@@ -299,7 +299,6 @@ def _families(ctx, cfg, rng):
 
 @_suite
 def _analysis(ctx, cfg, rng):
-    tvar = GrassmannPoly.variable(ctx, "t")
     for i in range(max(1, cfg.samples // 8)):
         p, q = _SHAPES[i % len(_SHAPES)]
         comps = random_band_components(rng, ctx, p, q, degree=rng.randint(1, 4))
@@ -310,10 +309,7 @@ def _analysis(ctx, cfg, rng):
         }
         k0 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
         k1 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
-        linear = (
-            ParamSuperMatrix.from_supermatrix(k0)
-            + ParamSuperMatrix.from_supermatrix(k1).scale(tvar)
-        )
+        linear = ParamSuperMatrix._from_coefficients(k0, {(0, 0): (k0, 1), (1, 0): (k1, 1)})
         yield linear, {"equiv": equivalence_report(linear).agree}
         band_linear = random_band_components(rng, ctx, p, q, degree=1).family("t")
         yield band_linear, {"equiv": equivalence_report(band_linear).agree}

@@ -204,7 +204,12 @@ class GradedMatrix:
           ``ParamSuperMatrix.eval_at``, whose values are checked even: a
           coefficient times an even power keeps its parity;
         - ``families.smoothing``: rational multiples of each coefficient;
+        - ``ParamSuperMatrix._from_coefficients``: rational multiples of the
+          entries of graded constant matrices, each kept in its place;
         - ``analysis.components_of``: the coefficients of graded entries;
+        - ``suites._supermatrix``'s ``modd`` and ``meven`` (a graded sample's
+          entries or zero, in place) and ``randgen.random_supermatrix``
+          (each entry drawn from the monomials of its block's parity);
         - ``families.make_family`` (alpha checked odd, off the diagonal),
           ``zero`` and ``identity`` (block sizes checked): graded as built.
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superband import algebra
 from superband.algebra import (
     AlgebraContext,
     AnnihilatorBasis,
@@ -453,6 +454,64 @@ class TestAnnihilator:
         for x in candidates:
             expected = _local_rank(coords + [_coordinates(x, odd)]) == len(vectors)
             assert g.contains(x) == expected
+
+
+def _table_product(a, b):
+    """a * b for monomials, looked up in the table as products do it."""
+    row = algebra._PRODUCTS.get(a) or algebra._row(a)
+    return row.get(b) or algebra._product(row, a, b)
+
+
+class TestProductTable:
+    """The table of monomial products (``algebra._PRODUCTS``) against the
+    bubble-sort oracle, and its size limits."""
+
+    @staticmethod
+    def _assert_within_limits():
+        table = algebra._PRODUCTS
+        assert len(table) <= algebra._TABLE_ROWS
+        # every pair stored since the table was last emptied is still in it
+        assert sum(map(len, table.values())) == algebra._stored <= algebra._TABLE_PAIRS
+
+    def test_every_pair_up_to_n6(self):
+        for n in range(1, 7):
+            basis = create_algebra(n).basis()
+            for a in basis:
+                for b in basis:
+                    want = _oracle_mul_mono(a, b)
+                    assert _table_product(a, b) == want  # merged, or read back
+                    assert _table_product(a, b) == want  # read back, once stored
+            self._assert_within_limits()
+
+    def test_random_pairs_past_the_limits(self):
+        # fill the table with pairs at n = 9, then keep multiplying at
+        # n = 10..16, where new rows empty it whenever a limit is reached
+        basis = create_algebra(9).basis()
+        for a in basis:
+            for b in basis:
+                _table_product(a, b)
+            if algebra._stored >= algebra._TABLE_PAIRS:
+                break
+        assert algebra._stored == algebra._TABLE_PAIRS
+        for b in basis:  # the last row filled up midway, and stores no more
+            assert _table_product(a, b) == _oracle_mul_mono(a, b)
+        self._assert_within_limits()
+        rng = random.Random(1016)
+        lefts = set()
+        for n in range(10, 17):
+            for _ in range(1500):
+                a, b = (tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+                        for _ in range(2))
+                lefts.add(a)
+                assert _table_product(a, b) == _oracle_mul_mono(a, b)
+            self._assert_within_limits()
+            ctx = create_algebra(n)
+            for _ in range(20):
+                x = random_element(rng, ctx, max_terms=6)
+                y = random_element(rng, ctx, max_terms=6)
+                assert (x * y).terms == _oracle_mul(x, y)
+            self._assert_within_limits()
+        assert len(lefts) > algebra._TABLE_ROWS
 
 
 class TestRatio:

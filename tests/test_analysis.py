@@ -2,8 +2,11 @@
 band, functional, and differential descriptions."""
 
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superband.algebra import create_algebra
 from superband.analysis import (
@@ -254,6 +257,48 @@ class TestEquivalence:
         ctx = _ctx3()
         with pytest.raises(ConfigError):
             equivalence_report(make_family("P", ctx.gen(1)).rename("t", "s"))
+
+
+class TestCoefficientOracle:
+    """``family``, the Taylor form and ``derivative_tail`` build sum r K t^e s^f
+    straight from the coefficient matrices; the oracle is the scale-and-add
+    sum written here: each K lifted, scaled by r t^e s^f, then added."""
+
+    @staticmethod
+    def _scale_and_add(ctx, p, q, terms):
+        acc = ParamSuperMatrix.zero(ctx, p, q)
+        for k, r, e, f in terms:
+            weight = GrassmannPoly.term(ctx.scalar(r), t=e, s=f)
+            acc = acc + ParamSuperMatrix.from_supermatrix(k).scale(weight)
+        return acc
+
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scale_and_add(self, n, shape, degree, seed):
+        ctx = create_algebra(n)
+        p, q = shape
+        rng = random.Random(seed)
+        mats = [random_supermatrix(rng, ctx, p, q, invertible_b=False)
+                for _ in range(degree + 1)]
+        c = ComponentList(mats)
+
+        def oracle(terms):
+            return self._scale_and_add(ctx, p, q, terms)
+
+        assert c.family("t") == oracle([(k, 1, m, 0) for m, k in enumerate(mats)])
+        assert c.family("s") == oracle([(k, 1, 0, m) for m, k in enumerate(mats)])
+        assert n_functional_residual(c).taylor_form == oracle(
+            [(mats[l], comb(l, m), l - m, m)
+             for m in range(1, degree + 1) for l in range(m, degree + 1)]
+        )
+        assert derivative_tail(c) == oracle(
+            [(mats[m], m, m - 1, 0) for m in range(2, degree + 1)]
+        )
 
 
 if __name__ == "__main__":

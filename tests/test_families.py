@@ -407,6 +407,32 @@ class TestExponentialFamily:
         with pytest.raises(ConfigError):
             matrix_exp_nilpotent(SuperMatrix.identity(ctx, 1, 1))
 
+    @pytest.mark.parametrize("pairs", [7, 8])
+    def test_exp_up_to_the_degree_cap(self, pairs):
+        """A = [[e, 1], [0, e]] with e a sum of ``pairs`` products xi xi has
+        A^k != 0 up to k = pairs + 1: the series stops below t^9 for 7 pairs,
+        where it equals sum A^k t^k / k! summed here, and is refused for 8."""
+        ctx = create_algebra(2 * pairs)
+        e = sum((ctx.monomial((2 * i + 1, 2 * i + 2)) for i in range(pairs)), ctx.zero())
+        zero = ctx.zero()
+        a = [[e, ctx.one()], [zero, e]]
+        zeros = [[zero, zero], [zero, zero]]
+        m = SuperMatrix.from_blocks(a, zeros, zeros, zeros)
+        if pairs == 8:
+            with pytest.raises(ConfigError):
+                matrix_exp_nilpotent(m)
+            return
+        want = ParamSuperMatrix.identity(ctx, 2, 2)
+        power = SuperMatrix.identity(ctx, 2, 2)
+        factorial = 1
+        for k in range(1, 9):
+            power = power @ m
+            factorial *= k
+            weight = GrassmannPoly.term(ctx.scalar(Fraction(1, factorial)), t=k)
+            want = want + ParamSuperMatrix.from_supermatrix(power).scale(weight)
+        assert not power.is_zero() and (power @ m).is_zero()  # A^8 != 0 = A^9
+        assert matrix_exp_nilpotent(m) == want
+
 
 _coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 

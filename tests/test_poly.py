@@ -3,8 +3,12 @@ substitution."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -326,6 +330,29 @@ class TestEval:
             t.eval_at({})
         with pytest.raises(ConfigError):
             t.eval_at({"t": 1, "x": 2})
+
+    def test_first_missing_parameter_is_named_under_every_hash_seed(self):
+        """With t and s both missing, the message names t, whatever order a
+        set of the names would iterate in."""
+        code = (
+            "from superband.algebra import create_algebra\n"
+            "from superband.errors import ConfigError\n"
+            "from superband.poly import GrassmannPoly\n"
+            "ctx = create_algebra(1)\n"
+            "ts = GrassmannPoly.variable(ctx, 't') * GrassmannPoly.variable(ctx, 's')\n"
+            "try:\n"
+            "    ts.eval_at({})\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=env, check=True,
+            ).stdout
+            assert "no value supplied" in out and "'t'" in out, (seed, out)
 
     def test_odd_time_rejected(self):
         ctx = create_algebra(1)
