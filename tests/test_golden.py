@@ -44,6 +44,12 @@ CASES = {
         "verify", "--suite", "all", "--generators", "8", "--seed", "42",
         "--format", "json",
     ),
+    # the gamma suite at 12 generators, where products involve generators
+    # above the eighth
+    "verify_gamma_n12_seed42.json": (
+        "verify", "--suite", "gamma", "--generators", "12", "--samples", "40",
+        "--seed", "42", "--format", "json",
+    ),
     "table_n4.json": (
         "table", "--generators", "4", "--alpha", ALPHA, "--format", "json",
     ),
