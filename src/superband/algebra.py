@@ -19,6 +19,17 @@ constructor was the largest single cost left in products at n = 4, where
 most operands have one term.  Only this module touches those slots, and a
 test pins their names.
 
+Products multiply monomials as bit masks, as in the basis-blade bitmaps of
+Dorst, Fontijne and Mann (*Geometric Algebra for Computer Science*, 2007,
+ch. 19).  Generator i is bit i - 1 of a monomial's ``mask``, and bit j of its
+``above`` mask is the parity of its generators above generator j + 1.  Two
+monomials with ``ma & mb`` share a generator, so their product is zero;
+otherwise it is +-(ma | mb).  Moving each generator of b left past the
+generators of a above it gives the sign, so the product is negative when
+``(above_a & mb).bit_count()`` is odd.  ``_MASKS`` (tuple -> (mask, above))
+and ``_TUPLES`` (mask -> tuple) are filled on first use and hold at most one
+entry per monomial; ``.terms`` stays keyed by index tuples.
+
 Usage:
 
     ctx = create_algebra(3)
@@ -64,54 +75,36 @@ def _graded_basis(n, parity):
     return tuple(m for m in _basis(n) if len(m) % 2 == parity)
 
 
-#: the monomial product table, ``left -> {right: (sign, merged)}``, and its
-#: limits: a row for every left factor at n <= 12 and every pair at n <= 8.
-#: A new row that finds a limit reached empties the table first, so memory
-#: stays bounded and at larger n the table follows the pairs in use.
-_PRODUCTS = {}
-_TABLE_ROWS, _TABLE_PAIRS = 2 ** 12, 4 ** 8
-_stored = 0  # pairs stored since the table was last emptied
+#: index tuple -> (mask, above), and mask -> index tuple, filled on first use
+_MASKS = {}
+_TUPLES = {0: ()}
 
 
-def _row(left):
-    """A new, empty table row for the left factor ``left``."""
-    global _stored
-    if len(_PRODUCTS) >= _TABLE_ROWS or _stored >= _TABLE_PAIRS:
-        _PRODUCTS.clear()
-        _stored = 0
-    row = _PRODUCTS[left] = {}
-    return row
+def _mask_of(idx):
+    """(mask, above) of the index tuple idx, as the module docstring defines
+    them.  The four shifts leave bit j of above the parity of bits j + 1 to
+    j + 16 of mask, which reaches the last of MAX_GENERATORS = 16 bits."""
+    mask = 0
+    for i in idx:
+        mask |= 1 << (i - 1)
+    above = mask >> 1
+    for k in 1, 2, 4, 8:
+        above ^= above >> k
+    return mask, above
 
 
-def _product(row, a, b):
-    """(sign, merged) for the strictly increasing index tuples a and b, kept
-    in a's ``row`` while the table has room.  sign counts the transpositions
-    that interleave b into a; a repeated index gives (0, ()) since xi*xi = 0.
-    """
-    global _stored
-    out = []
-    i = j = swaps = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] == b[j]:
-            hit = 0, ()
-            break
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] moves past the len(a)-i generators still waiting in a
-            out.append(b[j])
-            j += 1
-            swaps += la - i
-    else:
-        out.extend(a[i:])
-        out.extend(b[j:])
-        hit = (-1 if swaps & 1 else 1), tuple(out)
-    if _stored < _TABLE_PAIRS:
-        row[b] = hit
-        _stored += 1
-    return hit
+def _masked(idx):
+    """_mask_of(idx), stored in _MASKS and _TUPLES."""
+    pair = _MASKS[idx] = _mask_of(idx)
+    _TUPLES[pair[0]] = idx
+    return pair
+
+
+def _tuple(mask):
+    """The index tuple of mask, stored in _MASKS and _TUPLES."""
+    idx = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    _masked(idx)
+    return idx
 
 
 _CONTEXTS = {}
@@ -327,23 +320,23 @@ class GrassmannElement:
         if len(a) == 1 and () in a:
             c = a[()]
             return other._scaled(c._numerator, c._denominator)
-        # sums are kept as unreduced (numerator, denominator) int pairs, so
-        # each output coefficient costs one _ratio; a key whose running sum
-        # cancels is dropped and re-enters at the end, as with Fraction sums
-        right = [(ib, cb._numerator, cb._denominator) for ib, cb in b.items()]
+        # sums are kept by product mask as unreduced (numerator, denominator)
+        # int pairs, so each output coefficient costs one _ratio; a key whose
+        # running sum cancels is dropped and re-enters at the end, as with
+        # Fraction sums.  A (mask, above) pair is never falsy.
+        right = [((_MASKS.get(ib) or _masked(ib))[0], cb._numerator, cb._denominator)
+                 for ib, cb in b.items()]
         acc = {}
         for ia, ca in a.items():
             na, da = ca._numerator, ca._denominator
-            # a (sign, merged) pair is never falsy, and an empty row is
-            # as good as none
-            row = _PRODUCTS.get(ia) or _row(ia)
-            for ib, nb, db in right:
-                sign, idx = row.get(ib) or _product(row, ia, ib)
-                if not sign:
+            ma, above = _MASKS.get(ia) or _masked(ia)
+            for mb, nb, db in right:
+                if ma & mb:
                     continue
-                num = sign * na * nb
+                num = -na * nb if (above & mb).bit_count() & 1 else na * nb
                 den = da * db
-                prev = acc.get(idx)
+                m = ma | mb
+                prev = acc.get(m)
                 if prev is not None:
                     pn, pd = prev
                     if pd == den:
@@ -352,10 +345,11 @@ class GrassmannElement:
                         num = pn * den + num * pd
                         den *= pd
                     if not num:
-                        del acc[idx]
+                        del acc[m]
                         continue
-                acc[idx] = (num, den)
-        return _element(self.ctx, {idx: _ratio(n, d) for idx, (n, d) in acc.items()})
+                acc[m] = (num, den)
+        return _element(self.ctx, {(_TUPLES[m] if m in _TUPLES else _tuple(m)): _ratio(n, d)
+                                   for m, (n, d) in acc.items()})
 
     def _scaled(self, nc, dc):
         """self times the nonzero rational nc / dc, in lowest terms, dc > 0."""
@@ -602,16 +596,18 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
 
     odd = ctx.odd_monomials()
     # constraint rows: for each generator a and each monomial that occurs in
-    # some odd_j * a, the coefficient of (sum_j c_j * odd_j) * a must vanish
+    # some odd_j * a, the coefficient of (sum_j c_j * odd_j) * a must vanish.
+    # The masks of the odd monomials are not stored: at n = 16 there are 2^15.
     rows = []
     for a in gens:
+        right = [((_MASKS.get(idx) or _masked(idx))[0], c) for idx, c in a.terms.items()]
         by_target = {}
         for m in odd:
-            row = _PRODUCTS.get(m) or _row(m)
-            for idx, c in a.terms.items():
-                sign, target = row.get(idx) or _product(row, m, idx)
-                if sign:
-                    by_target.setdefault(target, {})[m] = c if sign > 0 else -c
+            ma, above = _mask_of(m)
+            for mb, c in right:
+                if not ma & mb:
+                    by_target.setdefault(ma | mb, {})[m] = (
+                        -c if (above & mb).bit_count() & 1 else c)
         rows.extend(by_target.values())
     basis, free = linalg.kernel_basis(linalg.echelon(rows), odd)
     return AnnihilatorBasis(ctx, gens, [GrassmannElement(ctx, v) for v in basis], free)

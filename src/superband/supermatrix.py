@@ -450,7 +450,7 @@ def berezinian(m: SuperMatrix) -> GrassmannElement:
     b = m.block_b()
     b_inv = even_inverse(b)
     schur = _grid_sub(m.block_a(), _grid_mul(_grid_mul(m.block_gamma(), b_inv), m.block_delta()))
-    return det_even(schur) * det_even(b).inverse()
+    return det_even(schur) * det_even(b_inv)
 
 
 def ber_parts(m: SuperMatrix):

@@ -1,7 +1,7 @@
 """Grassmann element arithmetic against an independent sign oracle.
 
 The oracle multiplies monomials by bubble-sorting the concatenated index word
-and counting swaps, with no code shared with the library's merge-based sign.
+and counting swaps, with no code shared with the library's bit-mask sign.
 Expected values in the directed tests were frozen from that oracle first.
 """
 
@@ -456,62 +456,48 @@ class TestAnnihilator:
             assert g.contains(x) == expected
 
 
-def _table_product(a, b):
-    """a * b for monomials, looked up in the table as products do it."""
-    row = algebra._PRODUCTS.get(a) or algebra._row(a)
-    return row.get(b) or algebra._product(row, a, b)
+def _inversion_product(a, b):
+    """Sign and merged tuple of a * b for index sets, by counting the pairs
+    (i in a, j in b) with i > j that interleaving b into a must swap."""
+    if set(a) & set(b):
+        return 0, ()
+    swaps = sum(1 for i in a for j in b if i > j)
+    return (-1) ** swaps, tuple(sorted(a + b))
 
 
-class TestProductTable:
-    """The table of monomial products (``algebra._PRODUCTS``) against the
-    bubble-sort oracle, and its size limits."""
-
-    @staticmethod
-    def _assert_within_limits():
-        table = algebra._PRODUCTS
-        assert len(table) <= algebra._TABLE_ROWS
-        # every pair stored since the table was last emptied is still in it
-        assert sum(map(len, table.values())) == algebra._stored <= algebra._TABLE_PAIRS
+class TestMonomialProducts:
+    """Monomial products, which ``algebra`` forms from bit masks, against
+    oracles that share no code with that path."""
 
     def test_every_pair_up_to_n6(self):
         for n in range(1, 7):
-            basis = create_algebra(n).basis()
-            for a in basis:
-                for b in basis:
-                    want = _oracle_mul_mono(a, b)
-                    assert _table_product(a, b) == want  # merged, or read back
-                    assert _table_product(a, b) == want  # read back, once stored
-            self._assert_within_limits()
-
-    def test_random_pairs_past_the_limits(self):
-        # fill the table with pairs at n = 9, then keep multiplying at
-        # n = 10..16, where new rows empty it whenever a limit is reached
-        basis = create_algebra(9).basis()
-        for a in basis:
-            for b in basis:
-                _table_product(a, b)
-            if algebra._stored >= algebra._TABLE_PAIRS:
-                break
-        assert algebra._stored == algebra._TABLE_PAIRS
-        for b in basis:  # the last row filled up midway, and stores no more
-            assert _table_product(a, b) == _oracle_mul_mono(a, b)
-        self._assert_within_limits()
-        rng = random.Random(1016)
-        lefts = set()
-        for n in range(10, 17):
-            for _ in range(1500):
-                a, b = (tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
-                        for _ in range(2))
-                lefts.add(a)
-                assert _table_product(a, b) == _oracle_mul_mono(a, b)
-            self._assert_within_limits()
             ctx = create_algebra(n)
-            for _ in range(20):
+            basis = ctx.basis()
+            for a in basis:
+                x = ctx.monomial(a)
+                for b in basis:
+                    sign, merged = _oracle_mul_mono(a, b)
+                    want = {merged: Fraction(sign)} if sign else {}
+                    assert (x * ctx.monomial(b)).terms == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_index_sets_up_to_n16(self, data):
+        ctx = data.draw(contexts(max_n=16))
+        index_sets = st.sets(st.integers(min_value=1, max_value=ctx.n)).map(sorted).map(tuple)
+        a, b = data.draw(index_sets), data.draw(index_sets)
+        sign, merged = _inversion_product(a, b)
+        want = {merged: Fraction(sign)} if sign else {}
+        assert (ctx.monomial(a) * ctx.monomial(b)).terms == want
+
+    def test_random_elements_n10_to_n16(self):
+        rng = random.Random(1016)
+        for n in range(10, 17):
+            ctx = create_algebra(n)
+            for _ in range(40):
                 x = random_element(rng, ctx, max_terms=6)
                 y = random_element(rng, ctx, max_terms=6)
                 assert (x * y).terms == _oracle_mul(x, y)
-            self._assert_within_limits()
-        assert len(lefts) > algebra._TABLE_ROWS
 
 
 class TestRatio:

@@ -77,6 +77,15 @@ def test_table_does_not_load_the_suites():
     assert "superband.evolution" not in loaded
 
 
+def test_algebra_import_precomputes_no_masks():
+    # every one-shot process would pay for a table built at import
+    run_python(
+        "from superband import algebra\n"
+        "assert algebra._MASKS == {}, len(algebra._MASKS)\n"
+        "assert algebra._TUPLES == {0: ()}, len(algebra._TUPLES)"
+    )
+
+
 def test_every_export_resolves():
     out = run_python(
         "import superband\n"
