@@ -277,12 +277,12 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
         return [[random_combination(rng, ctx, vectors) for _ in range(cols)]
                 for _ in range(rows)]
 
-    k0 = SuperMatrix.from_blocks(
+    k0 = SuperMatrix._graded_blocks(
         zero_pp, combos(seeds, p, q), combos(ann.basis, q, p), eye
     )
     mats = [k0]
     for _ in range(degree):
         mats.append(
-            SuperMatrix.from_blocks(zero_pp, combos(seeds, p, q), zero_qp, zero_qq)
+            SuperMatrix._graded_blocks(zero_pp, combos(seeds, p, q), zero_qp, zero_qq)
         )
     return ComponentList(mats)

@@ -437,10 +437,10 @@ def intertwiner_check(sigma, rho, u, v, alpha) -> dict:
 
     zero = GrassmannPoly.zero(ctx)
     cp = GrassmannPoly.constant
-    u_mat = ParamSuperMatrix(
+    u_mat = ParamSuperMatrix._graded(
         1, 1, [[cp(sigma * alpha), cp(sigma)], [zero, cp(rho * alpha)]]
     )
-    ustar = ParamSuperMatrix(
+    ustar = ParamSuperMatrix._graded(
         1,
         1,
         [[zero, GrassmannPoly.term(alpha * v, t=1)], [cp(alpha * u), cp(v)]],

@@ -19,13 +19,7 @@ from . import linalg
 from .algebra import GrassmannElement, annihilator_odd, odd_span_contains
 from .errors import ConfigError, ContextError, NotInvertible, ParityError, ShapeError
 from .poly import GrassmannPoly
-from .randgen import (
-    _body_det,
-    _random_terms,
-    random_combination,
-    random_even_invertible,
-    random_nonzero_odd,
-)
+from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
 from .supermatrix import SuperMatrix, _grid_mul, berezinian, det_even
 
 CLOSURE_MENU = ("t", "s", "t+s", "t*s")
@@ -261,6 +255,8 @@ def chain_product_verify(family) -> ChainReport:
     if len(mats) < 2:
         raise ConfigError("a chain needs at least two matrices")
     for m in mats:
+        if not isinstance(m, SuperMatrix):
+            raise ShapeError("expected SuperMatrices")
         _require_antitriangle(m, "chain product")
     product = mats[0]
     for m in mats[1:]:
@@ -274,7 +270,7 @@ def chain_product_verify(family) -> ChainReport:
         word = _grid_mul(word, m.block_b())
     gamma_word = _grid_mul(first.block_gamma(), word)
     b_word = _grid_mul(first.block_b(), word)
-    closed = SuperMatrix.from_blocks(
+    closed = SuperMatrix._graded_blocks(
         [[ctx.zero()] * p for _ in range(p)],
         _grid_mul(gamma_word, last.block_b()),
         _grid_mul(b_word, last.block_delta()),
@@ -322,18 +318,6 @@ def closure_check(family) -> bool:
     return closure_witness(family) is not None
 
 
-def _random_invertible_even_grid(rng, ctx, q):
-    pool = ctx.even_monomials()
-    for _ in range(40):
-        grid = [[_random_terms(rng, pool, 2) for _ in range(q)] for _ in range(q)]
-        if _body_det(grid):
-            return [[GrassmannElement(ctx, terms) for terms in row] for row in grid]
-    return [
-        [random_even_invertible(rng, ctx) if i == j else ctx.zero() for j in range(q)]
-        for i in range(q)
-    ]
-
-
 def random_strong_family(rng, ctx, p=1, q=1, length=3):
     """Pairwise-strong antitriangle matrices built from a random odd span.
 
@@ -358,11 +342,11 @@ def random_strong_family(rng, ctx, p=1, q=1, length=3):
         delta = [[random_combination(rng, ctx, ann.basis) for _ in range(p)]
                  for _ in range(q)]
         matrices.append(
-            SuperMatrix.from_blocks(
+            SuperMatrix._graded_blocks(
                 [[ctx.zero()] * p for _ in range(p)],
                 gamma,
                 delta,
-                _random_invertible_even_grid(rng, ctx, q),
+                random_invertible_even_grid(rng, ctx, q),
             )
         )
     return matrices

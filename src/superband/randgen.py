@@ -3,13 +3,14 @@
 Everything takes an explicit ``random.Random`` so a fixed seed reproduces the
 exact same sample stream; nothing here touches the global RNG state.
 
-The draws of ``random_coeff`` and of every element's terms come straight
-from ``rng.getrandbits`` but mirror ``random.Random`` call for call: a
-bounded integer follows ``Random._randbelow`` (draw ``n.bit_length()`` bits,
-redraw while the result is at least ``n``) and a subset follows the two
-branches of ``Random.sample``.  The stream, and so every seeded output, is
-the one that ``randint`` and ``sample`` would give, without their three
-Python frames per integer.
+The draws of elements, coefficients and combinations come straight from
+``rng.getrandbits`` but mirror ``random.Random`` call for call: a bounded
+integer follows ``Random._randbelow`` (draw ``n.bit_length()`` bits, redraw
+while the result is at least ``n``) and a subset follows the two branches of
+``Random.sample``.  Their stream is the one that ``randint`` and ``sample``
+would give, without their three Python frames per integer.  An invertible
+even block has no such mirror: ``random_invertible_even_grid`` draws it
+directly, rejecting only the entries' bodies.
 """
 
 from __future__ import annotations
@@ -142,38 +143,49 @@ def random_nonzero_odd(rng, ctx):
             return x
 
 
-def random_even_invertible(rng, ctx):
-    body = 0
-    while body == 0:
-        body = rng.randint(-4, 4)
-    return random_element(rng, ctx, parity="even", max_terms=2, body=body)
+def random_invertible_even_grid(rng, ctx, q):
+    """A q x q grid of even elements whose determinant has a nonzero body.
 
-
-def _body_det(grid):
-    """Body of the determinant of a square grid of term dicts.
-
-    The body map is a ring homomorphism, so this is the determinant of the
-    entries' bodies: a rejection loop can judge a try from its raw draws and
-    build elements for the accepted try only.
+    The bodies are ``random_coeff`` values, the whole q x q grid of them
+    redrawn until its determinant is nonzero; then each entry gets a soul of
+    at most one term, as ``_random_terms`` draws it over the even monomials
+    other than ``()``.  The body of det B is the determinant of the bodies,
+    so rejecting on the bodies alone keeps them distributed as independent
+    ``random_coeff`` draws conditioned on that determinant being nonzero,
+    independent of the souls, without redrawing anything else.
     """
-    return _det([[terms.get((), 0) for terms in row] for row in grid])
+    bits = rng.getrandbits
+    while True:
+        bodies = [[_coeff(bits) for _ in range(q)] for _ in range(q)]
+        if _det(bodies):
+            break
+    souls = ctx.even_monomials()[1:]
+    grid = []
+    for row in bodies:
+        out = []
+        for body in row:
+            terms = {(): body} if body else {}
+            terms.update(_random_terms(rng, souls, 1))
+            out.append(GrassmannElement(ctx, terms))
+        grid.append(out)
+    return grid
 
 
 def random_supermatrix(rng, ctx, p=1, q=1, invertible_b=True):
-    """Random even (p|q) supermatrix; with invertible_b the body of det B is
-    kept nonzero, by rejection that builds elements for the accepted try only."""
+    """Random even (p|q) supermatrix, its entries drawn row by row; with
+    invertible_b the B block is drawn last, by ``random_invertible_even_grid``."""
     _check_blocks(p, q)
     even, odd = ctx.even_monomials(), ctx.odd_monomials()
-    while True:
-        rows = [
-            [_random_terms(rng, even if (i < p) == (j < p) else odd, 2)
-             for j in range(p + q)]
-            for i in range(p + q)
-        ]
-        if not invertible_b or _body_det([row[p:] for row in rows[p:]]):
-            return SuperMatrix._graded(
-                p, q, [[GrassmannElement(ctx, terms) for terms in row] for row in rows]
-            )
+    d = p + q
+    rows = [
+        [GrassmannElement(ctx, _random_terms(rng, even if (i < p) == (j < p) else odd, 2))
+         for j in range(p if invertible_b and i >= p else d)]
+        for i in range(d)
+    ]
+    if invertible_b:
+        for row, b_row in zip(rows[p:], random_invertible_even_grid(rng, ctx, q)):
+            row += b_row
+    return SuperMatrix._graded(p, q, rows)
 
 
 def random_supervector(rng, ctx, p=1, q=1):

@@ -137,7 +137,7 @@ def _random_antitriangle(rng, ctx, p, q):
          for _ in range(q)]
     bb = [[random_element(rng, ctx, parity="even", max_terms=2) for _ in range(q)]
           for _ in range(q)]
-    return SuperMatrix.from_blocks(zero_a, g, d, bb)
+    return SuperMatrix._graded_blocks(zero_a, g, d, bb)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def _analysis(ctx, cfg, rng):
 
 def _expected_resolvents(ctx, alpha):
     one = ctx.one()
-    rp = LaurentMatrix(
+    rp = LaurentMatrix._graded(
         1,
         1,
         [
@@ -332,7 +332,7 @@ def _expected_resolvents(ctx, alpha):
             [LaurentScalar.term(alpha, iz=1), LaurentScalar.term(one, iz=1)],
         ],
     )
-    rt = LaurentMatrix(
+    rt = LaurentMatrix._graded(
         1,
         1,
         [
@@ -354,7 +354,7 @@ def _resolvent(ctx, cfg, rng):
         rp, rt = laplace(p_fam), laplace(t_fam)
         want_rp, want_rt = _expected_resolvents(ctx, alpha)
         # A is built from alpha here, not read off P by generator_of
-        gen = SuperMatrix(1, 1, [[zero, alpha], [zero, zero]])
+        gen = SuperMatrix._graded(1, 1, [[zero, alpha], [zero, zero]])
         even0, odd0 = x0.even[0], x0.odd[0]
         xp = orbit(p_fam, x0)
         xt = orbit(t_fam, x0)

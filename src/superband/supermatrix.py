@@ -63,6 +63,13 @@ def _grid_mul(x, y):
     return out
 
 
+def _block_rows(a, gamma, delta, b):
+    """The rows of [[a, gamma], [delta, b]]."""
+    rows = [list(a[i]) + list(gamma[i]) for i in range(len(a))]
+    rows += [list(delta[i]) + list(b[i]) for i in range(len(b))]
+    return rows
+
+
 def _check_blocks(p, q):
     if p < 1 or q < 1:
         raise ShapeError(f"block sizes must be at least 1, got ({p}|{q})")
@@ -213,6 +220,22 @@ class GradedMatrix:
         - ``families.make_family`` (alpha checked odd, off the diagonal),
           ``zero`` and ``identity`` (block sizes checked): graded as built.
 
+        Through ``_graded_blocks``, blocks graded by construction:
+
+        - ``analysis.random_band_components``: combinations of odd vectors
+          off the diagonal, zero and identity blocks on it;
+        - ``suites._random_antitriangle``: entries drawn with the parity of
+          their block;
+        - ``gamma.random_strong_family``: combinations of odd vectors off the
+          diagonal and a ``randgen.random_invertible_even_grid`` B;
+        - ``gamma.chain_product_verify``'s closed form: products of the
+          blocks of graded matrices, odd times even off the diagonal.
+
+        And as rows built from an odd alpha and even constants, placed by
+        parity: ``suites._expected_resolvents``, the generator in
+        ``suites._resolvent`` and the two matrices of
+        ``families.intertwiner_check`` (its arguments' parities checked).
+
         Everything else goes through the validating constructor.
         """
         m = object.__new__(cls)
@@ -226,11 +249,12 @@ class GradedMatrix:
 
     @classmethod
     def from_blocks(cls, a, gamma, delta, b):
-        p = len(a)
-        q = len(b)
-        rows = [list(a[i]) + list(gamma[i]) for i in range(p)]
-        rows += [list(delta[i]) + list(b[i]) for i in range(q)]
-        return cls(p, q, rows)
+        return cls(len(a), len(b), _block_rows(a, gamma, delta, b))
+
+    @classmethod
+    def _graded_blocks(cls, a, gamma, delta, b):
+        """``from_blocks`` through ``_graded``, for blocks graded by construction."""
+        return cls._graded(len(a), len(b), _block_rows(a, gamma, delta, b))
 
     @classmethod
     def from_supermatrix(cls, m: "SuperMatrix"):

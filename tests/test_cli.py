@@ -1,6 +1,9 @@
 """End-to-end tests for the ``superband`` command line tool."""
 
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -109,6 +112,19 @@ class TestVerify:
         report = json.loads(out1)
         assert report["passed"] is True
         assert report["config"]["seed"] == 42
+
+    def test_supermatrix_suite_at_sixteen_generators_is_fast(self):
+        # B is drawn invertible directly; a loop that redrew whole matrices
+        # until det B had a body needed tens of thousands of tries per sample
+        command = [
+            sys.executable, "-m", "superband.cli", "verify", "--suite",
+            "supermatrix", "--generators", "16", "--samples", "20",
+        ]
+        started = time.perf_counter()
+        done = subprocess.run(command, capture_output=True, check=True, text=True)
+        elapsed = time.perf_counter() - started
+        assert done.stdout.endswith("result: pass (4 checks)\n")
+        assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
     def test_env_seed_overrides_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERBAND_SEED", "99")

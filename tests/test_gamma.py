@@ -327,6 +327,11 @@ class TestChains:
         with pytest.raises(ConfigError):
             chain_product_verify([SuperMatrix.zero(ctx, 1, 1)])
 
+    def test_chain_of_polynomial_matrices_is_refused(self):
+        family = make_family("P", create_algebra(2).gen(1))
+        with pytest.raises(ShapeError, match="SuperMatrices"):
+            chain_product_verify([family, family])
+
 
 class TestClosure:
     def test_menu_witnesses(self):

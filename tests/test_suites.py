@@ -101,3 +101,18 @@ def test_helper_that_dies_is_replaced_here(monkeypatch):
         [{"label": name, "passed": True}] for name in SUITES
     ]
     _no_children_left()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_passing_report_does_not_depend_on_the_draws(n):
+    # a passing report holds labels and verdicts only, so drawing other
+    # samples, by another seed or another sampler, changes none of its bytes
+    # as long as every label still passes
+    reports = []
+    for seed in (0, 1):
+        report = suites.run_suite(SuiteConfig(generators=n, seed=seed)).report
+        assert report["passed"]
+        del report["config"]["seed"]
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
+    _no_children_left()
