@@ -260,37 +260,18 @@ class GrassmannElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        b = other.terms
-        if not b:
+        if not other.terms:
             return self
         if not self.terms:
             return other
         terms = dict(self.terms)
-        for idx, c in b.items():
-            prev = terms.get(idx)
-            if prev is None:
-                terms[idx] = c
-                continue
-            pn, pd = prev._numerator, prev._denominator
-            cn, cd = c._numerator, c._denominator
-            if pd == cd:
-                num = pn + cn
-            else:
-                num = pn * cd + cn * pd
-                pd *= cd
-            if num:
-                terms[idx] = _ratio(num, pd)
-            else:
-                del terms[idx]
+        _merge(terms, other.terms, 1, 1)
         return _element(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(
-            self.ctx,
-            {idx: _ratio(-c._numerator, c._denominator) for idx, c in self.terms.items()},
-        )
+        return self._scaled(-1, 1)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -522,6 +503,24 @@ def _element(ctx, terms):
     _set_ctx(x, ctx)
     _set_terms(x, terms)
     return x
+
+
+def _merge(terms, other, nc, dc):
+    """terms += nc / dc * other in place, for nc / dc nonzero in lowest terms, dc > 0;
+    a key whose sum cancels is deleted, and re-enters at the end if it returns."""
+    for idx, c in other.items():
+        prev = terms.get(idx)
+        if prev is None:
+            terms[idx] = c if nc == dc else _ratio(c._numerator * nc, c._denominator * dc)
+            continue
+        pn, pd = prev._numerator, prev._denominator
+        cn, cd = c._numerator * nc, c._denominator * dc
+        if pd != cd:
+            pn, cn, pd = pn * cd, cn * pd, pd * cd
+        if num := pn + cn:
+            terms[idx] = _ratio(num, pd)
+        else:
+            del terms[idx]
 
 
 def _ratio(n, d):

@@ -60,8 +60,8 @@ class GammaSet:
                 raise ContextError("span vectors from different algebras")
             if not v.is_odd():
                 raise ParityError(f"span vectors must be odd, got {v}")
-        rows = {}
-        if not all(linalg.add_row(rows, v.terms) for v in vectors):
+        rows = linalg.echelon(v.terms for v in vectors)
+        if len(rows) != len(vectors):
             raise ConfigError("span vectors must be linearly independent")
         evens = tuple(stabilizing_evens)
         for b in evens:

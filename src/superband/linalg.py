@@ -12,6 +12,13 @@ unique: it depends only on the row space, not on the order in which rows
 are eliminated or on how the zeros are stored.  Any exact elimination
 therefore finds the same pivots, the same free columns and the same
 canonical kernel basis, so callers' outputs are fixed by their inputs.
+
+``echelon`` is the only builder of echelon forms.  It finds the earlier
+rows holding each new pivot column through the column index of sparse
+direct solvers (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
+SIAM 2006): ``holders`` maps each column to the keys of the pivot rows that
+have held an entry there, recorded on insertion and for each fill-in; a
+holder whose entry has since cancelled is skipped.
 """
 
 from __future__ import annotations
@@ -48,34 +55,33 @@ def residue(row, pivots):
     return out
 
 
-def add_row(pivots, row) -> bool:
-    """Extend the echelon form ``pivots`` by ``row``, in place.
-
-    Returns False, leaving ``pivots`` unchanged, when ``row`` lies in their
-    span, and True when it adds a pivot.
-    """
-    new = residue(row, pivots)
-    if not new:
-        return False
-    key = min(new)
-    inv = ONE / new[key]
-    if inv != 1:
-        new = {col: v * inv for col, v in new.items()}
-    # clear the new pivot column from the other rows; each has its own
-    # pivot left of it, so they stay in echelon form
-    for prow in pivots.values():
-        c = prow.get(key)
-        if c is not None:
-            _subtract(prow, c, new)
-    pivots[key] = new
-    return True
-
-
 def echelon(rows) -> dict:
     """The reduced row-echelon form of ``rows`` as {pivot column: row}."""
     pivots = {}
+    holders = {}
     for row in rows:
-        add_row(pivots, row)
+        new = residue(row, pivots)
+        if not new:
+            continue
+        key = min(new)
+        inv = ONE / new[key]
+        if inv != 1:
+            new = {col: v * inv for col, v in new.items()}
+        # clear the new pivot column from the rows holding it; each has its
+        # own pivot left of it, so they stay in echelon form
+        for k in holders.pop(key, ()):
+            prow = pivots[k]
+            c = prow.get(key)
+            if c is None:  # cancelled since it was recorded
+                continue
+            for col in new:
+                if col not in prow:
+                    holders.setdefault(col, []).append(k)
+            _subtract(prow, c, new)
+        for col in new:
+            if col != key:
+                holders.setdefault(col, []).append(key)
+        pivots[key] = new
     return pivots
 
 

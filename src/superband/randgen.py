@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, log
 
-from .algebra import AlgebraContext, GrassmannElement
+from .algebra import AlgebraContext, GrassmannElement, _element, _merge
 from .supermatrix import SuperMatrix, SuperVector, _check_blocks, _det
 
 #: every value random_coeff draws, as _COEFFS[a + 4][b - 1] for
@@ -45,10 +45,11 @@ def random_coeff(rng):
 def random_combination(rng, ctx, vectors):
     """The sum of ``v * random_coeff(rng)`` over ``vectors``, in order."""
     bits = rng.getrandbits
-    acc = ctx.zero()
+    terms = {}
     for v in vectors:
-        acc = acc + v * _coeff(bits)
-    return acc
+        if c := _coeff(bits):
+            _merge(terms, v.terms, c._numerator, c._denominator)
+    return _element(ctx, terms)
 
 
 def _sample(bits, pool, k):

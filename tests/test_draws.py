@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from superband.algebra import create_algebra
+from superband.algebra import annihilator_odd, create_algebra
 from superband.randgen import (
     _random_terms,
     _sample,
@@ -75,17 +75,58 @@ def test_sample_matches_stdlib_for_every_count(size):
             assert fast.getstate() == slow.getstate()
 
 
-def test_coefficients_and_combinations_match():
+def _combination_vectors(case):
+    """(ctx, vectors): disjoint, overlapping or cancelling vectors at n = 4,
+    or the annihilator basis of a three-term alpha at n = 6, 8 or 10."""
+    if case.startswith("annihilator_n"):
+        ctx = create_algebra(int(case.removeprefix("annihilator_n")))
+        alpha = (ctx.monomial((1, 2, 3)) + ctx.gen(4) * 2
+                 - ctx.monomial((2, 5, 6)) * Fraction(1, 3))
+        return ctx, annihilator_odd([alpha], ctx).basis
     ctx = create_algebra(4)
-    vectors = [ctx.gen(1), ctx.monomial((1, 2, 3)), ctx.gen(4)]
-    for seed in range(200):
-        fast, slow = random.Random(seed), random.Random(seed)
-        assert random_coeff(fast) == _stdlib_coeff(slow)
-        want = ctx.zero()
-        for v in vectors:
-            want = want + v * _stdlib_coeff(slow)
-        assert random_combination(fast, ctx, vectors) == want
-        assert fast.getstate() == slow.getstate()
+    x = ctx.gen
+    return ctx, {
+        "disjoint": [x(1), ctx.monomial((1, 2, 3)), x(4)],
+        "overlapping": [x(1) + x(2), x(2) - x(3), ctx.monomial((1, 2, 3)) + x(3),
+                        x(1) * 2 - x(2), x(3) + x(4)],
+        # a vector and its negative cancel whenever their coefficients agree
+        "cancelling": [x(1) + x(2), -x(1) - x(2), x(2), x(1) - x(2), x(1) + x(2)],
+    }[case]
+
+
+def _dict_sum(rng, vectors):
+    """The terms of the sum of ``v * _stdlib_coeff(rng)``, summed in a plain
+    dict: a key keeps its place until its sum cancels, and a key that comes
+    back goes to the end."""
+    acc = {}
+    for v in vectors:
+        c = _stdlib_coeff(rng)
+        for idx, x in v.terms.items():
+            if total := acc.get(idx, 0) + c * x:
+                acc[idx] = total
+            else:
+                acc.pop(idx, None)
+    return acc
+
+
+def test_coefficients_and_combinations_match():
+    # the oracles are the sum of scaled elements that random_combination
+    # replaced, and the same sum over plain dicts of Fractions
+    for case in ("disjoint", "overlapping", "cancelling",
+                 "annihilator_n6", "annihilator_n8", "annihilator_n10"):
+        ctx, vectors = _combination_vectors(case)
+        for seed in range(200 if len(vectors) < 10 else 10):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert random_coeff(fast) == _stdlib_coeff(slow)
+            want = ctx.zero()
+            for v in vectors:
+                want = want + v * _stdlib_coeff(slow)
+            got = random_combination(fast, ctx, vectors)
+            assert list(got.terms.items()) == list(want.terms.items()), case
+            assert fast.getstate() == slow.getstate()
+            plain = random.Random(seed)
+            _stdlib_coeff(plain)
+            assert list(got.terms.items()) == list(_dict_sum(plain, vectors).items()), case
 
 
 def test_negative_term_count_is_refused_like_randint():
