@@ -43,7 +43,7 @@ def random_coeff(rng):
 
 
 def random_combination(rng, ctx, vectors):
-    """The sum of ``v * random_coeff(rng)`` over ``vectors``, in order."""
+    """The sum of ``v * random_coeff(rng)`` over the ``vectors`` of ``ctx``, in order."""
     bits = rng.getrandbits
     terms = {}
     for v in vectors:

@@ -4,6 +4,9 @@
 from ``rng.getrandbits``.  The oracle below is the plain stdlib version
 (``rng.randint`` and ``rng.sample``): both must give equal values and leave
 the generator in the same state, on every branch of ``Random.sample``.
+``random_combination`` sums its scaled vectors in one term dict, so it is
+also compared, dict order included, with the sum of scaled elements it
+replaced and with the same sum over plain dicts of Fractions.
 """
 
 from __future__ import annotations
@@ -75,23 +78,21 @@ def test_sample_matches_stdlib_for_every_count(size):
             assert fast.getstate() == slow.getstate()
 
 
-def _combination_vectors(case):
-    """(ctx, vectors): disjoint, overlapping or cancelling vectors at n = 4,
-    or the annihilator basis of a three-term alpha at n = 6, 8 or 10."""
-    if case.startswith("annihilator_n"):
-        ctx = create_algebra(int(case.removeprefix("annihilator_n")))
-        alpha = (ctx.monomial((1, 2, 3)) + ctx.gen(4) * 2
-                 - ctx.monomial((2, 5, 6)) * Fraction(1, 3))
-        return ctx, annihilator_odd([alpha], ctx).basis
+def _combination_cases():
+    """(name, ctx, vectors): disjoint, overlapping and cancelling vectors at
+    n = 4, then the annihilator bases of a three-term alpha at n = 6, 8, 10."""
     ctx = create_algebra(4)
     x = ctx.gen
-    return ctx, {
-        "disjoint": [x(1), ctx.monomial((1, 2, 3)), x(4)],
-        "overlapping": [x(1) + x(2), x(2) - x(3), ctx.monomial((1, 2, 3)) + x(3),
-                        x(1) * 2 - x(2), x(3) + x(4)],
-        # a vector and its negative cancel whenever their coefficients agree
-        "cancelling": [x(1) + x(2), -x(1) - x(2), x(2), x(1) - x(2), x(1) + x(2)],
-    }[case]
+    yield "disjoint", ctx, [x(1), ctx.monomial((1, 2, 3)), x(4)]
+    yield "overlapping", ctx, [x(1) + x(2), x(2) - x(3), ctx.monomial((1, 2, 3)) + x(3),
+                               x(1) * 2 - x(2), x(3) + x(4)]
+    # a vector and its negative cancel whenever their coefficients agree
+    yield "cancelling", ctx, [x(1) + x(2), -x(1) - x(2), x(2), x(1) - x(2), x(1) + x(2)]
+    for n in (6, 8, 10):
+        ctx = create_algebra(n)
+        alpha = (ctx.monomial((1, 2, 3)) + ctx.gen(4) * 2
+                 - ctx.monomial((2, 5, 6)) * Fraction(1, 3))
+        yield f"annihilator_n{n}", ctx, annihilator_odd([alpha], ctx).basis
 
 
 def _dict_sum(rng, vectors):
@@ -112,9 +113,7 @@ def _dict_sum(rng, vectors):
 def test_coefficients_and_combinations_match():
     # the oracles are the sum of scaled elements that random_combination
     # replaced, and the same sum over plain dicts of Fractions
-    for case in ("disjoint", "overlapping", "cancelling",
-                 "annihilator_n6", "annihilator_n8", "annihilator_n10"):
-        ctx, vectors = _combination_vectors(case)
+    for case, ctx, vectors in _combination_cases():
         for seed in range(200 if len(vectors) < 10 else 10):
             fast, slow = random.Random(seed), random.Random(seed)
             assert random_coeff(fast) == _stdlib_coeff(slow)
