@@ -16,8 +16,14 @@ coefficients and build each output coefficient once, through ``_ratio``:
 the pair is reduced by gcd and stored into the two slots of a bare
 Fraction.  ``Fraction(n, d)`` gives the same value, but its Python-level
 constructor was the largest single cost left in products at n = 4, where
-most operands have one term.  Only this module touches those slots, and a
-test pins their names.
+most operands have one term.  Only this module and
+``randgen.random_combination``, which passes a coefficient's pair to
+``_merge``, touch those slots, and a test pins their names.
+
+``GrassmannElement`` and ``poly.SparsePoly`` both keep an immutable canonical
+``terms`` dict over one context, so the storage, the immutability guard and
+the arithmetic that follows from ``+``, unary ``-`` and ``*`` live once, in
+their base ``_Sparse``; ``_unchecked`` wraps the results of arithmetic.
 
 Products multiply monomials as bit masks, as in the basis-blade bitmaps of
 Dorst, Fontijne and Mann (*Geometric Algebra for Computer Science*, 2007,
@@ -209,11 +215,14 @@ def create_algebra(n: int) -> AlgebraContext:
     return AlgebraContext(n)
 
 
-class GrassmannElement:
-    """A canonical sparse element of a Grassmann algebra.
+class _Sparse:
+    """An immutable canonical ``terms`` dict over one AlgebraContext: the base
+    of GrassmannElement and poly.SparsePoly.
 
-    Do not mutate ``terms``; all public operations return fresh elements.
-    Supports +, -, *, /, ** with other elements and with ints/Fractions.
+    The constructor stores ``terms`` as given.  A subclass adds its checks,
+    ``_coerce`` (an operand as a value of its own kind and context, or None
+    for an unknown type), ``__add__``, ``__neg__``, ``__mul__``, equality,
+    hashing and printing; subtraction, reflected products and powers follow.
     """
 
     __slots__ = ("ctx", "terms")
@@ -223,12 +232,10 @@ class GrassmannElement:
         _set_terms(self, terms)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GrassmannElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return GrassmannElement, (self.ctx, self.terms)
-
-    # -- basics -------------------------------------------------------
+        return type(self), (self.ctx, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -236,11 +243,71 @@ class GrassmannElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def coefficient(self, indices) -> Fraction:
-        return self.terms.get(tuple(indices), linalg.ZERO)
-
     def sorted_terms(self):
         return sorted(self.terms.items())
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __rmul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ConfigError(f"powers must be nonnegative integers, got {k!r}")
+        acc = self._coerce(self.ctx.one())
+        for _ in range(k):
+            acc = acc * self
+            if not acc:
+                break
+        return acc
+
+
+# the slot setters, which bypass the immutability guard in __setattr__
+_set_ctx = _Sparse.ctx.__set__
+_set_terms = _Sparse.terms.__set__
+_new = object.__new__
+
+
+def _unchecked(cls, ctx, terms):
+    """A ``cls`` value around ``terms`` without the subclass's checks.
+
+    Only for terms that are canonical for ``cls`` over ``ctx``: results of
+    arithmetic on values of one kind and algebra.  Everything else goes
+    through the constructor.  A plain function, since this is the hot path
+    of every product.
+    """
+    x = _new(cls)
+    _set_ctx(x, ctx)
+    _set_terms(x, terms)
+    return x
+
+
+class GrassmannElement(_Sparse):
+    """A canonical sparse element of a Grassmann algebra.
+
+    Do not mutate ``terms``; all public operations return fresh elements.
+    Supports +, -, *, /, ** with other elements and with ints/Fractions.
+    """
+
+    __slots__ = ()
+
+    # -- basics -------------------------------------------------------
+
+    def coefficient(self, indices) -> Fraction:
+        return self.terms.get(tuple(indices), linalg.ZERO)
 
     def _coerce(self, other):
         if isinstance(other, GrassmannElement):
@@ -266,24 +333,12 @@ class GrassmannElement:
             return other
         terms = dict(self.terms)
         _merge(terms, other.terms, 1, 1)
-        return _element(self.ctx, terms)
+        return _unchecked(GrassmannElement, self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         return self._scaled(-1, 1)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if type(other) is not GrassmannElement or other.ctx is not self.ctx:
@@ -329,15 +384,16 @@ class GrassmannElement:
                         del acc[m]
                         continue
                 acc[m] = (num, den)
-        return _element(self.ctx, {(_TUPLES[m] if m in _TUPLES else _tuple(m)): _ratio(n, d)
-                                   for m, (n, d) in acc.items()})
+        return _unchecked(GrassmannElement, self.ctx,
+                          {(_TUPLES[m] if m in _TUPLES else _tuple(m)): _ratio(n, d)
+                           for m, (n, d) in acc.items()})
 
     def _scaled(self, nc, dc):
         """self times the nonzero rational nc / dc, in lowest terms, dc > 0."""
         if nc == dc:
             return self
-        return _element(
-            self.ctx,
+        return _unchecked(
+            GrassmannElement, self.ctx,
             {idx: _ratio(ca._numerator * nc, ca._denominator * dc)
              for idx, ca in self.terms.items()},
         )
@@ -350,15 +406,6 @@ class GrassmannElement:
             return self._scaled(r, 1)
         return self._scaled(r._numerator, r._denominator)
 
-    def __rmul__(self, other):
-        # scalars commute with everything, so left and right agree here
-        if isinstance(other, _Rational):
-            return self._times(other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
     def __truediv__(self, other):
         if isinstance(other, _Rational):
             if other == 0:
@@ -367,16 +414,6 @@ class GrassmannElement:
         if isinstance(other, GrassmannElement):
             return self * other.inverse()
         return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ConfigError(f"powers must be nonnegative integers, got {k!r}")
-        acc = self.ctx.one()
-        for _ in range(k):
-            acc = acc * self
-            if not acc:
-                break
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -399,7 +436,8 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent remainder: self minus body."""
-        return _element(self.ctx, {idx: c for idx, c in self.terms.items() if idx})
+        return _unchecked(GrassmannElement, self.ctx,
+                          {idx: c for idx, c in self.terms.items() if idx})
 
     def body_soul(self):
         return self.body(), self.soul()
@@ -490,21 +528,6 @@ class GrassmannElement:
         return f"<{self}>"
 
 
-# the slot setters, which bypass the immutability guard in __setattr__
-_set_ctx = GrassmannElement.ctx.__set__
-_set_terms = GrassmannElement.terms.__set__
-_new = object.__new__
-
-
-def _element(ctx, terms):
-    """A GrassmannElement around canonical ``terms`` of ``ctx``, unchecked:
-    the results of arithmetic.  A plain function, like ``poly._canonical``."""
-    x = _new(GrassmannElement)
-    _set_ctx(x, ctx)
-    _set_terms(x, terms)
-    return x
-
-
 def _merge(terms, other, nc, dc):
     """terms += nc / dc * other in place, for nc / dc nonzero in lowest terms, dc > 0;
     a key whose sum cancels is deleted, and re-enters at the end if it returns."""
@@ -551,11 +574,10 @@ class AnnihilatorBasis:
     there and 0 at every other vector's free monomial.
     """
 
-    __slots__ = ("ctx", "generators", "basis", "free", "_rows")
+    __slots__ = ("ctx", "basis", "free", "_rows")
 
-    def __init__(self, ctx, generators, basis, free):
+    def __init__(self, ctx, basis, free):
         self.ctx = ctx
-        self.generators = tuple(generators)
         self.basis = tuple(basis)
         self.free = tuple(free)
         self._rows = {f: b.terms for f, b in zip(self.free, self.basis)}
@@ -609,7 +631,7 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
                         -c if (above & mb).bit_count() & 1 else c)
         rows.extend(by_target.values())
     basis, free = linalg.kernel_basis(linalg.echelon(rows), odd)
-    return AnnihilatorBasis(ctx, gens, [GrassmannElement(ctx, v) for v in basis], free)
+    return AnnihilatorBasis(ctx, [GrassmannElement(ctx, v) for v in basis], free)
 
 
 def odd_span_contains(ctx, rows, x) -> bool:

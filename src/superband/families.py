@@ -27,10 +27,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GrassmannElement
+from .algebra import GrassmannElement, _unchecked
 from .config import FAMILY_KINDS
 from .errors import ConfigError, ContextError, ParityError
-from .poly import MAX_VAR_DEGREE, GrassmannPoly, _canonical
+from .poly import MAX_VAR_DEGREE, GrassmannPoly
 from .supermatrix import GradedMatrix, GradedVector, SuperMatrix
 
 
@@ -70,7 +70,7 @@ class ParamSuperMatrix(GradedMatrix):
                     if x.terms:
                         terms[key] = x._times(r)
         return cls._graded(like.p, like.q, [
-            [_canonical(GrassmannPoly, like.ctx, t) for t in row] for row in rows
+            [_unchecked(GrassmannPoly, like.ctx, t) for t in row] for row in rows
         ])
 
     def variables(self):
@@ -254,13 +254,13 @@ def differential_sequence(alpha: GrassmannElement, nmax: int):
     ctx = alpha.ctx
     p_family = make_family("P", alpha)
     out = []
-    factorial = 1
+    k_factorial = 1
     for k in range(nmax + 1):
         if k:
-            factorial *= k
+            k_factorial *= k
         scaled_time = GrassmannPoly.term(ctx.scalar(Fraction(1, k + 1)), t=1)
         member = p_family.substitute("t", scaled_time)
-        tk = GrassmannPoly.term(ctx.scalar(Fraction(1, factorial)), t=k)
+        tk = GrassmannPoly.term(ctx.scalar(Fraction(1, k_factorial)), t=k)
         out.append(member.scale(tk))
     return out
 

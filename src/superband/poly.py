@@ -2,9 +2,11 @@
 
 The variables commute with everything (they model real time values), so a
 value is just a dict mapping an exponent pair to a nonzero
-GrassmannElement.  SparsePoly holds the storage, the checks and the ring
-arithmetic once, and each sibling subclass fixes the variables and the
-exponent policy:
+GrassmannElement.  SparsePoly derives from ``algebra._Sparse``, the base it
+shares with GrassmannElement, which holds the immutable storage and the
+arithmetic that follows from +, unary - and *.  SparsePoly holds the checks
+and the ring arithmetic of the kinds once, and each sibling subclass fixes
+the variables and the exponent policy:
 
     GrassmannPoly   polynomials in t and s, exponents 0..MAX_VAR_DEGREE
     LaurentScalar   Laurent sums in z and w, any integer inverse exponent
@@ -20,12 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from .algebra import AlgebraContext, GrassmannElement
+from .algebra import AlgebraContext, GrassmannElement, _Rational, _Sparse, _unchecked
 from .errors import ConfigError, ContextError, ParityError
 
 MAX_VAR_DEGREE = 9
 
-_Rational = (int, Fraction)
 _CONSTANT = (0, 0)
 
 
@@ -36,11 +37,11 @@ def _raised(op, name, e):
     return f"{op}{name}" if e == 1 else f"{op}{name}^{e}"
 
 
-class SparsePoly:
+class SparsePoly(_Sparse):
     """A canonical sparse sum of c * monomial over one Grassmann algebra,
     keyed by exponent pairs; see the module docstring for the kinds."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
     #: the two variable names, the names of their exponents in ``term``,
     #: ``coefficient`` and the JSON form, and the inclusive exponent bounds;
@@ -59,8 +60,7 @@ class SparsePoly:
                 raise ContextError("coefficients from different algebras")
             if c.terms:
                 clean[key] = c
-        _set_ctx(self, ctx)
-        _set_terms(self, clean)
+        super().__init__(ctx, clean)
 
     @classmethod
     def _check_key(cls, key):
@@ -93,21 +93,15 @@ class SparsePoly:
         key.update(named)
         return tuple(key.get(k, 0) for k in cls.KEYWORDS)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.ctx, self.terms)
-
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
-        return _canonical(cls, ctx, {})
+        return _unchecked(cls, ctx, {})
 
     @classmethod
     def constant(cls, value: GrassmannElement):
-        return _canonical(cls, value.ctx, {_CONSTANT: value} if value.terms else {})
+        return _unchecked(cls, value.ctx, {_CONSTANT: value} if value.terms else {})
 
     @classmethod
     def term(cls, value: GrassmannElement, *exponents, **named):
@@ -115,12 +109,6 @@ class SparsePoly:
         return cls(value.ctx, {cls._key(exponents, named): value})
 
     # -- basics --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def coefficient(self, *exponents, **named) -> GrassmannElement:
         return self.terms.get(self._key(exponents, named), self.ctx.zero())
@@ -130,9 +118,6 @@ class SparsePoly:
 
     def is_odd(self) -> bool:
         return all(c.is_odd() for c in self.terms.values())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     def _coerce(self, other):
         if type(other) is type(self):
@@ -166,24 +151,12 @@ class SparsePoly:
                 terms[key] = total
             else:
                 del terms[key]
-        return _canonical(type(self), self.ctx, terms)
+        return _unchecked(type(self), self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical(type(self), self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return _unchecked(type(self), self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not type(self) or other.ctx is not self.ctx:
@@ -192,7 +165,7 @@ class SparsePoly:
                 return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
-            return _canonical(type(self), self.ctx, {})
+            return _unchecked(type(self), self.ctx, {})
         # times the shared constant 1 (ctx.one()), the product is the other side
         if len(b) == 1 and b.get(_CONSTANT) is self.ctx._one:
             return self
@@ -214,21 +187,7 @@ class SparsePoly:
                     terms[key] = total
                 else:
                     del terms[key]
-        return _canonical(type(self), self.ctx, terms)
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ConfigError(f"powers must be nonnegative integers, got {k!r}")
-        acc = self.constant(self.ctx.one())
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return _unchecked(type(self), self.ctx, terms)
 
     def _is_constant(self):
         return not self.terms.keys() - {_CONSTANT}
@@ -268,26 +227,6 @@ class SparsePoly:
     __repr__ = __str__
 
 
-# the slot setters, which bypass the immutability guard in __setattr__
-_set_ctx = SparsePoly.ctx.__set__
-_set_terms = SparsePoly.terms.__set__
-_new = object.__new__
-
-
-def _canonical(cls, ctx, terms):
-    """A ``cls`` value around ``terms`` without checking them.
-
-    Only for keys within the kind's bounds and nonzero coefficients of
-    ``ctx``: results of arithmetic on values of one kind and algebra.
-    Everything else goes through the validating constructor.  A plain
-    function, since this is the hot path of every product.
-    """
-    x = _new(cls)
-    _set_ctx(x, ctx)
-    _set_terms(x, terms)
-    return x
-
-
 class GrassmannPoly(SparsePoly):
     """Canonical sparse polynomial in t and s over one Grassmann algebra."""
 
@@ -308,7 +247,7 @@ class GrassmannPoly(SparsePoly):
         if var not in cls.VARS:
             raise ConfigError(f"unknown parameter {var!r}, expected one of {cls.VARS}")
         key = (1, 0) if var == "t" else (0, 1)
-        return _canonical(cls, ctx, {key: ctx.one()})
+        return _unchecked(cls, ctx, {key: ctx.one()})
 
     def variables(self):
         used = set()
@@ -335,7 +274,7 @@ class GrassmannPoly(SparsePoly):
             new = list(key)
             new[i] = e - 1
             terms[tuple(new)] = c * e
-        return _canonical(type(self), self.ctx, terms)
+        return _unchecked(type(self), self.ctx, terms)
 
     def integrate(self, var: str = "t") -> "GrassmannPoly":
         """Antiderivative with zero constant term (integral from 0)."""
@@ -362,7 +301,7 @@ class GrassmannPoly(SparsePoly):
         return {0: self.constant(self.ctx.one()), 1: r}
 
     def _substituted(self, i, powers):
-        out = _canonical(type(self), self.ctx, {})
+        out = _unchecked(type(self), self.ctx, {})
         for key, c in self.terms.items():
             e = key[i]
             power = powers.get(e)
@@ -370,7 +309,7 @@ class GrassmannPoly(SparsePoly):
                 power = powers[e] = powers[1] ** e
             rest = list(key)
             rest[i] = 0
-            out = out + _canonical(type(self), self.ctx, {tuple(rest): c}) * power
+            out = out + _unchecked(type(self), self.ctx, {tuple(rest): c}) * power
         return out
 
     def rename(self, src: str, dst: str) -> "GrassmannPoly":
@@ -387,7 +326,7 @@ class GrassmannPoly(SparsePoly):
             terms = {(0, key[0]): c for key, c in self.terms.items()}
         else:
             terms = {(key[1], 0): c for key, c in self.terms.items()}
-        return _canonical(type(self), self.ctx, terms)
+        return _unchecked(type(self), self.ctx, terms)
 
     def eval_at(self, assignment: dict) -> GrassmannElement:
         """Evaluate with even (or rational) values for every occurring parameter."""

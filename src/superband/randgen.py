@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, log
 
-from .algebra import AlgebraContext, GrassmannElement, _element, _merge
+from .algebra import AlgebraContext, GrassmannElement, _merge, _unchecked
 from .supermatrix import SuperMatrix, SuperVector, _check_blocks, _det
 
 #: every value random_coeff draws, as _COEFFS[a + 4][b - 1] for
@@ -49,7 +49,7 @@ def random_combination(rng, ctx, vectors):
     for v in vectors:
         if c := _coeff(bits):
             _merge(terms, v.terms, c._numerator, c._denominator)
-    return _element(ctx, terms)
+    return _unchecked(GrassmannElement, ctx, terms)
 
 
 def _sample(bits, pool, k):

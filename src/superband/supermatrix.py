@@ -28,9 +28,7 @@ even elements are central, so the classical formulas apply verbatim.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import AlgebraContext, GrassmannElement
+from .algebra import AlgebraContext, GrassmannElement, _Rational
 from .errors import ContextError, ParityError, ShapeError
 
 DET_SIZE_CAP = 6
@@ -38,9 +36,6 @@ DET_SIZE_CAP = 6
 ODD_REDUCED = "odd_reduced"
 EVEN_REDUCED = "even_reduced"
 GENERAL = "general"
-
-_Rational = (int, Fraction)
-
 
 def _as_grid(rows):
     return tuple(map(tuple, rows))

@@ -4,6 +4,7 @@ substitution."""
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superband.algebra import create_algebra
+from superband.algebra import GrassmannElement, create_algebra
 from superband.errors import ConfigError, ContextError, ParityError
 from superband.poly import MAX_VAR_DEGREE, GrassmannPoly, LaurentScalar
 from superband.randgen import random_element
@@ -132,6 +133,86 @@ class TestRingLaws:
         s = GrassmannPoly.variable(ctx, "s")
         assert (t + s) ** 2 == t * t + 2 * t * s + s * s
         assert (t + s) ** 0 == 1
+
+
+def _element_values(ctx):
+    """(x, y, unit, a square-nonzero cube-zero value) in GrassmannElement."""
+    x = 2 + ctx.gen(1) + ctx.monomial((1, 2), Fraction(1, 3))
+    y = ctx.gen(2) - ctx.monomial((3,), Fraction(1, 2))
+    nil = ctx.gen(1) + ctx.monomial((2, 3))
+    return x, y, ctx.one(), nil
+
+
+def _kind_values(cls, first, second):
+    """The same four values in a kind whose variables have the keys
+    ``first`` and ``second``, with the element parts as coefficients."""
+    def values(ctx):
+        x, y, one, _ = _element_values(ctx)
+        return (
+            cls(ctx, {(0, 0): x, first: y}),
+            cls(ctx, {second: x - y}),
+            cls.constant(one),
+            cls(ctx, {first: ctx.gen(1), second: ctx.monomial((2, 3))}),
+        )
+    return values
+
+
+_KINDS = {
+    GrassmannElement: _element_values,
+    GrassmannPoly: _kind_values(GrassmannPoly, (1, 0), (0, 2)),
+    LaurentScalar: _kind_values(LaurentScalar, (1, 0), (0, -1)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_KINDS), ids=lambda cls: cls.__name__)
+class TestSharedBase:
+    """What the base of GrassmannElement and SparsePoly gives each kind:
+    immutability, pickling, subtraction, reflected products and powers."""
+
+    def test_immutable_and_pickled(self, cls):
+        x, _, _, _ = _KINDS[cls](create_algebra(3))
+        for name, value in (("ctx", None), ("terms", {})):
+            with pytest.raises(AttributeError, match=cls.__name__):
+                setattr(x, name, value)
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is cls and back == x and back.ctx is x.ctx
+
+    def test_subtraction_is_adding_the_negative(self, cls):
+        x, y, _, _ = _KINDS[cls](create_algebra(3))
+        assert x - y == x + (-y)
+        assert y - x == y + (-x)
+        assert (x - x).is_zero() and not x - x and x
+        assert (x - y).sorted_terms() == (x + (-y)).sorted_terms()
+
+    @pytest.mark.parametrize("r", [0, 3, -2, Fraction(-3, 2), Fraction(0)])
+    def test_rational_on_the_left(self, cls, r):
+        x, _, one, _ = _KINDS[cls](create_algebra(3))
+        for got, want in ((r - x, -x + r), (r * x, x * r)):
+            assert type(got) is cls and got == want
+        assert r * x + (1 - r) * x == x
+        assert r * one - r == 0
+        with pytest.raises(TypeError):
+            "r" - x
+        with pytest.raises(TypeError):
+            [r] * x
+
+    def test_element_on_the_left_keeps_its_side(self, cls):
+        ctx = create_algebra(3)
+        x, _, one, _ = _KINDS[cls](ctx)
+        e = ctx.gen(3)
+        assert e * x == (one * e) * x != x * e
+        assert e - x == (one * e) - x
+
+    def test_powers(self, cls):
+        x, _, one, nil = _KINDS[cls](create_algebra(3))
+        assert type(x ** 0) is cls and x ** 0 == one and nil ** 0 == one
+        assert x ** 3 == x * x * x
+        assert nil ** 2 == nil * nil and nil ** 2
+        for k in 3, 4, 9:
+            got = nil ** k
+            assert type(got) is cls and got.is_zero()
+        with pytest.raises(ConfigError):
+            x ** -1
 
 
 def _oracle_product(left, right):
