@@ -11,36 +11,35 @@ raise ParseError — while parity, shape, and algebra-mismatch violations
 surface as the constructing module's own errors.
 
 An element is {"n": 3, "terms": [{"idx": [1, 2], "c": "-1/2"}]} with
-rationals as strings.  A constant supermatrix is {"p", "q", "rows"} with
-element entries.  Containers whose entries are bare term lists (parametric
-and Laurent matrices, parametric supervectors) carry a top-level "n",
-because an all-zero entry is an empty list with no element object to name
-the algebra.  A zero parametric matrix and a zero Laurent matrix share one
-canonical form; sniffing resolves it as parametric.  A polynomial or a
-Laurent value on its own is tagged with its kind: {"n": 3, "poly": terms}
-or {"laurent": terms, "n": 3}.
+rationals as strings of ASCII digits, -?digits(/digits)?.  A constant
+supermatrix is {"p", "q", "rows"} with element entries.  Containers whose
+entries are bare term lists (parametric and Laurent matrices, parametric
+supervectors) carry a top-level "n", because an all-zero entry is an empty
+list with no element object to name the algebra.  A zero parametric matrix
+and a zero Laurent matrix share one canonical form; sniffing resolves it as
+parametric.  A polynomial or a Laurent value on its own is tagged with its
+kind: {"n": 3, "poly": terms} or {"laurent": terms, "n": 3}.
 
-Elements come from ``algebra``, which this module imports.  The matrix,
-vector and polynomial classes are imported only by the loaders that build
-them, and a dumped value's class is looked up by name, so a process loads
-only the modules of the kinds it reads or makes.
+Elements come from ``algebra``, which this module imports.  Every other
+value has one of three shapes, named by the base class it derives from: a
+graded matrix (``supermatrix.GradedMatrix``), a graded vector
+(``supermatrix.GradedVector``) or a term list (``poly.SparsePoly``).  One
+walker writes and reads both graded shapes; the class attribute ``_entry``,
+the entry ring, tells it whether the entries are elements or term lists, and
+one codec serves both term-list kinds.  A dumped value's base is found by
+its qualified name, and load_value imports the concrete class it builds only
+then, so a process loads only the modules of the kinds it reads or makes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .algebra import GrassmannElement, create_algebra
 from .errors import ConfigError, ParseError
-
-if TYPE_CHECKING:
-    from .evolution import LaurentMatrix
-    from .families import ParamSuperMatrix, ParamSuperVector
-    from .poly import GrassmannPoly, LaurentScalar
-    from .supermatrix import SuperMatrix, SuperVector
 
 # ---------------------------------------------------------------------------
 # shared validation helpers
@@ -76,9 +75,19 @@ def _int(value, what, minimum=None, maximum=None):
     return value
 
 
+#: the only rational form dumps writes; Fraction() alone would also take
+#: spaces, signs, underscores, decimals and exponents, and "1e4000000" costs
+#: seconds to expand
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 # Fractions are immutable, so one parsed value can serve every repeat of a
 # coefficient string; strings that fail to parse are not cached.
-_parse_fraction = lru_cache(maxsize=1024)(Fraction)
+@lru_cache(maxsize=1024)
+def _parse_fraction(text):
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError(text)
+    return Fraction(text)
 
 
 def _rational(value, what) -> Fraction:
@@ -87,7 +96,7 @@ def _rational(value, what) -> Fraction:
     try:
         return _parse_fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{what} is not a rational: {value!r}") from None
+        raise ParseError(f"{what} is not a rational like '-1/2': {value!r}") from None
 
 
 def _list(value, what):
@@ -168,63 +177,11 @@ def load_element(obj) -> GrassmannElement:
 
 
 # ---------------------------------------------------------------------------
-# the graded-matrix walker, constant supermatrices and supervectors
-# ---------------------------------------------------------------------------
-
-
-def _dump_grid(m, dump_entry) -> dict:
-    """The {"p", "q", "rows"} form of any graded matrix."""
-    return {
-        "p": m.p,
-        "q": m.q,
-        "rows": [[dump_entry(x) for x in row] for row in m.rows],
-    }
-
-
-def _load_grid(obj, cls, what, load_entry, keys=("n", "p", "q", "rows")):
-    """Inverse of _dump_grid: ``load_entry(entry, ctx)`` reads one entry, with
-    ``ctx`` taken from "n", or None when ``keys`` has no "n"."""
-    _require_keys(obj, keys, what)
-    ctx = _context(obj, what) if "n" in keys else None
-    p = _int(obj["p"], "p", minimum=1)
-    q = _int(obj["q"], "q", minimum=1)
-    rows = [[load_entry(x, ctx) for x in row] for row in _grid(obj, what)]
-    return cls(p, q, rows)
-
-
-def dump_matrix(m: SuperMatrix) -> dict:
-    return _dump_grid(m, dump_element)
-
-
-def load_matrix(obj) -> SuperMatrix:
-    from .supermatrix import SuperMatrix
-
-    return _load_grid(
-        obj, SuperMatrix, "supermatrix", lambda x, ctx: load_element(x),
-        keys=("p", "q", "rows"),
-    )
-
-
-def dump_supervector(v: SuperVector) -> dict:
-    return {
-        "even": [dump_element(x) for x in v.even],
-        "odd": [dump_element(x) for x in v.odd],
-    }
-
-
-def load_supervector(obj) -> SuperVector:
-    from .supermatrix import SuperVector
-
-    _require_keys(obj, ("even", "odd"), "supervector")
-    return SuperVector(
-        [load_element(x) for x in _list(obj["even"], "even slots")],
-        [load_element(x) for x in _list(obj["odd"], "odd slots")],
-    )
-
-
-# ---------------------------------------------------------------------------
 # term lists: polynomials in t and s, Laurent values in z and w
 # ---------------------------------------------------------------------------
+
+#: the tag of a term list on its own, by the first exponent name of its kind
+_TAGS = {"t": "poly", "iz": "laurent"}
 
 
 def _dump_terms(x) -> list:
@@ -236,14 +193,15 @@ def _dump_terms(x) -> list:
     ]
 
 
-def _load_terms(entries, ctx, cls, what, noun):
-    """Inverse of _dump_terms: exponents within ``cls.BOUNDS``, terms strictly
-    ascending; ``what`` names the list and ``noun`` its terms in errors."""
+def _load_terms(entries, ctx, cls):
+    """Inverse of _dump_terms for the term-list kind ``cls``: exponents
+    within ``cls.BOUNDS``, terms strictly ascending."""
     a, b = cls.KEYWORDS
     lo, hi = cls.BOUNDS
+    noun = cls.__name__
     terms = {}
     previous = None
-    for entry in _list(entries, what):
+    for entry in _list(entries, f"{noun} terms"):
         _require_keys(entry, ("c", a, b), f"{noun} term")
         ea = _int(entry[a], f"{a} exponent", minimum=lo, maximum=hi)
         eb = _int(entry[b], f"{b} exponent", minimum=lo, maximum=hi)
@@ -257,88 +215,49 @@ def _load_terms(entries, ctx, cls, what, noun):
     return cls(ctx, terms)
 
 
-# each value carries its kind, so one dumper serves both
-dump_poly = dump_laurent_scalar = _dump_terms
+# ---------------------------------------------------------------------------
+# the graded walker: matrices and vectors over any entry ring
+# ---------------------------------------------------------------------------
 
 
-def load_poly(entries, ctx) -> GrassmannPoly:
-    from .poly import GrassmannPoly
-
-    return _load_terms(entries, ctx, GrassmannPoly, "polynomial", "polynomial")
-
-
-def load_laurent_scalar(entries, ctx) -> LaurentScalar:
-    from .poly import LaurentScalar
-
-    return _load_terms(entries, ctx, LaurentScalar, "Laurent scalar", "Laurent")
-
-
-def dump_poly_value(x: GrassmannPoly) -> dict:
-    """A polynomial on its own: its term list tagged "poly", with "n"."""
-    return {"n": x.ctx.n, "poly": _dump_terms(x)}
+def _dump_graded(x, matrix) -> dict:
+    """{"p", "q", "rows"} for a graded matrix or {"even", "odd"} for a graded
+    vector, plus "n" when the entries are term lists: an all-zero entry is an
+    empty list, with no element to name the algebra."""
+    if x._entry is GrassmannElement:
+        dump, out = dump_element, {}
+    else:
+        dump, out = _dump_terms, {"n": x.ctx.n}
+    if matrix:
+        out.update(p=x.p, q=x.q, rows=[[dump(e) for e in row] for row in x.rows])
+    else:
+        out.update(even=[dump(e) for e in x.even], odd=[dump(e) for e in x.odd])
+    return out
 
 
-def dump_laurent_value(x: LaurentScalar) -> dict:
-    """A Laurent value on its own: its term list tagged "laurent", with "n"."""
-    return {"laurent": _dump_terms(x), "n": x.ctx.n}
+def _load_graded(obj, cls):
+    """Inverse of _dump_graded for the concrete class ``cls``; load_value has
+    already matched the key set."""
+    what = cls.__name__
+    entry = cls._entry
+    ctx = None if entry is GrassmannElement else _context(obj, what)
 
+    def load(x):
+        return load_element(x) if ctx is None else _load_terms(x, ctx, entry)
 
-def dump_param_matrix(m: ParamSuperMatrix) -> dict:
-    return {"n": m.ctx.n, **_dump_grid(m, dump_poly)}
-
-
-def load_param_matrix(obj) -> ParamSuperMatrix:
-    from .families import ParamSuperMatrix
-
-    return _load_grid(obj, ParamSuperMatrix, "parametric supermatrix", load_poly)
-
-
-def dump_param_supervector(v: ParamSuperVector) -> dict:
-    return {
-        "even": [dump_poly(x) for x in v.even],
-        "n": v.ctx.n,
-        "odd": [dump_poly(x) for x in v.odd],
-    }
-
-
-def load_param_supervector(obj) -> ParamSuperVector:
-    from .families import ParamSuperVector
-
-    _require_keys(obj, ("even", "n", "odd"), "parametric supervector")
-    ctx = _context(obj, "parametric supervector")
-    return ParamSuperVector(
-        [load_poly(x, ctx) for x in _list(obj["even"], "even slots")],
-        [load_poly(x, ctx) for x in _list(obj["odd"], "odd slots")],
+    if "rows" in obj:
+        p = _int(obj["p"], "p", minimum=1)
+        q = _int(obj["q"], "q", minimum=1)
+        return cls(p, q, [[load(x) for x in row] for row in _grid(obj, what)])
+    return cls(
+        [load(x) for x in _list(obj["even"], "even slots")],
+        [load(x) for x in _list(obj["odd"], "odd slots")],
     )
-
-
-def dump_laurent_matrix(m: LaurentMatrix) -> dict:
-    return {"n": m.ctx.n, **_dump_grid(m, dump_laurent_scalar)}
-
-
-def load_laurent_matrix(obj) -> LaurentMatrix:
-    from .evolution import LaurentMatrix
-
-    return _load_grid(obj, LaurentMatrix, "Laurent matrix", load_laurent_scalar)
 
 
 # ---------------------------------------------------------------------------
 # whole-value dispatch
 # ---------------------------------------------------------------------------
-
-
-#: the dumper of every serializable kind but elements, by the qualified name
-#: of its class; a dumped value's class is already loaded, so the lookup
-#: imports nothing
-_DUMPERS = {
-    "superband.supermatrix.SuperMatrix": dump_matrix,
-    "superband.supermatrix.SuperVector": dump_supervector,
-    "superband.families.ParamSuperMatrix": dump_param_matrix,
-    "superband.families.ParamSuperVector": dump_param_supervector,
-    "superband.evolution.LaurentMatrix": dump_laurent_matrix,
-    "superband.poly.GrassmannPoly": dump_poly_value,
-    "superband.poly.LaurentScalar": dump_laurent_value,
-}
 
 
 def to_obj(value):
@@ -350,10 +269,15 @@ def to_obj(value):
         return dump_element(value)
     if isinstance(value, (dict, list, str, int, bool)) or value is None:
         return value
+    # a dumped value's class is already loaded, so naming its base imports nothing
     for kind in type(value).__mro__:
-        dump = _DUMPERS.get(f"{kind.__module__}.{kind.__qualname__}")
-        if dump is not None:
-            return dump(value)
+        name = f"{kind.__module__}.{kind.__qualname__}"
+        if name == "superband.supermatrix.GradedMatrix":
+            return _dump_graded(value, matrix=True)
+        if name == "superband.supermatrix.GradedVector":
+            return _dump_graded(value, matrix=False)
+        if name == "superband.poly.SparsePoly":
+            return {"n": value.ctx.n, _TAGS[value.KEYWORDS[0]]: _dump_terms(value)}
     raise ConfigError(f"cannot serialize {type(value).__name__}")
 
 
@@ -372,23 +296,42 @@ def load_value(obj):
     if keys == {"n", "terms"}:
         return load_element(obj)
     if keys == {"p", "q", "rows"}:
-        return load_matrix(obj)
+        from .supermatrix import SuperMatrix
+
+        return _load_graded(obj, SuperMatrix)
     if keys == {"even", "odd"}:
-        return load_supervector(obj)
+        from .supermatrix import SuperVector
+
+        return _load_graded(obj, SuperVector)
     if keys == {"even", "n", "odd"}:
-        return load_param_supervector(obj)
+        from .families import ParamSuperVector
+
+        return _load_graded(obj, ParamSuperVector)
     if keys == {"n", "poly"}:
-        return load_poly(obj["poly"], _context(obj, "polynomial"))
+        from .poly import GrassmannPoly
+
+        return _load_terms(obj["poly"], _context(obj, "polynomial"), GrassmannPoly)
     if keys == {"laurent", "n"}:
-        return load_laurent_scalar(obj["laurent"], _context(obj, "Laurent scalar"))
+        from .poly import LaurentScalar
+
+        return _load_terms(obj["laurent"], _context(obj, "Laurent value"), LaurentScalar)
     if keys == {"n", "p", "q", "rows"}:
-        for row in _grid(obj, "matrix"):
-            for entry in row:
-                for term in _list(entry, "matrix entry"):
-                    if isinstance(term, dict) and "iz" in term:
-                        return load_laurent_matrix(obj)
-                    return load_param_matrix(obj)
-        return load_param_matrix(obj)
+        # the first term of any entry tells the kind; an all-zero grid, with
+        # no term at all, reads as parametric
+        terms = (
+            term
+            for row in _grid(obj, "matrix")
+            for entry in row
+            for term in _list(entry, "matrix entry")
+        )
+        first = next(terms, None)
+        if isinstance(first, dict) and "iz" in first:
+            from .evolution import LaurentMatrix
+
+            return _load_graded(obj, LaurentMatrix)
+        from .families import ParamSuperMatrix
+
+        return _load_graded(obj, ParamSuperMatrix)
     raise ParseError(
         f"unrecognized value shape with keys {sorted(keys)}; expected an element,"
         " a (parametric or Laurent) supermatrix, a supervector, a polynomial or"

@@ -74,6 +74,23 @@ def _grid_sub(x, y):
     return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
+def _check_entries(owner, ctx, entries, even, where):
+    """Check that each of ``entries`` is an ``owner._entry`` value over
+    ``ctx``, even or odd as ``even`` says; ``where`` names their place in a
+    parity error."""
+    entry = owner._entry
+    for x in entries:
+        if not isinstance(x, entry):
+            raise ShapeError(
+                f"{type(owner).__name__} entries must be {entry.__name__} values"
+            )
+        if x.ctx != ctx:
+            raise ContextError(f"{type(owner).__name__} entries from different algebras")
+        if not (x.is_even() if even else x.is_odd()):
+            parity = "even" if even else "odd"
+            raise ParityError(f"{where} holds a non-{parity} value {x}")
+
+
 class GradedVector:
     """p even coordinates and q odd ones in the entry ring of a subclass,
     validated on construction."""
@@ -87,21 +104,10 @@ class GradedVector:
         odd = tuple(odd)
         if not even or not odd:
             raise ShapeError("a supervector needs at least one even and one odd slot")
-        # a foreign first entry has no ctx and fails the type check below
+        # a foreign first entry has no ctx and fails the type check
         ctx = getattr(even[0], "ctx", None)
-        for x in even + odd:
-            if not isinstance(x, self._entry):
-                raise ShapeError(
-                    f"supervector entries must be {self._entry.__name__} values"
-                )
-            if x.ctx != ctx:
-                raise ContextError("supervector entries from different algebras")
-        for x in even:
-            if not x.is_even():
-                raise ParityError(f"even slot holds non-even value {x}")
-        for x in odd:
-            if not x.is_odd():
-                raise ParityError(f"odd slot holds non-odd value {x}")
+        _check_entries(self, ctx, even, True, "an even slot")
+        _check_entries(self, ctx, odd, False, "an odd slot")
         self.ctx = ctx
         self.even = even
         self.odd = odd
@@ -169,25 +175,13 @@ class GradedMatrix:
         d = p + q
         if len(grid) != d or any(len(r) != d for r in grid):
             raise ShapeError(f"expected a {d}x{d} grid for shape ({p}|{q})")
-        entry = self._entry
-        # a foreign first entry has no ctx and fails the type check below
+        # a foreign first entry has no ctx and fails the type check
         ctx = getattr(grid[0][0], "ctx", None)
-        for i in range(d):
-            for j in range(d):
-                x = grid[i][j]
-                if not isinstance(x, entry):
-                    raise ShapeError(f"matrix entries must be {entry.__name__} values")
-                if x.ctx != ctx:
-                    raise ContextError("matrix entries from different algebras")
-                diagonal_block = (i < p) == (j < p)
-                if diagonal_block and not x.is_even():
-                    raise ParityError(
-                        f"entry ({i},{j}) of a diagonal block must be even, got {x}"
-                    )
-                if not diagonal_block and not x.is_odd():
-                    raise ParityError(
-                        f"entry ({i},{j}) of an off-diagonal block must be odd, got {x}"
-                    )
+        for i, row in enumerate(grid):
+            top = i < p
+            left, right = ("A", "Gamma") if top else ("Delta", "B")
+            _check_entries(self, ctx, row[:p], top, f"row {i} of block {left}")
+            _check_entries(self, ctx, row[p:], not top, f"row {i} of block {right}")
         self.ctx = ctx
         self.p = p
         self.q = q

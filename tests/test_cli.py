@@ -497,6 +497,20 @@ class TestOrbit:
         assert code == 0
         assert json.loads(out)["defect_zero"] is True
 
+    def test_exponent_coefficient_is_usage_error(self, capsys, tmp_path):
+        """A coefficient outside -?digits(/digits)? is refused before any
+        arithmetic, not expanded and then failed on printing."""
+        ctx = create_algebra(2)
+        x0 = to_obj(SuperVector([ctx.one()], [ctx.gen(1)]))
+        x0["even"][0]["terms"][0]["c"] = "1e5000"
+        path = write_json(tmp_path, "x0.json", x0)
+        code, out, err = run_cli(
+            capsys, "orbit", "--x0", path, "--family", "P", "--generators", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("superband: ") and err.count("\n") == 1
+        assert "1e5000" in err
+
     def test_wrong_x0_type_is_usage_error(self, capsys, tmp_path):
         ctx = create_algebra(3)
         path = write_json(

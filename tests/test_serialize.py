@@ -9,11 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from superband.algebra import create_algebra
-from superband.errors import ParityError, ParseError, ShapeError
-from superband import serialize
+from superband.algebra import GrassmannElement, create_algebra
+from superband.errors import ConfigError, ParityError, ParseError, ShapeError
 from superband.evolution import LaurentMatrix, LaurentScalar, laplace, orbit
-from superband.families import ParamSuperMatrix, make_family
+from superband.families import (
+    CayleyReport,
+    ParamSuperMatrix,
+    ParamSuperVector,
+    make_family,
+)
 from superband.poly import GrassmannPoly
 from superband.randgen import (
     random_element,
@@ -22,23 +26,14 @@ from superband.randgen import (
 )
 from superband.serialize import (
     dump_element,
-    dump_laurent_matrix,
-    dump_matrix,
-    dump_param_matrix,
-    dump_param_supervector,
-    dump_poly,
     dumps,
     load_element,
-    load_laurent_matrix,
-    load_matrix,
-    load_param_matrix,
-    load_param_supervector,
-    load_poly,
     load_value,
     loads,
     parse_input,
+    to_obj,
 )
-from superband.supermatrix import SuperVector
+from superband.supermatrix import SuperMatrix, SuperVector
 
 
 def _ctx(n=3):
@@ -52,6 +47,35 @@ def _random_poly_family(rng, ctx, p, q, degree):
         step = random_supermatrix(rng, ctx, p, q, invertible_b=False)
         fam = fam + ParamSuperMatrix.from_supermatrix(step).scale(tm)
     return fam
+
+
+#: the top-level keys of each graded container and term-list kind
+KEYS = {
+    SuperMatrix: {"p", "q", "rows"},
+    SuperVector: {"even", "odd"},
+    ParamSuperMatrix: {"n", "p", "q", "rows"},
+    ParamSuperVector: {"even", "n", "odd"},
+    LaurentMatrix: {"n", "p", "q", "rows"},
+    GrassmannPoly: {"n", "poly"},
+    LaurentScalar: {"laurent", "n"},
+}
+
+
+def _samples(ctx):
+    """A value of each kind in KEYS, with nonzero, mixed-parity coefficients."""
+    alpha = ctx.gen(1) + ctx.monomial((1, 2, 3), Fraction(-1, 2))
+    x0 = SuperVector([ctx.scalar(2) + ctx.monomial((1, 2))], [ctx.gen(3)])
+    return {
+        SuperMatrix: random_supermatrix(random.Random(11), ctx, 2, 1),
+        SuperVector: x0,
+        ParamSuperMatrix: make_family("P", alpha),
+        ParamSuperVector: orbit(make_family("P", alpha), x0),
+        LaurentMatrix: laplace(make_family("T", alpha)),
+        GrassmannPoly: GrassmannPoly.term(alpha, t=2, s=1)
+        + GrassmannPoly.term(ctx.scalar(3)),
+        LaurentScalar: LaurentScalar.term(alpha, iz=-1, iw=2)
+        + LaurentScalar.constant(ctx.one()),
+    }
 
 
 class TestElements:
@@ -105,7 +129,10 @@ class TestElements:
             )
 
     def test_rejects_bad_rationals(self):
-        for bad in ("1/0", "pi", 0.5, None):
+        # only the form dumps writes, -?digits(/digits)?, is read: no spaces,
+        # signs, underscores, decimals, exponents or non-ASCII digits
+        for bad in ("1/0", "pi", 0.5, None, "", "1.5", " 1", "1 ", "+1", "1_000",
+                    "1e5", "1e4000000", "1/-2", "-1/+2", "--1", "1/2/3", "\u0661"):
             with pytest.raises(ParseError):
                 load_element({"n": 3, "terms": [{"c": bad, "idx": [1]}]})
 
@@ -133,7 +160,7 @@ class TestMatrices:
             ctx = create_algebra(rng.choice([2, 3, 4]))
             p, q = rng.choice([(1, 1), (2, 1), (1, 2)])
             m = random_supermatrix(rng, ctx, p, q, invertible_b=False)
-            assert load_matrix(dump_matrix(m)) == m
+            assert load_value(to_obj(m)) == m
 
     def test_parity_violation_uses_module_error(self):
         ctx = _ctx()
@@ -141,19 +168,19 @@ class TestMatrices:
         zero = dump_element(ctx.zero())
         rows = [[elem, zero], [zero, zero]]
         with pytest.raises(ParityError):
-            load_matrix({"p": 1, "q": 1, "rows": rows})
+            load_value({"p": 1, "q": 1, "rows": rows})
 
     def test_shape_violation_uses_module_error(self):
         ctx = _ctx()
         zero = dump_element(ctx.zero())
         with pytest.raises(ShapeError):
-            load_matrix({"p": 1, "q": 1, "rows": [[zero, zero]]})
+            load_value({"p": 1, "q": 1, "rows": [[zero, zero]]})
 
     def test_rejects_bad_block_sizes(self):
         ctx = _ctx()
         zero = dump_element(ctx.zero())
         with pytest.raises(ParseError):
-            load_matrix({"p": 0, "q": 1, "rows": [[zero]]})
+            load_value({"p": 0, "q": 1, "rows": [[zero]]})
 
 
 class TestSupervectors:
@@ -182,7 +209,7 @@ class TestParamMatrices:
         ctx = _ctx()
         for kind in ("P", "Q", "Y", "E", "T", "A", "Z"):
             fam = make_family(kind, ctx.gen(1))
-            assert load_param_matrix(dump_param_matrix(fam)) == fam
+            assert load_value(to_obj(fam)) == fam
 
     def test_round_trip_random(self):
         rng = random.Random("superband-serialize-param")
@@ -190,26 +217,27 @@ class TestParamMatrices:
             ctx = create_algebra(rng.choice([2, 3]))
             p, q = rng.choice([(1, 1), (2, 1)])
             fam = _random_poly_family(rng, ctx, p, q, rng.randint(0, 3))
-            assert load_param_matrix(dump_param_matrix(fam)) == fam
+            assert load_value(to_obj(fam)) == fam
 
     def test_zero_family_keeps_its_algebra(self):
         ctx = create_algebra(5)
         fam = ParamSuperMatrix.zero(ctx, 1, 1)
-        got = load_param_matrix(dump_param_matrix(fam))
+        got = load_value(to_obj(fam))
         assert got == fam
         assert got.ctx.n == 5
 
     def test_poly_strictness(self):
         ctx = _ctx()
         elem = dump_element(ctx.one())
-        with pytest.raises(ParseError):
-            load_poly([{"c": elem, "s": 0, "t": 1}, {"c": elem, "s": 0, "t": 0}], ctx)
-        with pytest.raises(ParseError):
-            load_poly([{"c": elem, "s": 0, "t": 10}], ctx)
-        with pytest.raises(ParseError):
-            load_poly([{"c": elem, "t": 0}], ctx)
+        for bad in (
+            [{"c": elem, "s": 0, "t": 1}, {"c": elem, "s": 0, "t": 0}],
+            [{"c": elem, "s": 0, "t": 10}],
+            [{"c": elem, "t": 0}],
+        ):
+            with pytest.raises(ParseError):
+                load_value({"n": 3, "poly": bad})
         two_t = GrassmannPoly.term(ctx.scalar(2), t=1)
-        assert load_poly(dump_poly(two_t), ctx) == two_t
+        assert load_value(to_obj(two_t)) == two_t
 
     def test_param_supervector_round_trip(self):
         ctx = _ctx()
@@ -219,8 +247,8 @@ class TestParamMatrices:
             make_family("P", ctx.gen(1)),
             SuperVector([ctx.one()], [ctx.gen(2)]),
         )
-        assert load_param_supervector(dump_param_supervector(x)) == x
-        assert load_value(dump_param_supervector(x)) == x
+        assert set(to_obj(x)) == {"even", "n", "odd"}
+        assert load_value(to_obj(x)) == x
 
 
 class TestLaurent:
@@ -228,8 +256,9 @@ class TestLaurent:
         ctx = _ctx()
         for kind in ("P", "T", "E"):
             r = laplace(make_family(kind, ctx.gen(1)))
-            assert load_laurent_matrix(dump_laurent_matrix(r)) == r
-            assert load_value(dump_laurent_matrix(r)) == r
+            back = load_value(to_obj(r))
+            assert type(back) is LaurentMatrix
+            assert back == r
 
     def test_negative_exponents_round_trip(self):
         ctx = _ctx()
@@ -238,13 +267,13 @@ class TestLaurent:
         rows = [list(row) for row in r.rows]
         rows[0][0] = s
         m = LaurentMatrix(1, 1, rows)
-        assert load_laurent_matrix(dump_laurent_matrix(m)) == m
+        assert load_value(to_obj(m)) == m
 
     def test_zero_laurent_matrix_sniffs_as_parametric(self):
         """An all-zero grid has no Laurent term to betray its kind, so the
         shared canonical form resolves to the parametric reading."""
         ctx = _ctx()
-        obj = dump_laurent_matrix(LaurentMatrix.zero(ctx, 1, 1))
+        obj = to_obj(LaurentMatrix.zero(ctx, 1, 1))
         got = load_value(obj)
         assert isinstance(got, ParamSuperMatrix)
         assert got.is_zero()
@@ -265,7 +294,7 @@ class TestLaurent:
             ],
         }
         with pytest.raises(ParseError):
-            load_laurent_matrix(bad)
+            load_value(bad)
 
 
 class TestDispatch:
@@ -329,8 +358,7 @@ class TestDispatch:
             GrassmannPoly.zero(ctx),
         ]
         # one value of each serializable type, the merged matrix classes included
-        names = {f"{t.__module__}.{t.__qualname__}" for t in map(type, values)}
-        assert names == {"superband.algebra.GrassmannElement", *serialize._DUMPERS}
+        assert set(map(type, values)) == {GrassmannElement, *KEYS}
         for v in values:
             for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
                 assert type(twin) is type(v)
@@ -351,6 +379,26 @@ class TestDispatch:
             load_value({"n": 3, "poly": [{"c": dump_element(ctx.one()), "t": 0}]})
         with pytest.raises(ParseError):
             load_value({"n": 3, "laurent": {}})
+
+    @pytest.mark.parametrize("cls", list(KEYS), ids=lambda cls: cls.__name__)
+    def test_every_kind_round_trips(self, cls):
+        ctx = create_algebra(4)
+        value = _samples(ctx)[cls]
+        assert type(value) is cls
+        obj = to_obj(value)
+        assert set(obj) == KEYS[cls]
+        back = load_value(json.loads(dumps(value)))
+        assert type(back) is cls
+        assert back == value
+        assert back.ctx.n == 4
+        assert to_obj(back) == obj
+
+    @pytest.mark.parametrize("value", (object(), CayleyReport(*range(6))))
+    def test_unserializable_values_raise_config_error(self, value):
+        with pytest.raises(ConfigError, match="cannot serialize"):
+            to_obj(value)
+        with pytest.raises(ConfigError):
+            dumps(value)
 
     def test_parse_input_reads_files(self, tmp_path):
         ctx = _ctx()

@@ -5,6 +5,7 @@ Each import check runs in a fresh interpreter, since this test session has
 long since loaded every module.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -75,6 +76,33 @@ def test_table_does_not_load_the_suites():
     loaded = loaded_after(code)
     assert "superband.suites" not in loaded
     assert "superband.evolution" not in loaded
+
+
+_ONE = {"n": 2, "terms": [{"c": "1", "idx": []}]}
+_XI = {"n": 2, "terms": [{"c": "1", "idx": [1]}]}
+_CONSTANT_TERM = [{"c": _ONE, "s": 0, "t": 0}]
+
+#: a small canonical value of each kind, and the modules loading it must
+#: leave unimported
+LOADS = {
+    "SuperMatrix": ({"p": 1, "q": 1, "rows": [[_ONE, _XI], [_XI, _ONE]]},
+                    ("poly", "families", "evolution")),
+    "SuperVector": ({"even": [_ONE], "odd": [_XI]}, ("poly", "families", "evolution")),
+    "ParamSuperMatrix": ({"n": 2, "p": 1, "q": 1,
+                          "rows": [[_CONSTANT_TERM, []], [[], _CONSTANT_TERM]]},
+                         ("evolution",)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADS))
+def test_loads_imports_only_the_modules_of_its_kind(kind):
+    value, unneeded = LOADS[kind]
+    loaded = loaded_after(
+        "from superband.serialize import loads\n"
+        f"assert type(loads({json.dumps(value)!r})).__name__ == {kind!r}"
+    )
+    for name in unneeded:
+        assert f"superband.{name}" not in loaded
 
 
 def test_algebra_import_precomputes_no_masks():
