@@ -16,9 +16,11 @@ coefficients and build each output coefficient once, through ``_ratio``:
 the pair is reduced by gcd and stored into the two slots of a bare
 Fraction.  ``Fraction(n, d)`` gives the same value, but its Python-level
 constructor was the largest single cost left in products at n = 4, where
-most operands have one term.  Only this module and
-``randgen.random_combination``, which passes a coefficient's pair to
-``_merge``, touch those slots, and a test pins their names.
+most operands have one term.  ``_ratio`` and ``_merge`` (which adds a
+scaled term dict in place) live in ``linalg``, which eliminates with them.
+Only ``linalg``, this module and ``randgen.random_combination``, which
+passes a coefficient's pair to ``_merge``, touch those slots, and a test
+pins their names.
 
 ``GrassmannElement`` and ``poly.SparsePoly`` both keep an immutable canonical
 ``terms`` dict over one context, so the storage, the immutability guard and
@@ -47,13 +49,14 @@ Usage:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd
 
 from .errors import ConfigError, ContextError, NotInvertible, ParityError
 from . import linalg
+from .linalg import _merge, _ratio
 
 MAX_GENERATORS = 16
 
@@ -513,13 +516,13 @@ class GrassmannElement(_Sparse):
         for idx, c in self.sorted_terms():
             mono = "*".join(f"xi{i}" for i in idx)
             if not idx:
-                frag = str(c)
+                frag = _coefficient_str(c)
             elif c == 1:
                 frag = mono
             elif c == -1:
                 frag = f"-{mono}"
             else:
-                frag = f"{c}*{mono}"
+                frag = f"{_coefficient_str(c)}*{mono}"
             parts.append(frag)
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
@@ -528,40 +531,17 @@ class GrassmannElement(_Sparse):
         return f"<{self}>"
 
 
-def _merge(terms, other, nc, dc):
-    """terms += nc / dc * other in place, for nc / dc nonzero in lowest terms, dc > 0;
-    a key whose sum cancels is deleted, and re-enters at the end if it returns."""
-    for idx, c in other.items():
-        prev = terms.get(idx)
-        if prev is None:
-            terms[idx] = c if nc == dc else _ratio(c._numerator * nc, c._denominator * dc)
-            continue
-        pn, pd = prev._numerator, prev._denominator
-        cn, cd = c._numerator * nc, c._denominator * dc
-        if pd != cd:
-            pn, cn, pd = pn * cd, cn * pd, pd * cd
-        if num := pn + cn:
-            terms[idx] = _ratio(num, pd)
-        else:
-            del terms[idx]
-
-
-def _ratio(n, d):
-    """The Fraction n/d of the ints n and d > 0.
-
-    Reduces by gcd and sets the two slots of a bare Fraction, as CPython's
-    ``fractions`` does internally for a pair it knows to be coprime, so the
-    Python-level ``Fraction.__new__`` and its type dispatch are skipped.  The
-    result is the same canonical Fraction that ``Fraction(n, d)`` returns.
-    """
-    g = gcd(n, d)
-    if g != 1:
-        n //= g
-        d //= g
-    f = _new(Fraction)
-    f._numerator = n
-    f._denominator = d
-    return f
+def _coefficient_str(c) -> str:
+    """The text of the coefficient c, as every printed or serialized element
+    writes it.  Sums over many entries can grow a coefficient past Python's
+    int-to-str digit limit; that refusal is a ConfigError naming the limit."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ConfigError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits,"
+            " the int-to-str limit of this Python (sys.set_int_max_str_digits)"
+        ) from None
 
 
 class AnnihilatorBasis:

@@ -93,16 +93,9 @@ def components_of(family: ParamSuperMatrix) -> ComponentList:
     if "s" in family.variables():
         raise ConfigError("component extraction expects a family in t only")
     degree = max(x.degree("t") for row in family.rows for x in row)
-    mats = []
-    for m in range(degree + 1):
-        mats.append(
-            SuperMatrix._graded(
-                family.p,
-                family.q,
-                [[x.coefficient(t=m) for x in row] for row in family.rows],
-            )
-        )
-    return ComponentList(mats)
+    return ComponentList(
+        [family._map(lambda x: x.coefficient(t=m), SuperMatrix) for m in range(degree + 1)]
+    )
 
 
 class ComponentSystemReport(
@@ -268,7 +261,6 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
     if not ann.dim:
         seeds = [ctx.gen(1)]
         ann = annihilator_odd(seeds, ctx)
-    zero_pp = [[ctx.zero()] * p for _ in range(p)]
     zero_qp = [[ctx.zero()] * p for _ in range(q)]
     zero_qq = [[ctx.zero()] * q for _ in range(q)]
     eye = [[ctx.one() if i == j else ctx.zero() for j in range(q)] for i in range(q)]
@@ -277,12 +269,7 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
         return [[random_combination(rng, ctx, vectors) for _ in range(cols)]
                 for _ in range(rows)]
 
-    k0 = SuperMatrix._graded_blocks(
-        zero_pp, combos(seeds, p, q), combos(ann.basis, q, p), eye
-    )
-    mats = [k0]
+    mats = [SuperMatrix._antitriangle(combos(seeds, p, q), combos(ann.basis, q, p), eye)]
     for _ in range(degree):
-        mats.append(
-            SuperMatrix._graded_blocks(zero_pp, combos(seeds, p, q), zero_qp, zero_qq)
-        )
+        mats.append(SuperMatrix._antitriangle(combos(seeds, p, q), zero_qp, zero_qq))
     return ComponentList(mats)

@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 RESOLVENT_CHECKS = ("rrt", "rra")
 ANALYZE_REPORTS = ("equivalence", "components")
 
-_ALPHA_TOKEN = re.compile(r"xi\d+|\d+(?:/\d+)?|[+-]")
+_ALPHA_TOKEN = re.compile(r"xi[0-9]+|[0-9]+(?:/[0-9]+)?|[+-]")
 
 
 # -- alpha expressions -------------------------------------------------

@@ -87,17 +87,13 @@ def laplace(family: ParamSuperMatrix) -> LaurentMatrix:
     if "s" in family.variables():
         raise ConfigError("the transform expects a family in t only")
     ctx = family.ctx
-    rows = []
-    for row in family.rows:
-        out = []
-        for poly in row:
-            terms = {}
-            for (mt, _), c in poly.terms.items():
-                terms[(mt + 1, 0)] = c * factorial(mt)
-            out.append(LaurentScalar(ctx, terms))
-        rows.append(out)
-    # integer multiples of graded coefficients keep the grading
-    return LaurentMatrix._graded(family.p, family.q, rows)
+
+    def image(poly):
+        return LaurentScalar(
+            ctx, {(mt + 1, 0): c * factorial(mt) for (mt, _), c in poly.terms.items()}
+        )
+
+    return family._map(image, LaurentMatrix)
 
 
 def resolvent_defect(r: LaurentMatrix) -> LaurentMatrix:

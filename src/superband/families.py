@@ -81,27 +81,21 @@ class ParamSuperMatrix(GradedMatrix):
         return used
 
     def derivative(self, var: str = "t"):
-        # integer multiples of graded coefficients keep the grading
-        return self._graded(
-            self.p, self.q, [[x.derivative(var) for x in row] for row in self.rows]
-        )
+        return self._map(lambda x: x.derivative(var))
 
     def substitute(self, var: str, replacement: GrassmannPoly):
         """Each entry's ``substitute``, sharing one table of replacement powers."""
         first = self.rows[0][0]
         i = first.VARS.index(var)
         powers = first._powers(replacement)
-        rows = [[x._substituted(i, powers) for x in row] for row in self.rows]
-        if powers[1].is_even():
-            return self._graded(self.p, self.q, rows)
-        return type(self)(self.p, self.q, rows)
+        m = self._map(lambda x: x._substituted(i, powers))
+        # an odd replacement can break the grading, so that result is checked
+        return m if powers[1].is_even() else type(self)(m.p, m.q, m.rows)
 
     def eval_at(self, assignment: dict) -> SuperMatrix:
         """Each entry's ``eval_at``, checking ``assignment`` once for all of them."""
         powers = self.rows[0][0]._value_powers(assignment, self.variables())
-        return SuperMatrix._graded(
-            self.p, self.q, [[x._evaluated(powers) for x in row] for row in self.rows]
-        )
+        return self._map(lambda x: x._evaluated(powers), SuperMatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +231,7 @@ def smoothing(family: ParamSuperMatrix) -> ParamSuperMatrix:
     """Entrywise integral from 0 to t."""
     if "s" in family.variables():
         raise ConfigError("expected a family in t only")
-    return family._graded(
-        family.p, family.q, [[x.integrate("t") for x in row] for row in family.rows]
-    )
+    return family._map(lambda x: x.integrate("t"))
 
 
 def differential_sequence(alpha: GrassmannElement, nmax: int):

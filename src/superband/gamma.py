@@ -263,15 +263,13 @@ def chain_product_verify(family) -> ChainReport:
         product = product @ m
 
     first, last = mats[0], mats[-1]
-    ctx = first.ctx
-    p, q = first.p, first.q
+    ctx, q = first.ctx, first.q
     word = [[ctx.one() if i == j else ctx.zero() for j in range(q)] for i in range(q)]
     for m in mats[1:-1]:
         word = _grid_mul(word, m.block_b())
     gamma_word = _grid_mul(first.block_gamma(), word)
     b_word = _grid_mul(first.block_b(), word)
-    closed = SuperMatrix._graded_blocks(
-        [[ctx.zero()] * p for _ in range(p)],
+    closed = SuperMatrix._antitriangle(
         _grid_mul(gamma_word, last.block_b()),
         _grid_mul(b_word, last.block_delta()),
         _grid_mul(b_word, last.block_b()),
@@ -341,12 +339,6 @@ def random_strong_family(rng, ctx, p=1, q=1, length=3):
                  for _ in range(p)]
         delta = [[random_combination(rng, ctx, ann.basis) for _ in range(p)]
                  for _ in range(q)]
-        matrices.append(
-            SuperMatrix._graded_blocks(
-                [[ctx.zero()] * p for _ in range(p)],
-                gamma,
-                delta,
-                random_invertible_even_grid(rng, ctx, q),
-            )
-        )
+        b = random_invertible_even_grid(rng, ctx, q)
+        matrices.append(SuperMatrix._antitriangle(gamma, delta, b))
     return matrices

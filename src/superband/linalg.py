@@ -19,24 +19,56 @@ direct solvers (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006): ``holders`` maps each column to the keys of the pivot rows that
 have held an entry there, recorded on insertion and for each fill-in; a
 holder whose entry has since cancelled is skipped.
+
+Rows are combined by ``_merge`` on the int numerator and denominator pairs
+of their Fractions, the rule by which ``algebra`` sums term dicts as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_new = object.__new__
 
 
-def _subtract(out, c, row):
-    """out -= c * row, in place, dropping the entries that cancel."""
-    for col, v in row.items():
-        r = out.get(col, ZERO) - c * v
-        if r:
-            out[col] = r
+def _merge(terms, other, nc, dc):
+    """terms += nc / dc * other in place, for rows of Fractions and
+    nc / dc nonzero in lowest terms, dc > 0; a key whose sum cancels is
+    deleted, and re-enters at the end if it returns."""
+    for idx, c in other.items():
+        prev = terms.get(idx)
+        if prev is None:
+            terms[idx] = c if nc == dc else _ratio(c._numerator * nc, c._denominator * dc)
+            continue
+        pn, pd = prev._numerator, prev._denominator
+        cn, cd = c._numerator * nc, c._denominator * dc
+        if pd != cd:
+            pn, cn, pd = pn * cd, cn * pd, pd * cd
+        if num := pn + cn:
+            terms[idx] = _ratio(num, pd)
         else:
-            del out[col]
+            del terms[idx]
+
+
+def _ratio(n, d):
+    """The Fraction n/d of the ints n and d > 0.
+
+    Reduces by gcd and sets the two slots of a bare Fraction, as CPython's
+    ``fractions`` does internally for a pair it knows to be coprime, so the
+    Python-level ``Fraction.__new__`` and its type dispatch are skipped.  The
+    result is the same canonical Fraction that ``Fraction(n, d)`` returns.
+    """
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 def residue(row, pivots):
@@ -51,7 +83,7 @@ def residue(row, pivots):
     for key, c in row.items():
         prow = pivots.get(key)
         if prow is not None:
-            _subtract(out, c, prow)
+            _merge(out, prow, -c._numerator, c._denominator)
     return out
 
 
@@ -77,7 +109,7 @@ def echelon(rows) -> dict:
             for col in new:
                 if col not in prow:
                     holders.setdefault(col, []).append(k)
-            _subtract(prow, c, new)
+            _merge(prow, new, -c._numerator, c._denominator)
         for col in new:
             if col != key:
                 holders.setdefault(col, []).append(key)

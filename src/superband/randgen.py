@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, log
 
-from .algebra import AlgebraContext, GrassmannElement, _merge, _unchecked
+from .algebra import AlgebraContext, GrassmannElement, _unchecked
+from .linalg import _merge
 from .supermatrix import SuperMatrix, SuperVector, _check_blocks, _det
 
 #: every value random_coeff draws, as _COEFFS[a + 4][b - 1] for

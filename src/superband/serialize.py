@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import GrassmannElement, create_algebra
+from .algebra import GrassmannElement, _coefficient_str, create_algebra
 from .errors import ConfigError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def dump_element(x: GrassmannElement) -> dict:
     return {
         "n": x.ctx.n,
         "terms": [
-            {"c": str(c), "idx": list(idx)} for idx, c in x.sorted_terms()
+            {"c": _coefficient_str(c), "idx": list(idx)} for idx, c in x.sorted_terms()
         ],
     }
 

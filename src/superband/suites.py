@@ -130,14 +130,13 @@ def _suite(groups):
 
 
 def _random_antitriangle(rng, ctx, p, q):
-    zero_a = [[ctx.zero()] * p for _ in range(p)]
     g = [[random_element(rng, ctx, parity="odd", max_terms=2) for _ in range(q)]
          for _ in range(p)]
     d = [[random_element(rng, ctx, parity="odd", max_terms=2) for _ in range(p)]
          for _ in range(q)]
     bb = [[random_element(rng, ctx, parity="even", max_terms=2) for _ in range(q)]
           for _ in range(q)]
-    return SuperMatrix._graded_blocks(zero_a, g, d, bb)
+    return SuperMatrix._antitriangle(g, d, bb)
 
 
 # ---------------------------------------------------------------------------

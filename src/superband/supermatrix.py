@@ -191,40 +191,11 @@ class GradedMatrix:
     def _graded(cls, p, q, rows):
         """A matrix around ``rows`` without re-checking shape or grading.
 
-        Only for rows that keep the grading by construction: sums,
-        differences, negation, products or even rescaling of graded matrices
-        of one shape and algebra, and entrywise maps that keep the parity of
-        every coefficient.  Among the latter:
-
-        - ``ParamSuperMatrix.substitute`` with an even replacement, and
-          ``ParamSuperMatrix.eval_at``, whose values are checked even: a
-          coefficient times an even power keeps its parity;
-        - ``families.smoothing``: rational multiples of each coefficient;
-        - ``ParamSuperMatrix._from_coefficients``: rational multiples of the
-          entries of graded constant matrices, each kept in its place;
-        - ``analysis.components_of``: the coefficients of graded entries;
-        - ``suites._supermatrix``'s ``modd`` and ``meven`` (a graded sample's
-          entries or zero, in place) and ``randgen.random_supermatrix``
-          (each entry drawn from the monomials of its block's parity);
-        - ``families.make_family`` (alpha checked odd, off the diagonal),
-          ``zero`` and ``identity`` (block sizes checked): graded as built.
-
-        Through ``_graded_blocks``, blocks graded by construction:
-
-        - ``analysis.random_band_components``: combinations of odd vectors
-          off the diagonal, zero and identity blocks on it;
-        - ``suites._random_antitriangle``: entries drawn with the parity of
-          their block;
-        - ``gamma.random_strong_family``: combinations of odd vectors off the
-          diagonal and a ``randgen.random_invertible_even_grid`` B;
-        - ``gamma.chain_product_verify``'s closed form: products of the
-          blocks of graded matrices, odd times even off the diagonal.
-
-        And as rows built from an odd alpha and even constants, placed by
-        parity: ``suites._expected_resolvents``, the generator in
-        ``suites._resolvent`` and the two matrices of
-        ``families.intertwiner_check`` (its arguments' parities checked).
-
+        Rows may skip the check only if they are graded by construction:
+        they come from arithmetic on graded matrices of one shape and
+        algebra, from ``_map``, from ``_antitriangle``, or from literal rows
+        of this class's entries over one algebra, placed by parity: odd
+        entries only off the diagonal blocks, even ones only on them.
         Everything else goes through the validating constructor.
         """
         m = object.__new__(cls)
@@ -234,6 +205,13 @@ class GradedMatrix:
         m.q = q
         return m
 
+    def _map(self, f, cls=None):
+        """The matrix of f(x) for every entry x, as ``cls`` (by default this
+        class), unchecked: f must keep the parity of every coefficient."""
+        return (cls or type(self))._graded(
+            self.p, self.q, [[f(x) for x in row] for row in self.rows]
+        )
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -241,14 +219,17 @@ class GradedMatrix:
         return cls(len(a), len(b), _block_rows(a, gamma, delta, b))
 
     @classmethod
-    def _graded_blocks(cls, a, gamma, delta, b):
-        """``from_blocks`` through ``_graded``, for blocks graded by construction."""
-        return cls._graded(len(a), len(b), _block_rows(a, gamma, delta, b))
+    def _antitriangle(cls, gamma, delta, b):
+        """[[0, gamma], [delta, b]], unchecked: gamma and delta must be odd and
+        b even by construction."""
+        p = len(gamma)
+        zero = cls._constant(b[0][0].ctx.zero())
+        return cls._graded(p, len(b), _block_rows([[zero] * p] * p, gamma, delta, b))
 
     @classmethod
     def from_supermatrix(cls, m: "SuperMatrix"):
         """The constant matrix m with its entries lifted into this ring."""
-        return cls._graded(m.p, m.q, [[cls._constant(x) for x in row] for row in m.rows])
+        return m._map(cls._constant, cls)
 
     @classmethod
     def zero(cls, ctx: AlgebraContext, p: int, q: int):
@@ -313,7 +294,7 @@ class GradedMatrix:
         )
 
     def __neg__(self):
-        return self._graded(self.p, self.q, [[-a for a in r] for r in self.rows])
+        return self._map(lambda a: -a)
 
     def __matmul__(self, other):
         self._check_peer(other)
@@ -329,7 +310,7 @@ class GradedMatrix:
             raise ShapeError(f"cannot scale a {type(self).__name__} by {factor!r}")
         if not factor.is_even():
             raise ParityError("matrix scaling needs an even (or zero) factor")
-        return self._graded(self.p, self.q, [[factor * a for a in r] for r in self.rows])
+        return self._map(lambda a: factor * a)
 
     def __rmul__(self, factor):
         if isinstance(factor, (self._entry, GrassmannElement) + _Rational):
@@ -339,11 +320,7 @@ class GradedMatrix:
     def rename(self, src: str, dst: str):
         """Rename variable ``src`` to ``dst`` in every polynomial or Laurent
         entry, by each entry's own ``rename``."""
-        # renaming moves or merges exponents; each merged coefficient is a
-        # sum of coefficients of one parity, so the grading holds
-        return self._graded(
-            self.p, self.q, [[x.rename(src, dst) for x in row] for row in self.rows]
-        )
+        return self._map(lambda x: x.rename(src, dst))
 
     def apply(self, vec: GradedVector) -> GradedVector:
         """Matrix action on a supervector, of constants or of this ring."""

@@ -83,6 +83,16 @@ class TestAlphaParser:
         with pytest.raises(ParseError):
             parse_alpha("xi3", ctx)
 
+    @pytest.mark.parametrize("bad", ["xi\u0661 + xi2", "\u0662 xi2", "1/\u0663 xi1"])
+    def test_rejects_non_ascii_digits(self, bad, capsys):
+        """Indices and coefficients are ASCII digits only: an Arabic-Indic
+        digit is refused, not read as its value."""
+        ctx = create_algebra(3)
+        with pytest.raises(ParseError):
+            parse_alpha(bad, ctx)
+        code, out, err = run_cli(capsys, "annihilator", "--alpha", bad, "--generators", "3")
+        assert (code, out) == (2, "") and err.startswith("superband: ")
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -381,6 +391,21 @@ class TestAnalyze:
         assert code == 0
         assert "holds" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_product_past_the_digit_limit_is_usage_error(self, capsys, tmp_path, fmt):
+        """K(t)K(s) squares a 3,000-digit constant past Python's int-to-str
+        digit limit; printing it is refused with one error line and exit 2."""
+        ctx = create_algebra(2)
+        big = ctx.scalar(int("7" * 3000))
+        fam = ParamSuperMatrix.from_supermatrix(
+            SuperMatrix(1, 1, [[big, ctx.zero()], [ctx.zero(), ctx.one()]])
+        )
+        path = write_json(tmp_path, "fam.json", fam)
+        code, out, err = run_cli(capsys, "analyze", "--family", path, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("superband: ") and err.count("\n") == 1
+        assert f"{sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err
+
     def test_malformed_family_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -510,6 +535,22 @@ class TestOrbit:
         assert (code, out) == (2, "")
         assert err.startswith("superband: ") and err.count("\n") == 1
         assert "1e5000" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_coefficient_past_the_digit_limit_is_usage_error(self, capsys, tmp_path, fmt):
+        """A coefficient the parser accepts can grow past Python's int-to-str
+        digit limit; printing it is refused with one error line and exit 2."""
+        ctx = create_algebra(2)
+        x0 = to_obj(SuperVector([ctx.one()], [ctx.gen(1)]))
+        x0["even"][0]["terms"][0]["c"] = "9" * 4300
+        path = write_json(tmp_path, "x0.json", x0)
+        code, out, err = run_cli(
+            capsys, "orbit", "--x0", path, "--family", "P", "--generators", "2",
+            "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("superband: ") and err.count("\n") == 1
+        assert f"{sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err
 
     def test_wrong_x0_type_is_usage_error(self, capsys, tmp_path):
         ctx = create_algebra(3)

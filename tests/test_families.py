@@ -10,12 +10,14 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superband.algebra import create_algebra
+from superband.analysis import components_of, random_band_components
 from superband.errors import ConfigError, ParityError
 from superband.families import (
     ParamSuperMatrix,
@@ -35,8 +37,11 @@ from superband.families import (
     smoothing,
     standard_operands,
 )
-from superband.poly import GrassmannPoly
+from superband.evolution import LaurentMatrix, laplace
+from superband.gamma import chain_product_verify, random_strong_family
+from superband.poly import GrassmannPoly, LaurentScalar
 from superband.randgen import random_element, random_nonzero_odd
+from superband.suites import _random_antitriangle
 from superband.supermatrix import SuperMatrix, classify_reduction
 
 
@@ -445,33 +450,65 @@ def _graded_elements(draw, ctx, odd):
 
 
 @st.composite
-def _graded_polys(draw, ctx, odd):
-    """A polynomial in t and s of degree at most 2 in each, with coefficients
-    of one parity."""
-    keys = draw(
-        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=3, unique=True)
-    )
+def _graded_polys(draw, ctx, odd, t_only=False):
+    """A polynomial in t and s (or in t alone) of degree at most 2 in each,
+    with coefficients of one parity."""
+    exponents = st.tuples(st.integers(0, 2), st.just(0) if t_only else st.integers(0, 2))
+    keys = draw(st.lists(exponents, max_size=3, unique=True))
     return GrassmannPoly(ctx, {k: draw(_graded_elements(ctx, odd)) for k in keys})
 
 
+def _shape(draw):
+    ctx = create_algebra(draw(st.integers(1, 5)))
+    return ctx, draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+
+def _odd_places(p, q):
+    """For each place of a (p|q) grid, whether its entries are odd."""
+    d = p + q
+    return [[(i < p) != (j < p) for j in range(d)] for i in range(d)]
+
+
 @st.composite
-def _families(draw):
+def _families(draw, t_only=False):
     """A random (p|q) family at n <= 5 with p, q <= 2, built through the
     validating constructor."""
-    ctx = create_algebra(draw(st.integers(1, 5)))
-    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    d = p + q
-    return ParamSuperMatrix(
-        p, q,
-        [[draw(_graded_polys(ctx, (i < p) != (j < p))) for j in range(d)] for i in range(d)],
-    )
+    ctx, p, q = _shape(draw)
+    return ParamSuperMatrix(p, q, [
+        [draw(_graded_polys(ctx, odd, t_only)) for odd in row] for row in _odd_places(p, q)
+    ])
+
+
+@st.composite
+def _constants(draw):
+    """A random (p|q) SuperMatrix at n <= 5, built through the validating
+    constructor."""
+    ctx, p, q = _shape(draw)
+    return SuperMatrix(p, q, [
+        [draw(_graded_elements(ctx, odd)) for odd in row] for row in _odd_places(p, q)
+    ])
+
+
+def _entrywise(cls, m, f):
+    """The matrix of f(x) for each entry x of m, through the validating
+    constructor of ``cls``."""
+    return cls(m.p, m.q, [[f(x) for x in row] for row in m.rows])
+
+
+def _laplace_entry(x):
+    """t^m -> m!/z^(m+1), term by term."""
+    out = LaurentScalar.zero(x.ctx)
+    for (m, _), c in x.terms.items():
+        out = out + LaurentScalar.term(c * factorial(m), iz=m + 1)
+    return out
 
 
 class TestEntrywiseOracle:
-    """The matrix-wide substitute and eval_at, which share one conversion
-    and one table of powers across the entries and skip the grading check,
-    against the matrix built entry by entry through the validating
-    constructor."""
+    """Every entrywise map of a graded matrix, which skips the grading
+    check, against the matrix built entry by entry through the validating
+    constructor: substitute and eval_at (which also share one conversion
+    and one table of powers across the entries), derivative, smoothing,
+    rename, scale, negation, from_supermatrix, laplace and components_of."""
 
     @given(_families(), st.sampled_from("ts"), st.booleans(), st.data())
     def test_substitute(self, family, var, odd, data):
@@ -497,6 +534,72 @@ class TestEntrywiseOracle:
         )
         got = family.eval_at(assignment)
         assert got == want and got.ctx is ctx
+
+    @settings(max_examples=40)
+    @given(_families(), st.sampled_from("ts"))
+    def test_derivative(self, family, var):
+        want = _entrywise(ParamSuperMatrix, family, lambda x: x.derivative(var))
+        assert family.derivative(var) == want
+
+    @settings(max_examples=40)
+    @given(_families(t_only=True))
+    def test_smoothing(self, family):
+        want = _entrywise(ParamSuperMatrix, family, lambda x: x.integrate("t"))
+        assert smoothing(family) == want
+
+    @settings(max_examples=40)
+    @given(_families(t_only=True))
+    def test_rename(self, family):
+        want = _entrywise(ParamSuperMatrix, family, lambda x: x.rename("t", "s"))
+        assert family.rename("t", "s") == want
+
+    @settings(max_examples=40)
+    @given(_families(), st.data())
+    def test_scale(self, family, data):
+        factor = data.draw(_graded_polys(family.ctx, odd=False))
+        want = _entrywise(ParamSuperMatrix, family, lambda x: factor * x)
+        assert family.scale(factor) == want
+
+    @settings(max_examples=40)
+    @given(_families())
+    def test_negation(self, family):
+        assert -family == _entrywise(ParamSuperMatrix, family, lambda x: -x)
+
+    @settings(max_examples=40)
+    @given(_constants())
+    def test_from_supermatrix(self, m):
+        for cls in (SuperMatrix, ParamSuperMatrix, LaurentMatrix):
+            got = cls.from_supermatrix(m)
+            assert got == _entrywise(cls, m, cls._constant) and got.ctx is m.ctx
+
+    @settings(max_examples=40)
+    @given(_families(t_only=True))
+    def test_laplace(self, family):
+        assert laplace(family) == _entrywise(LaurentMatrix, family, _laplace_entry)
+
+    @settings(max_examples=40)
+    @given(_families(t_only=True))
+    def test_components_of(self, family):
+        degree = max(x.degree("t") for row in family.rows for x in row)
+        want = tuple(_entrywise(SuperMatrix, family, lambda x: x.coefficient(t=m))
+                     for m in range(degree + 1))
+        assert components_of(family).components == want
+
+    def test_antitriangle_builders_are_graded(self):
+        """The unchecked antitriangle matrices pass the validating constructor
+        and have a zero upper-left block."""
+        rng = random.Random(47)
+        for _ in range(30):
+            ctx = create_algebra(rng.randint(2, 5))
+            p, q = rng.randint(1, 2), rng.randint(1, 2)
+            chain = random_strong_family(rng, ctx, p, q, length=rng.randint(2, 4))
+            built = [_random_antitriangle(rng, ctx, p, q),
+                     chain_product_verify(chain).closed_form,
+                     *chain,
+                     *random_band_components(rng, ctx, p, q, degree=2).components]
+            for m in built:
+                assert SuperMatrix(m.p, m.q, m.rows) == m
+                assert all(x.is_zero() for row in m.block_a() for x in row)
 
     def test_eval_at_refusals_match_the_entries(self):
         """A missing parameter, an unknown one and an odd value are refused
