@@ -133,7 +133,7 @@ class AlgebraContext:
     def __new__(cls, n: int):
         if not isinstance(n, int) or not 1 <= n <= MAX_GENERATORS:
             raise ConfigError(
-                f"generator count must be an integer in 1..{MAX_GENERATORS}, got {n!r}"
+                f"number of generators must be an integer in 1..{MAX_GENERATORS}, got {n!r}"
             )
         ctx = _CONTEXTS.get(n)
         if ctx is None:
@@ -584,14 +584,7 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     """
     gens = list(generators)
     for g in gens:
-        if not isinstance(g, GrassmannElement):
-            raise ConfigError("generators must be GrassmannElements")
-        if ctx is None:
-            ctx = g.ctx
-        elif g.ctx != ctx:
-            raise ContextError("generators come from different algebras")
-        if not g.is_odd():
-            raise ParityError(f"annihilator generators must be odd or zero, got {g}")
+        ctx = _graded_arg(g, ctx, ODD, "annihilator generator").ctx
     if ctx is None:
         raise ConfigError("empty generator list needs an explicit ctx")
 
@@ -621,10 +614,19 @@ def odd_span_contains(ctx, rows, x) -> bool:
     at every other key, as in ``linalg.residue``: x is a member iff x minus
     the sum of x[key] * row leaves no residue.
     """
+    return not linalg.residue(_graded_arg(x, ctx, ODD, "span member").terms, rows)
+
+
+def _graded_arg(x, ctx, parity, what):
+    """x, once it is a GrassmannElement (else ConfigError), of ``ctx`` unless
+    that is None (else ContextError), and odd-or-zero or even-or-zero when
+    ``parity`` is ODD or EVEN (else ParityError).  Every message names the
+    argument ``what``.  A caller checking several elements of one algebra
+    passes each the ctx of the one before: ``ctx = _graded_arg(...).ctx``."""
     if not isinstance(x, GrassmannElement):
-        raise ConfigError(f"membership needs a GrassmannElement, got {type(x).__name__}")
-    if x.ctx != ctx:
-        raise ContextError("element from a different algebra")
-    if not x.is_odd():
-        raise ParityError("span membership is defined for odd elements")
-    return not linalg.residue(x.terms, rows)
+        raise ConfigError(f"{what} must be a GrassmannElement, got {type(x).__name__}")
+    if ctx is not None and x.ctx is not ctx:
+        raise ContextError(f"{what} is from a different algebra")
+    if parity == ODD and not x.is_odd() or parity == EVEN and not x.is_even():
+        raise ParityError(f"{what} must be {parity} or zero, got {x}")
+    return x

@@ -127,14 +127,13 @@ def _read_family(path: str) -> ParamSuperMatrix:
     return value
 
 
-def _family_from_arg(args, ctx=None) -> ParamSuperMatrix:
-    """--family accepts a named kind, built with --alpha over ``ctx`` (by
-    default an algebra of --generators), or a path to a serialized family."""
+def _family_from_arg(args) -> ParamSuperMatrix:
+    """--family accepts a named kind, built with --alpha over an algebra of
+    --generators, or a path to a serialized family."""
     from .families import make_family
 
     if args.family in FAMILY_KINDS:
-        if ctx is None:
-            ctx = create_algebra(args.generators)
+        ctx = create_algebra(args.generators)
         return make_family(args.family, parse_alpha(args.alpha, ctx))
     return _read_family(args.family)
 
@@ -388,8 +387,7 @@ def _cmd_orbit(args):
     x0 = parse_input(args.x0)
     if not isinstance(x0, SuperVector):
         raise ParseError(f"{args.x0}: expected a supervector")
-    # a named family reuses the start vector's algebra, so the two interoperate
-    fam = _family_from_arg(args, x0.ctx)
+    fam = _family_from_arg(args)
     traj = orbit(fam, x0)
     defect = cauchy_defect(fam, x0)
     law = None

@@ -7,7 +7,7 @@ can offer these choices without loading those modules.
 
 from collections import namedtuple
 
-from .algebra import MAX_GENERATORS
+from .algebra import AlgebraContext
 from .errors import ConfigError
 
 SUITES = ("algebra", "supermatrix", "gamma", "families", "analysis", "resolvent")
@@ -25,10 +25,7 @@ class SuiteConfig(
     __slots__ = ()
 
     def validate(self):
-        if not isinstance(self.generators, int) or not 1 <= self.generators <= MAX_GENERATORS:
-            raise ConfigError(
-                f"generators must be in 1..{MAX_GENERATORS}, got {self.generators!r}"
-            )
+        AlgebraContext(self.generators)
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.suite != "all" and self.suite not in SUITES:

@@ -3,6 +3,10 @@
 Every error raised on purpose by superband derives from :class:`SuperbandError`,
 so callers can catch the whole family with one clause while the CLI maps
 usage-level problems (ConfigError, ParseError) to exit code 2.
+
+A refused graded argument (``algebra._graded_arg``) is a ConfigError if it is
+no GrassmannElement, a ContextError if it is of another algebra and a
+ParityError if it has the wrong parity; each message names the argument.
 """
 
 from __future__ import annotations

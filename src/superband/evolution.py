@@ -12,8 +12,8 @@ identities term by term.
 
 from math import factorial
 
-from .algebra import GrassmannElement
-from .errors import ConfigError, ContextError, ParityError, ShapeError
+from .algebra import ODD, GrassmannElement, _graded_arg
+from .errors import ConfigError, ShapeError
 from .families import ParamSuperMatrix, ParamSuperVector, generator_of, product_and_shift
 from .poly import LaurentScalar
 from .supermatrix import GradedMatrix, SuperMatrix, SuperVector
@@ -36,8 +36,8 @@ def orbit(family: ParamSuperMatrix, x0: SuperVector) -> ParamSuperVector:
     """X(t) = F(t) X0 for a (1|1) family and constant initial vector."""
     if (family.p, family.q) != (1, 1):
         raise ShapeError(f"orbits are defined for (1|1) families, got ({family.p}|{family.q})")
-    if (x0.p, x0.q) != (1, 1):
-        raise ShapeError(f"orbits need a (1|1) initial vector, got ({x0.p}|{x0.q})")
+    if not isinstance(x0, SuperVector):
+        raise ConfigError(f"x0 must be a SuperVector, got {type(x0).__name__}")
     return family.apply(x0)
 
 
@@ -70,12 +70,11 @@ def commutativity_obstruction(x0: SuperVector, alpha: GrassmannElement):
     The odd orbit coordinate kappa(t) = alpha x0_even + kappa0 is constant,
     and the commutator of the generator with the family annihilates the
     orbit exactly when this product vanishes."""
+    if not isinstance(x0, SuperVector):
+        raise ConfigError(f"x0 must be a SuperVector, got {type(x0).__name__}")
     if (x0.p, x0.q) != (1, 1):
         raise ShapeError(f"expected a (1|1) vector, got ({x0.p}|{x0.q})")
-    if not alpha.is_odd():
-        raise ParityError(f"odd direction expected, got {alpha}")
-    if alpha.ctx != x0.ctx:
-        raise ContextError("vector and direction from different algebras")
+    _graded_arg(alpha, x0.ctx, ODD, "direction alpha")
     return alpha * (alpha * x0.even[0] + x0.odd[0])
 
 

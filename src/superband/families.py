@@ -27,9 +27,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GrassmannElement, _unchecked
+from .algebra import EVEN, ODD, GrassmannElement, _graded_arg, _Rational, _unchecked
 from .config import FAMILY_KINDS
-from .errors import ConfigError, ContextError, ParityError
+from .errors import ConfigError
 from .poly import MAX_VAR_DEGREE, GrassmannPoly
 from .supermatrix import GradedMatrix, GradedVector, SuperMatrix
 
@@ -103,11 +103,7 @@ class ParamSuperMatrix(GradedMatrix):
 # ---------------------------------------------------------------------------
 
 def _family_alpha(alpha: GrassmannElement) -> GrassmannElement:
-    if not isinstance(alpha, GrassmannElement):
-        raise ConfigError("alpha must be a GrassmannElement")
-    if not alpha.is_odd():
-        raise ParityError(f"family parameter alpha must be odd or zero, got {alpha}")
-    return alpha
+    return _graded_arg(alpha, None, ODD, "family parameter alpha")
 
 
 def make_family(kind: str, alpha: GrassmannElement) -> ParamSuperMatrix:
@@ -207,10 +203,9 @@ def nilpotent_time_commute_check(
     true exactly when tau * alpha == 0, which is what the callers assert.
     """
     alpha = _family_alpha(alpha)
-    ctx = f.ctx
-    tau = tau if isinstance(tau, GrassmannElement) else ctx.scalar(tau)
-    if not tau.is_even():
-        raise ParityError("time values must be even")
+    if isinstance(tau, _Rational):
+        tau = f.ctx.scalar(tau)
+    _graded_arg(tau, f.ctx, EVEN, "time tau")
     frozen = commutator(f, g).eval_at({"t": tau, "s": tau})
     return frozen.is_zero()
 
@@ -414,18 +409,10 @@ def intertwiner_check(sigma, rho, u, v, alpha) -> dict:
     """
     alpha = _family_alpha(alpha)
     ctx = alpha.ctx
-    for name, x, want_odd in (
-        ("sigma", sigma, True),
-        ("rho", rho, True),
-        ("u", u, False),
-        ("v", v, False),
+    for name, x, parity in (
+        ("sigma", sigma, ODD), ("rho", rho, ODD), ("u", u, EVEN), ("v", v, EVEN)
     ):
-        if x.ctx != ctx:
-            raise ContextError(f"{name} from a different algebra")
-        if want_odd and not x.is_odd():
-            raise ParityError(f"{name} must be odd or zero")
-        if not want_odd and not x.is_even():
-            raise ParityError(f"{name} must be even or zero")
+        _graded_arg(x, ctx, parity, name)
 
     zero = GrassmannPoly.zero(ctx)
     cp = GrassmannPoly.constant

@@ -16,8 +16,8 @@ one-parameter antitriangle families under multiplication.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import GrassmannElement, annihilator_odd, odd_span_contains
-from .errors import ConfigError, ContextError, NotInvertible, ParityError, ShapeError
+from .algebra import EVEN, ODD, _graded_arg, annihilator_odd, odd_span_contains
+from .errors import ConfigError, ContextError, NotInvertible, ShapeError
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
 from .supermatrix import SuperMatrix, _grid_mul, berezinian, det_even
@@ -49,26 +49,14 @@ class GammaSet:
 
     def __init__(self, span, stabilizing_evens=(), ctx=None):
         vectors = tuple(span)
-        if ctx is None:
-            if not vectors:
-                raise ConfigError("an empty span needs an explicit ctx")
-            ctx = vectors[0].ctx
         for v in vectors:
-            if not isinstance(v, GrassmannElement):
-                raise ConfigError("span entries must be GrassmannElements")
-            if v.ctx != ctx:
-                raise ContextError("span vectors from different algebras")
-            if not v.is_odd():
-                raise ParityError(f"span vectors must be odd, got {v}")
+            ctx = _graded_arg(v, ctx, ODD, "span vector").ctx
+        if ctx is None:
+            raise ConfigError("an empty span needs an explicit ctx")
         rows = linalg.echelon(v.terms for v in vectors)
         if len(rows) != len(vectors):
             raise ConfigError("span vectors must be linearly independent")
-        evens = tuple(stabilizing_evens)
-        for b in evens:
-            if b.ctx != ctx:
-                raise ContextError("stabilizers from a different algebra")
-            if not b.is_even():
-                raise ParityError(f"stabilizers must be even, got {b}")
+        evens = tuple(_graded_arg(b, ctx, EVEN, "stabilizer") for b in stabilizing_evens)
         self.ctx = ctx
         self.span = vectors
         self.stabilizing_evens = evens
@@ -79,7 +67,7 @@ class GammaSet:
     def dim(self) -> int:
         return len(self.span)
 
-    def contains(self, x: GrassmannElement) -> bool:
+    def contains(self, x) -> bool:
         return odd_span_contains(self.ctx, self._rows, x)
 
     def annihilator(self):

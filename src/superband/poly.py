@@ -22,8 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from .algebra import AlgebraContext, GrassmannElement, _Rational, _Sparse, _unchecked
-from .errors import ConfigError, ContextError, ParityError
+from .algebra import (
+    EVEN, AlgebraContext, GrassmannElement, _graded_arg, _Rational, _Sparse, _unchecked,
+)
+from .errors import ConfigError, ContextError
 
 MAX_VAR_DEGREE = 9
 
@@ -54,11 +56,7 @@ class SparsePoly(_Sparse):
         clean = {}
         for key, c in terms.items():
             self._check_key(key)
-            if not isinstance(c, GrassmannElement):
-                raise ConfigError("coefficients must be GrassmannElements")
-            if c.ctx is not ctx:
-                raise ContextError("coefficients from different algebras")
-            if c.terms:
+            if _graded_arg(c, ctx, None, "coefficient").terms:
                 clean[key] = c
         super().__init__(ctx, clean)
 
@@ -342,12 +340,8 @@ class GrassmannPoly(SparsePoly):
         for var, raw in assignment.items():
             if var not in self.VARS:
                 raise ConfigError(f"unknown parameter {var!r}")
-            value = raw if isinstance(raw, GrassmannElement) else self.ctx.scalar(raw)
-            if value.ctx is not self.ctx:
-                raise ContextError("element from a different algebra")
-            if not value.is_even():
-                raise ParityError(f"parameter {var} must take an even value, got {value}")
-            powers[var, 1] = value
+            value = self.ctx.scalar(raw) if isinstance(raw, _Rational) else raw
+            powers[var, 1] = _graded_arg(value, self.ctx, EVEN, f"parameter {var}")
         return powers
 
     def _evaluated(self, powers):

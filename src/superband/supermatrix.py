@@ -28,7 +28,7 @@ even elements are central, so the classical formulas apply verbatim.
 
 from __future__ import annotations
 
-from .algebra import AlgebraContext, GrassmannElement, _Rational
+from .algebra import EVEN, AlgebraContext, GrassmannElement, _graded_arg, _Rational
 from .errors import ContextError, ParityError, ShapeError
 
 DET_SIZE_CAP = 6
@@ -369,10 +369,10 @@ def _check_even_square(rows):
         raise ShapeError("expected a nonempty square grid")
     if size > DET_SIZE_CAP:
         raise ShapeError(f"determinants are capped at size {DET_SIZE_CAP}")
+    ctx = None
     for row in grid:
         for x in row:
-            if not x.is_even():
-                raise ParityError(f"determinant entries must be even, got {x}")
+            ctx = _graded_arg(x, ctx, EVEN, "determinant entry").ctx
     return grid
 
 

@@ -561,6 +561,32 @@ class TestOrbit:
         assert code == 2
         assert "supervector" in err
 
+    @pytest.mark.parametrize(
+        "command", ["orbit", "resolvent", "table", "annihilator", "verify"]
+    )
+    def test_generators_past_the_limit_is_usage_error(self, capsys, tmp_path, command):
+        """Every subcommand reads --generators and refuses 17 the same way."""
+        argv = {
+            "orbit": ["--x0", self._x0_path(tmp_path, create_algebra(4)), "--family", "P"],
+            "resolvent": ["--family", "P"],
+            "annihilator": ["--alpha", "xi1"],
+        }.get(command, [])
+        code, out, err = run_cli(capsys, command, *argv, "--generators", "17")
+        assert (code, out) == (2, "")
+        assert err == (
+            "superband: number of generators must be an integer in 1..16, got 17\n"
+        )
+
+    def test_named_family_over_other_generator_count_is_usage_error(self, capsys, tmp_path):
+        """A named family is built over --generators, so an x0 of another
+        algebra is refused, as it is for a family file."""
+        path = self._x0_path(tmp_path, create_algebra(4))
+        code, out, err = run_cli(
+            capsys, "orbit", "--x0", path, "--family", "P", "--generators", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "superband: vector from a different algebra\n"
+
 
 class TestAnnihilator:
     def test_single_generator(self, capsys):
