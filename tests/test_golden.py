@@ -17,7 +17,7 @@ that no case names are inputs, not outputs: ``x0_n4.json`` for the orbit,
 subcommand has at least one pinned report besides its ``--help``.
 
 ``DIGESTS`` pins larger reports by the SHA-256 of their stdout instead of
-a file: annihilator bases at 12 and 14 generators, where the echelon form
+a file: annihilator bases at 12, 14 and 16 generators, where the echelon form
 has thousands of rows.
 """
 
@@ -147,6 +147,11 @@ DIGESTS = {
     "annihilator_n14_xi1": (
         ("annihilator", "--generators", "14", "--alpha", "xi1", "--format", "json"),
         "0649a3efc8c592bec0f90148f68053de44750a61f4a6bce80090752aec50464a",
+    ),
+    # 16 generators: monomial masks use every bit the algebra allows
+    "annihilator_n16_sum": (
+        ("annihilator", "--generators", "16", "--alpha", ALPHA, "--format", "json"),
+        "0ad6099406aa3b02cf2c3b839f349d232576ee3715ce717bfafd48b62ad0ac64",
     ),
 }
 
