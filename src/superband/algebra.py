@@ -3,13 +3,21 @@
 An :class:`AlgebraContext` fixes the number ``n`` of anticommuting generators
 xi1..xin (xi_i * xi_j = -xi_j * xi_i, so every xi_i squares to zero).  A
 :class:`GrassmannElement` is a rational linear combination of monomials
-xi_{i1}*...*xi_{ik} with i1 < ... < ik, stored sparsely as a dict mapping the
-strictly increasing index tuple to a nonzero Fraction.  The empty tuple is the
-scalar 1.
+xi_{i1}*...*xi_{ik} with i1 < ... < ik.  All arithmetic is exact over the
+rationals.  Elements are immutable and canonical (zero coefficients
+dropped), so structural equality is semantic equality.
 
-All arithmetic is exact over the rationals.  Elements are immutable; every
-operation returns a new canonical element (zero coefficients dropped, index
-tuples kept sorted), so structural equality is semantic equality.
+The key rule: ``terms`` maps each monomial's mask (bit i - 1 set for xi_i,
+0 for the scalar 1) to its nonzero Fraction, and every other name speaks in
+increasing index tuples: ``coefficient``, ``sorted_terms``, printing, JSON,
+the monomial enumerations, ``AnnihilatorBasis.free`` and the one checked
+constructor ``GrassmannElement(ctx, {index_tuple: c})``.  ``_mask`` and
+``_indices`` convert.  Masks are the basis-blade bitmaps of Dorst, Fontijne
+and Mann (*Geometric Algebra for Computer Science*, 2007, ch. 19): monomials
+with ``ma & mb`` share a generator, so their product is zero; otherwise it
+is +-(ma | mb), negative when moving each generator of b left past those of
+a above it takes an odd number of swaps, that is when
+``(_above(ma) & mb).bit_count()`` is odd.
 
 Sums and products work on the int numerator/denominator pairs of the
 coefficients and build each output coefficient once, through ``_ratio``:
@@ -25,18 +33,7 @@ pins their names.
 ``GrassmannElement`` and ``poly.SparsePoly`` both keep an immutable canonical
 ``terms`` dict over one context, so the storage, the immutability guard and
 the arithmetic that follows from ``+``, unary ``-`` and ``*`` live once, in
-their base ``_Sparse``; ``_unchecked`` wraps the results of arithmetic.
-
-Products multiply monomials as bit masks, as in the basis-blade bitmaps of
-Dorst, Fontijne and Mann (*Geometric Algebra for Computer Science*, 2007,
-ch. 19).  Generator i is bit i - 1 of a monomial's ``mask``, and bit j of its
-``above`` mask is the parity of its generators above generator j + 1.  Two
-monomials with ``ma & mb`` share a generator, so their product is zero;
-otherwise it is +-(ma | mb).  Moving each generator of b left past the
-generators of a above it gives the sign, so the product is negative when
-``(above_a & mb).bit_count()`` is odd.  ``_MASKS`` (tuple -> (mask, above))
-and ``_TUPLES`` (mask -> tuple) are filled on first use and hold at most one
-entry per monomial; ``.terms`` stays keyed by index tuples.
+their base ``_Sparse``; ``_unchecked`` wraps terms canonical by construction.
 
 Usage:
 
@@ -84,36 +81,45 @@ def _graded_basis(n, parity):
     return tuple(m for m in _basis(n) if len(m) % 2 == parity)
 
 
-#: index tuple -> (mask, above), and mask -> index tuple, filled on first use
-_MASKS = {}
-_TUPLES = {0: ()}
+@cache
+def _masks(n, parity=None):
+    """The masks of _basis(n), or of _graded_basis(n, parity), in order."""
+    return tuple(map(_mask, _basis(n) if parity is None else _graded_basis(n, parity)))
 
 
-def _mask_of(idx):
-    """(mask, above) of the index tuple idx, as the module docstring defines
-    them.  The four shifts leave bit j of above the parity of bits j + 1 to
-    j + 16 of mask, which reaches the last of MAX_GENERATORS = 16 bits."""
+def _mask(idx):
+    """The mask of the index tuple idx."""
     mask = 0
     for i in idx:
         mask |= 1 << (i - 1)
+    return mask
+
+
+def _indices(mask):
+    """The index tuple of mask, one lowest set bit at a time."""
+    idx = []
+    while mask:
+        low = mask & -mask
+        idx.append(low.bit_length())
+        mask ^= low
+    return tuple(idx)
+
+
+def _above(mask):
+    """Bit j is the parity of the generators of mask above xi_{j+1}; the four
+    shifts fold in the next 16 bits, as many as MAX_GENERATORS."""
     above = mask >> 1
     for k in 1, 2, 4, 8:
         above ^= above >> k
-    return mask, above
+    return above
 
 
-def _masked(idx):
-    """_mask_of(idx), stored in _MASKS and _TUPLES."""
-    pair = _MASKS[idx] = _mask_of(idx)
-    _TUPLES[pair[0]] = idx
-    return pair
-
-
-def _tuple(mask):
-    """The index tuple of mask, stored in _MASKS and _TUPLES."""
-    idx = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-    _masked(idx)
-    return idx
+def _below(mask):
+    """Bit j is the parity of the generators of mask below xi_{j+1}."""
+    below = mask << 1
+    for k in 1, 2, 4, 8:
+        below ^= below << k
+    return below
 
 
 _CONTEXTS = {}
@@ -139,8 +145,8 @@ class AlgebraContext:
         if ctx is None:
             ctx = object.__new__(cls)
             object.__setattr__(ctx, "n", n)
-            object.__setattr__(ctx, "_zero", GrassmannElement(ctx, {}))
-            object.__setattr__(ctx, "_one", GrassmannElement(ctx, {(): Fraction(1)}))
+            object.__setattr__(ctx, "_zero", _unchecked(GrassmannElement, ctx, {}))
+            object.__setattr__(ctx, "_one", _unchecked(GrassmannElement, ctx, {0: Fraction(1)}))
             _CONTEXTS[n] = ctx
         return ctx
 
@@ -166,39 +172,29 @@ class AlgebraContext:
             value = _ratio(value, 1)
         elif type(value) is not Fraction:
             value = Fraction(value)
-        return GrassmannElement(self, {(): value} if value else {})
+        return _unchecked(GrassmannElement, self, {0: value} if value else {})
 
     def gen(self, i: int) -> "GrassmannElement":
         """The i-th generator xi_i, 1-based."""
-        if not 1 <= i <= self.n:
-            raise ConfigError(f"generator index {i} outside 1..{self.n}")
-        return GrassmannElement(self, {(i,): Fraction(1)})
+        if type(i) is not int or not 1 <= i <= self.n:
+            raise ConfigError(f"generator index {i!r} outside 1..{self.n}")
+        return _unchecked(GrassmannElement, self, {1 << (i - 1): Fraction(1)})
 
     def monomial(self, indices, coeff=1) -> "GrassmannElement":
-        coeff = Fraction(coeff)
-        idx = tuple(indices)
-        self._check_index(idx)
-        return GrassmannElement(self, {idx: coeff} if coeff else {})
+        return GrassmannElement(self, {tuple(indices): coeff})
 
     def element(self, terms) -> "GrassmannElement":
         """Element from a {index_tuple: coefficient} mapping (zeros dropped)."""
-        canon = {}
-        for idx, coeff in terms.items():
-            idx = tuple(idx)
-            self._check_index(idx)
-            coeff = Fraction(coeff)
-            if coeff:
-                if idx in canon:
-                    raise ConfigError(f"duplicate monomial {idx!r}")
-                canon[idx] = coeff
-        return GrassmannElement(self, canon)
+        return GrassmannElement(self, terms)
 
-    def _check_index(self, idx):
-        for a, b in zip(idx, idx[1:]):
-            if a >= b:
-                raise ConfigError(f"monomial indices must be strictly increasing, got {idx!r}")
-        if idx and (idx[0] < 1 or idx[-1] > self.n):
+    def _check_index(self, indices):
+        """``indices`` as a tuple, once it is a monomial of this algebra."""
+        idx = tuple(indices)
+        if not all(type(i) is int and 1 <= i <= self.n for i in idx):
             raise ConfigError(f"monomial {idx!r} outside generator range 1..{self.n}")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ConfigError(f"monomial indices must be strictly increasing, got {idx!r}")
+        return idx
 
     # -- monomial enumeration -----------------------------------------
 
@@ -238,7 +234,7 @@ class _Sparse:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), (self.ctx, self.terms)
+        return _unchecked, (type(self), self.ctx, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -287,10 +283,10 @@ _new = object.__new__
 def _unchecked(cls, ctx, terms):
     """A ``cls`` value around ``terms`` without the subclass's checks.
 
-    Only for terms that are canonical for ``cls`` over ``ctx``: results of
-    arithmetic on values of one kind and algebra.  Everything else goes
-    through the constructor.  A plain function, since this is the hot path
-    of every product.
+    Only for terms already canonical for ``cls`` over ``ctx`` (keyed by mask
+    for an element): results of arithmetic, and of the builders that make
+    them so.  Everything else goes through the checked constructor.  A plain
+    function, since this is the hot path of every product.
     """
     x = _new(cls)
     _set_ctx(x, ctx)
@@ -307,10 +303,25 @@ class GrassmannElement(_Sparse):
 
     __slots__ = ()
 
+    def __init__(self, ctx: AlgebraContext, terms):
+        """The element of ``ctx`` with the {index_tuple: coefficient} terms, each
+        tuple increasing in 1..n and none twice (else ConfigError), zeros dropped."""
+        canon = {}
+        for idx, coeff in terms.items():
+            mask = _mask(ctx._check_index(idx))
+            if mask in canon:
+                raise ConfigError(f"duplicate monomial {tuple(idx)!r}")
+            canon[mask] = Fraction(coeff)
+        super().__init__(ctx, {m: c for m, c in canon.items() if c})
+
     # -- basics -------------------------------------------------------
 
     def coefficient(self, indices) -> Fraction:
-        return self.terms.get(tuple(indices), linalg.ZERO)
+        return self.terms.get(_mask(self.ctx._check_index(indices)), linalg.ZERO)
+
+    def sorted_terms(self):
+        """The (index tuple, coefficient) pairs in lexicographic order."""
+        return sorted((_indices(m), c) for m, c in self.terms.items())
 
     def _coerce(self, other):
         if isinstance(other, GrassmannElement):
@@ -353,27 +364,30 @@ class GrassmannElement(_Sparse):
         a, b = self.terms, other.terms
         if not a or not b:
             return self.ctx._zero
-        if len(b) == 1 and () in b:
-            c = b[()]
+        if len(b) == 1 and 0 in b:
+            c = b[0]
             return self._scaled(c._numerator, c._denominator)
-        if len(a) == 1 and () in a:
-            c = a[()]
+        if len(a) == 1 and 0 in a:
+            c = a[0]
             return other._scaled(c._numerator, c._denominator)
-        # sums are kept by product mask as unreduced (numerator, denominator)
-        # int pairs, so each output coefficient costs one _ratio; a key whose
-        # running sum cancels is dropped and re-enters at the end, as with
-        # Fraction sums.  A (mask, above) pair is never falsy.
-        right = [((_MASKS.get(ib) or _masked(ib))[0], cb._numerator, cb._denominator)
-                 for ib, cb in b.items()]
+        # only the shorter factor, outside, needs sign masks (_below once
+        # swapped).  Sums are kept by product mask as unreduced int pairs, so
+        # each output coefficient costs one _ratio; a key whose running sum
+        # cancels is dropped and re-enters at the end, as with Fraction sums.
+        swap = len(a) > len(b)
+        if swap:
+            a, b = b, a
         acc = {}
-        for ia, ca in a.items():
+        for ma, ca in a.items():
             na, da = ca._numerator, ca._denominator
-            ma, above = _MASKS.get(ia) or _masked(ia)
-            for mb, nb, db in right:
+            s = _below(ma) if swap else _above(ma)
+            for mb, cb in b.items():
                 if ma & mb:
                     continue
-                num = -na * nb if (above & mb).bit_count() & 1 else na * nb
-                den = da * db
+                num = cb._numerator * na
+                if (s & mb).bit_count() & 1:
+                    num = -num
+                den = cb._denominator * da
                 m = ma | mb
                 prev = acc.get(m)
                 if prev is not None:
@@ -388,8 +402,7 @@ class GrassmannElement(_Sparse):
                         continue
                 acc[m] = (num, den)
         return _unchecked(GrassmannElement, self.ctx,
-                          {(_TUPLES[m] if m in _TUPLES else _tuple(m)): _ratio(n, d)
-                           for m, (n, d) in acc.items()})
+                          {m: _ratio(n, d) for m, (n, d) in acc.items()})
 
     def _scaled(self, nc, dc):
         """self times the nonzero rational nc / dc, in lowest terms, dc > 0."""
@@ -427,7 +440,7 @@ class GrassmannElement(_Sparse):
 
     def __hash__(self):
         # a scalar equals its Fraction, so it hashes like one
-        if not self.terms.keys() - {()}:
+        if not self.terms.keys() - {0}:
             return hash(self.body())
         return hash((self.ctx, tuple(self.sorted_terms())))
 
@@ -435,12 +448,12 @@ class GrassmannElement(_Sparse):
 
     def body(self) -> Fraction:
         """Coefficient of the empty monomial (the scalar part)."""
-        return self.terms.get((), linalg.ZERO)
+        return self.terms.get(0, linalg.ZERO)
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent remainder: self minus body."""
         return _unchecked(GrassmannElement, self.ctx,
-                          {idx: c for idx, c in self.terms.items() if idx})
+                          {m: c for m, c in self.terms.items() if m})
 
     def body_soul(self):
         return self.body(), self.soul()
@@ -449,26 +462,15 @@ class GrassmannElement(_Sparse):
         """One of "zero", "even", "odd", "mixed" from the monomial lengths."""
         if not self.terms:
             return ZERO
-        kinds = {len(idx) & 1 for idx in self.terms}
-        if kinds == {0}:
-            return EVEN
-        if kinds == {1}:
-            return ODD
-        return MIXED
+        return EVEN if self.is_even() else ODD if self.is_odd() else MIXED
 
     def is_even(self) -> bool:
         """Even-or-zero: every monomial has even length (vacuously for 0)."""
-        for idx in self.terms:
-            if len(idx) & 1:
-                return False
-        return True
+        return not any(m.bit_count() & 1 for m in self.terms)
 
     def is_odd(self) -> bool:
         """Odd-or-zero: every monomial has odd length (vacuously for 0)."""
-        for idx in self.terms:
-            if not len(idx) & 1:
-                return False
-        return True
+        return all(m.bit_count() & 1 for m in self.terms)
 
     # -- inversion and nilpotency -------------------------------------
 
@@ -560,7 +562,7 @@ class AnnihilatorBasis:
         self.ctx = ctx
         self.basis = tuple(basis)
         self.free = tuple(free)
-        self._rows = {f: b.terms for f, b in zip(self.free, self.basis)}
+        self._rows = {_mask(f): b.terms for f, b in zip(self.free, self.basis)}
 
     @property
     def dim(self) -> int:
@@ -588,23 +590,25 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     if ctx is None:
         raise ConfigError("empty generator list needs an explicit ctx")
 
-    odd = ctx.odd_monomials()
+    odd = _masks(ctx.n, 1)
     # constraint rows: for each generator a and each monomial that occurs in
     # some odd_j * a, the coefficient of (sum_j c_j * odd_j) * a must vanish.
-    # The masks of the odd monomials are not stored: at n = 16 there are 2^15.
+    # Column j is the position of odd_j in the lexicographic odd list, so
+    # pivots and free columns come in that order.
     rows = []
     for a in gens:
-        right = [((_MASKS.get(idx) or _masked(idx))[0], c) for idx, c in a.terms.items()]
         by_target = {}
-        for m in odd:
-            ma, above = _mask_of(m)
-            for mb, c in right:
+        for j, ma in enumerate(odd):
+            above = _above(ma)
+            for mb, c in a.terms.items():
                 if not ma & mb:
-                    by_target.setdefault(ma | mb, {})[m] = (
+                    by_target.setdefault(ma | mb, {})[j] = (
                         -c if (above & mb).bit_count() & 1 else c)
         rows.extend(by_target.values())
-    basis, free = linalg.kernel_basis(linalg.echelon(rows), odd)
-    return AnnihilatorBasis(ctx, [GrassmannElement(ctx, v) for v in basis], free)
+    basis, free = linalg.kernel_basis(linalg.echelon(rows), range(len(odd)))
+    vectors = [_unchecked(GrassmannElement, ctx, {odd[j]: c for j, c in v.items()})
+               for v in basis]
+    return AnnihilatorBasis(ctx, vectors, [ctx.odd_monomials()[j] for j in free])
 
 
 def odd_span_contains(ctx, rows, x) -> bool:

@@ -129,12 +129,13 @@ def _read_family(path: str) -> ParamSuperMatrix:
 
 def _family_from_arg(args) -> ParamSuperMatrix:
     """--family accepts a named kind, built with --alpha over an algebra of
-    --generators, or a path to a serialized family."""
-    from .families import make_family
+    --generators, or a path to a serialized family; either way --generators
+    and --alpha (odd) are checked."""
+    from .families import _family_alpha, make_family
 
+    alpha = _family_alpha(parse_alpha(args.alpha, create_algebra(args.generators)))
     if args.family in FAMILY_KINDS:
-        ctx = create_algebra(args.generators)
-        return make_family(args.family, parse_alpha(args.alpha, ctx))
+        return make_family(args.family, alpha)
     return _read_family(args.family)
 
 

@@ -1,11 +1,11 @@
 """Exact sparse elimination over Fraction.
 
-A row is a dict {column: nonzero Fraction}; a ``GrassmannElement.terms``
-dict is one, with its monomials as columns.  Columns are ordered by their
-keys' natural order, which for monomial tuples is the lexicographic basis
-order, and each row's pivot is its leftmost column.  An echelon form is a
-dict {pivot column: row} in which every row is 1 at its own pivot and 0 at
-every other pivot, which makes it the reduced row-echelon form.
+A row is a dict {column: nonzero Fraction}, its columns any ordered keys,
+and each row's pivot is its leftmost column.  ``algebra.annihilator_odd``
+keys columns by position in the lexicographic list of odd monomials; a
+``GrassmannElement.terms`` dict is a row keyed by monomial mask.  An echelon
+form is a dict {pivot column: row} in which every row is 1 at its own pivot
+and 0 at every other pivot, which makes it the reduced row-echelon form.
 
 For a fixed column order the reduced row-echelon form of a matrix is
 unique: it depends only on the row space, not on the order in which rows

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, log
 
-from .algebra import AlgebraContext, GrassmannElement, _unchecked
+from .algebra import AlgebraContext, GrassmannElement, _masks, _unchecked
 from .linalg import _merge
 from .supermatrix import SuperMatrix, SuperVector, _check_blocks, _det
 
@@ -86,9 +86,9 @@ def _sample(bits, pool, k):
 
 
 def _random_terms(rng, pool, max_terms):
-    """The canonical term dict of a random sparse element over ``pool``:
-    ``randint(0, max_terms)`` terms, picked by ``sample``, each with a
-    ``random_coeff`` (dropped when zero)."""
+    """The canonical term dict of a random sparse element over the monomial
+    masks ``pool``: ``randint(0, max_terms)`` terms, picked by ``sample``,
+    each with a ``random_coeff`` (dropped when zero)."""
     if max_terms < 0:
         raise ValueError(f"max_terms must be nonnegative, got {max_terms}")
     bits = rng.getrandbits
@@ -119,23 +119,16 @@ def random_element(rng, ctx: AlgebraContext, parity=None, max_terms=3, body=None
     ``body`` forces the scalar coefficient (use a nonzero value to make the
     result invertible).
     """
-    if parity == "odd":
-        pool = ctx.odd_monomials()
-    elif parity == "even":
-        pool = ctx.even_monomials()
-    else:
-        pool = ctx.basis()
+    pool = _masks(ctx.n, {"even": 0, "odd": 1}.get(parity))
     terms = _random_terms(rng, pool, max_terms)
     if body is not None:
         if parity == "odd":
             raise ValueError("cannot force a body onto an odd element")
         if body:
-            terms[()] = Fraction(body)
+            terms[0] = Fraction(body)
         else:
-            terms.pop((), None)
-    # distinct basis monomials with nonzero Fraction coefficients: already
-    # canonical, so ctx.element's checks would find nothing
-    return GrassmannElement(ctx, terms)
+            terms.pop(0, None)
+    return _unchecked(GrassmannElement, ctx, terms)
 
 
 def random_nonzero_odd(rng, ctx):
@@ -161,14 +154,14 @@ def random_invertible_even_grid(rng, ctx, q):
         bodies = [[_coeff(bits) for _ in range(q)] for _ in range(q)]
         if _det(bodies):
             break
-    souls = ctx.even_monomials()[1:]
+    souls = _masks(ctx.n, 0)[1:]
     grid = []
     for row in bodies:
         out = []
         for body in row:
-            terms = {(): body} if body else {}
+            terms = {0: body} if body else {}
             terms.update(_random_terms(rng, souls, 1))
-            out.append(GrassmannElement(ctx, terms))
+            out.append(_unchecked(GrassmannElement, ctx, terms))
         grid.append(out)
     return grid
 
@@ -177,10 +170,11 @@ def random_supermatrix(rng, ctx, p=1, q=1, invertible_b=True):
     """Random even (p|q) supermatrix, its entries drawn row by row; with
     invertible_b the B block is drawn last, by ``random_invertible_even_grid``."""
     _check_blocks(p, q)
-    even, odd = ctx.even_monomials(), ctx.odd_monomials()
+    even, odd = _masks(ctx.n, 0), _masks(ctx.n, 1)
     d = p + q
     rows = [
-        [GrassmannElement(ctx, _random_terms(rng, even if (i < p) == (j < p) else odd, 2))
+        [_unchecked(GrassmannElement, ctx,
+                    _random_terms(rng, even if (i < p) == (j < p) else odd, 2))
          for j in range(p if invertible_b and i >= p else d)]
         for i in range(d)
     ]

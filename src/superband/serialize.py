@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import GrassmannElement, _coefficient_str, create_algebra
+from .algebra import GrassmannElement, _coefficient_str, _mask, _unchecked, create_algebra
 from .errors import ConfigError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -170,10 +170,10 @@ def load_element(obj) -> GrassmannElement:
         previous = idx
         c = _rational(entry["c"], "coefficient")
         if c:
-            terms[idx] = c
+            terms[_mask(idx)] = c
     # indices, order and coefficients are checked above, so the terms are
     # already canonical
-    return GrassmannElement(ctx, terms)
+    return _unchecked(GrassmannElement, ctx, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from superband import algebra
 from superband.algebra import (
     AlgebraContext,
     AnnihilatorBasis,
+    GrassmannElement,
     _ratio,
     annihilator_odd,
     create_algebra,
@@ -49,11 +50,18 @@ def _oracle_mul_mono(a, b):
     return sign, tuple(word)
 
 
+def _terms(x):
+    """x as an {index tuple: coefficient} dict, read through sorted_terms.
+    The oracles read and compare elements only through the public index
+    tuples, never through the kernel's own monomial keys."""
+    return dict(x.sorted_terms())
+
+
 def _oracle_mul(x, y):
     """Dict-level product used as ground truth for GrassmannElement.__mul__."""
     acc = {}
-    for ia, ca in x.terms.items():
-        for ib, cb in y.terms.items():
+    for ia, ca in x.sorted_terms():
+        for ib, cb in y.sorted_terms():
             sign, key = _oracle_mul_mono(ia, ib)
             if sign == 0:
                 continue
@@ -63,7 +71,7 @@ def _oracle_mul(x, y):
 
 def _coordinates(x, monomials):
     """Dense coefficient vector of x over an explicit monomial list."""
-    return [x.terms.get(m, Fraction(0)) for m in monomials]
+    return [x.coefficient(m) for m in monomials]
 
 
 def _local_rank(rows):
@@ -199,6 +207,43 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ctx.gen(0)
 
+    def test_constructor_checks_index_tuples(self):
+        ctx = create_algebra(3)
+        bad = [
+            {(2, 1): 1},  # not increasing
+            {(1, 1): 1},
+            {(4,): 1},  # outside 1..3
+            {(0, 2): 1},
+            {(1, 2): 1, range(1, 3): 2},  # one monomial twice
+            {(2, 1): 1, (): 0},
+        ]
+        for terms in bad:
+            with pytest.raises(ConfigError):
+                GrassmannElement(ctx, terms)
+            with pytest.raises(ConfigError):
+                ctx.element(terms)
+        # an index must be an int, not merely equal to one
+        for make in (lambda: ctx.monomial((1.0, 2)), lambda: ctx.gen(1.5), lambda: ctx.gen(2.0)):
+            with pytest.raises(ConfigError):
+                make()
+
+    def test_constructor_drops_zero_coefficients(self):
+        ctx = create_algebra(3)
+        x = GrassmannElement(ctx, {(): 0, (1, 3): Fraction(2, 4), (2,): 0})
+        assert x == ctx.element({(1, 3): Fraction(1, 2)}) == ctx.monomial((1, 3), Fraction(1, 2))
+        assert x.sorted_terms() == [((1, 3), Fraction(1, 2))]
+        assert GrassmannElement(ctx, {(): 0}).is_zero() and str(GrassmannElement(ctx, {})) == "0"
+
+    def test_coefficient_checks_its_monomial(self):
+        ctx = create_algebra(3)
+        x = ctx.monomial((1, 2), 5) + 1
+        assert x.coefficient((1, 2)) == 5 and x.coefficient(()) == 1
+        assert x.coefficient([1, 3]) == 0
+        # xi2*xi1 = -xi1*xi2, so a coefficient at (2, 1) would be ambiguous
+        for idx in ((2, 1), (1, 1), (4,)):
+            with pytest.raises(ConfigError):
+                x.coefficient(idx)
+
     def test_context_mixing(self):
         a = create_algebra(2).gen(1)
         b = create_algebra(3).gen(1)
@@ -232,7 +277,7 @@ class TestRingLaws:
     def test_matches_oracle(self, xyz):
         """x*y agrees with the bubble-sort sign oracle."""
         x, y, _ = xyz
-        assert (x * y).terms == _oracle_mul(x, y)
+        assert _terms(x * y) == _oracle_mul(x, y)
 
     @given(element_triples())
     def test_associative(self, xyz):
@@ -369,7 +414,7 @@ class TestAnnihilator:
         for g in gens:
             images = [ctx.monomial(m) * g for m in odd]
             for target in full:
-                rows.append([im.terms.get(target, Fraction(0)) for im in images])
+                rows.append([im.coefficient(target) for im in images])
         expected_dim = len(odd) - _local_rank(rows)
         assert ann.dim == expected_dim
         # independence of the returned basis
@@ -478,7 +523,7 @@ class TestMonomialProducts:
                 for b in basis:
                     sign, merged = _oracle_mul_mono(a, b)
                     want = {merged: Fraction(sign)} if sign else {}
-                    assert (x * ctx.monomial(b)).terms == want
+                    assert _terms(x * ctx.monomial(b)) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -488,7 +533,7 @@ class TestMonomialProducts:
         a, b = data.draw(index_sets), data.draw(index_sets)
         sign, merged = _inversion_product(a, b)
         want = {merged: Fraction(sign)} if sign else {}
-        assert (ctx.monomial(a) * ctx.monomial(b)).terms == want
+        assert _terms(ctx.monomial(a) * ctx.monomial(b)) == want
 
     def test_random_elements_n10_to_n16(self):
         rng = random.Random(1016)
@@ -497,7 +542,7 @@ class TestMonomialProducts:
             for _ in range(40):
                 x = random_element(rng, ctx, max_terms=6)
                 y = random_element(rng, ctx, max_terms=6)
-                assert (x * y).terms == _oracle_mul(x, y)
+                assert _terms(x * y) == _oracle_mul(x, y)
 
 
 class TestRatio:
@@ -533,8 +578,8 @@ class TestRatio:
 
 def _oracle_sum(x, y, sign=1):
     """Dict-level x + sign*y over Fraction, the ground truth for + and -."""
-    acc = dict(x.terms)
-    for key, c in y.terms.items():
+    acc = _terms(x)
+    for key, c in y.sorted_terms():
         acc[key] = acc.get(key, Fraction(0)) + sign * c
     return {k: v for k, v in acc.items() if v}
 
@@ -543,10 +588,10 @@ class TestSumOracle:
     @given(element_triples())
     def test_add_sub_neg_match_fraction_sums(self, xyz):
         x, y, _ = xyz
-        assert (x + y).terms == _oracle_sum(x, y)
-        assert (x - y).terms == _oracle_sum(x, y, -1)
-        assert (-x).terms == _oracle_sum(x.ctx.zero(), x, -1)
-        for c in (x + y).terms.values():
+        assert _terms(x + y) == _oracle_sum(x, y)
+        assert _terms(x - y) == _oracle_sum(x, y, -1)
+        assert _terms(-x) == _oracle_sum(x.ctx.zero(), x, -1)
+        for c in _terms(x + y).values():
             assert type(c) is Fraction
 
     @given(element_triples())
@@ -554,10 +599,10 @@ class TestSumOracle:
         x, _, _ = xyz
         ctx = x.ctx
         for zero in (ctx.zero(), 0, Fraction(0)):
-            assert (x + zero).terms == (zero + x).terms == _oracle_sum(x, ctx.zero())
+            assert _terms(x + zero) == _terms(zero + x) == _oracle_sum(x, ctx.zero())
         for one in (ctx.one(), 1, ctx.scalar(Fraction(2, 2))):
-            assert (x * one).terms == (one * x).terms == _oracle_mul(x, ctx.one())
-        assert (x * ctx.zero()).terms == (ctx.zero() * x).terms == {}
+            assert _terms(x * one) == _terms(one * x) == _oracle_mul(x, ctx.one())
+        assert _terms(x * ctx.zero()) == _terms(ctx.zero() * x) == {}
 
 
 class TestRationalOperands:
@@ -574,16 +619,16 @@ class TestRationalOperands:
         xs += [random_element(rng, ctx, max_terms=6) for _ in range(60)]
         for x in xs:
             for r in self.RATIONALS:
-                want = (x * ctx.scalar(r)).terms
+                want = _terms(x * ctx.scalar(r))
                 assert want == _oracle_mul(x, ctx.scalar(r))
                 pairs = [(x * r, want), (r * x, want)]
                 if r:
-                    pairs.append((x / r, (x * ctx.scalar(1 / Fraction(r))).terms))
+                    pairs.append((x / r, _terms(x * ctx.scalar(1 / Fraction(r)))))
                 else:
                     assert x * r is r * x is ctx.zero()
                 for got, expect in pairs:
-                    assert got.terms == expect
-                    assert all(type(c) is Fraction for c in got.terms.values())
+                    assert _terms(got) == expect
+                    assert all(type(c) is Fraction for c in _terms(got).values())
 
 
 class TestHashAgreesWithEquality:

@@ -587,6 +587,21 @@ class TestOrbit:
         assert (code, out) == (2, "")
         assert err == "superband: vector from a different algebra\n"
 
+    @pytest.mark.parametrize("command", ["orbit", "resolvent"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--generators", "17"), "number of generators must be an integer in 1..16, got 17"),
+        (("--alpha", "xi1 xi2"), "family parameter alpha must be odd or zero, got xi1*xi2"),
+    ], ids=["generators", "alpha"])
+    def test_flags_are_checked_with_a_family_path(self, capsys, tmp_path, command, flags,
+                                                   message):
+        """--generators and --alpha are checked when --family is a path, as
+        they are for a named family."""
+        ctx = create_algebra(4)
+        fam = write_json(tmp_path, "fam.json", make_family("P", ctx.gen(1)))
+        x0 = ["--x0", self._x0_path(tmp_path, ctx)] if command == "orbit" else []
+        code, out, err = run_cli(capsys, command, *x0, "--family", fam, *flags)
+        assert (code, out, err) == (2, "", f"superband: {message}\n")
+
 
 class TestAnnihilator:
     def test_single_generator(self, capsys):

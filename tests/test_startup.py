@@ -109,8 +109,8 @@ def test_algebra_import_precomputes_no_masks():
     # every one-shot process would pay for a table built at import
     run_python(
         "from superband import algebra\n"
-        "assert algebra._MASKS == {}, len(algebra._MASKS)\n"
-        "assert algebra._TUPLES == {0: ()}, len(algebra._TUPLES)"
+        "for f in algebra._basis, algebra._graded_basis, algebra._masks:\n"
+        "    assert f.cache_info().currsize == 0, f"
     )
 
 
