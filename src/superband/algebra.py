@@ -114,14 +114,6 @@ def _above(mask):
     return above
 
 
-def _below(mask):
-    """Bit j is the parity of the generators of mask below xi_{j+1}."""
-    below = mask << 1
-    for k in 1, 2, 4, 8:
-        below ^= below << k
-    return below
-
-
 _CONTEXTS = {}
 
 
@@ -370,17 +362,13 @@ class GrassmannElement(_Sparse):
         if len(a) == 1 and 0 in a:
             c = a[0]
             return other._scaled(c._numerator, c._denominator)
-        # only the shorter factor, outside, needs sign masks (_below once
-        # swapped).  Sums are kept by product mask as unreduced int pairs, so
-        # each output coefficient costs one _ratio; a key whose running sum
+        # Sums are kept by product mask as unreduced int pairs, so each
+        # output coefficient costs one _ratio; a key whose running sum
         # cancels is dropped and re-enters at the end, as with Fraction sums.
-        swap = len(a) > len(b)
-        if swap:
-            a, b = b, a
         acc = {}
         for ma, ca in a.items():
             na, da = ca._numerator, ca._denominator
-            s = _below(ma) if swap else _above(ma)
+            s = _above(ma)
             for mb, cb in b.items():
                 if ma & mb:
                     continue
@@ -553,7 +541,8 @@ class AnnihilatorBasis:
     vectors are linearly independent and ordered by the lexicographic odd
     monomial order, so equal inputs always produce the identical basis.
     ``free`` holds each vector's free monomial: the vector has coefficient 1
-    there and 0 at every other vector's free monomial.
+    there and 0 at every other vector's free monomial.  The constructor takes
+    those monomials as masks.
     """
 
     __slots__ = ("ctx", "basis", "free", "_rows")
@@ -561,8 +550,8 @@ class AnnihilatorBasis:
     def __init__(self, ctx, basis, free):
         self.ctx = ctx
         self.basis = tuple(basis)
-        self.free = tuple(free)
-        self._rows = {_mask(f): b.terms for f, b in zip(self.free, self.basis)}
+        self._rows = dict(zip(free, (b.terms for b in self.basis)))
+        self.free = tuple(map(_indices, self._rows))
 
     @property
     def dim(self) -> int:
@@ -608,7 +597,7 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     basis, free = linalg.kernel_basis(linalg.echelon(rows), range(len(odd)))
     vectors = [_unchecked(GrassmannElement, ctx, {odd[j]: c for j, c in v.items()})
                for v in basis]
-    return AnnihilatorBasis(ctx, vectors, [ctx.odd_monomials()[j] for j in free])
+    return AnnihilatorBasis(ctx, vectors, [odd[j] for j in free])
 
 
 def odd_span_contains(ctx, rows, x) -> bool:
