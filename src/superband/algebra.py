@@ -586,13 +586,14 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     # pivots and free columns come in that order.
     rows = []
     for a in gens:
+        signed = [(mb, c, _ratio(-c._numerator, c._denominator)) for mb, c in a.terms.items()]
         by_target = {}
         for j, ma in enumerate(odd):
             above = _above(ma)
-            for mb, c in a.terms.items():
+            for mb, c, neg in signed:
                 if not ma & mb:
                     by_target.setdefault(ma | mb, {})[j] = (
-                        -c if (above & mb).bit_count() & 1 else c)
+                        neg if (above & mb).bit_count() & 1 else c)
         rows.extend(by_target.values())
     basis, free = linalg.kernel_basis(linalg.echelon(rows), range(len(odd)))
     vectors = [_unchecked(GrassmannElement, ctx, {odd[j]: c for j, c in v.items()})

@@ -13,11 +13,11 @@ from collections import namedtuple
 from math import comb
 
 from .algebra import annihilator_odd
-from .errors import ConfigError, ContextError, ShapeError
-from .families import ParamSuperMatrix, functional_residual, product_and_shift
+from .errors import ConfigError, ShapeError
+from .families import ParamSuperMatrix, _family_arg, functional_residual, product_and_shift
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_nonzero_odd
-from .supermatrix import SuperMatrix
+from .supermatrix import SuperMatrix, _container_arg
 
 MAX_COMPONENT_DEGREE = 8
 
@@ -34,15 +34,9 @@ class ComponentList:
             raise ConfigError("a component list needs at least K0")
         if len(mats) - 1 > MAX_COMPONENT_DEGREE:
             raise ConfigError(f"component degree is capped at {MAX_COMPONENT_DEGREE}")
-        first = mats[0]
-        for m in mats:
-            if not isinstance(m, SuperMatrix):
-                raise ConfigError("components must be SuperMatrices")
-            if not m.same_shape(first):
-                raise ShapeError("components must share one shape")
-            if m.ctx != first.ctx:
-                raise ContextError("components from different algebras")
-        self.ctx = first.ctx
+        for i, m in enumerate(mats):
+            _container_arg(m, SuperMatrix, f"component K{i}", like=mats[0])
+        self.ctx = mats[0].ctx
         self.components = mats
 
     @property
@@ -72,26 +66,18 @@ class ComponentList:
 
     def family(self, var: str = "t") -> ParamSuperMatrix:
         """Rebuild the polynomial family sum Km var^m."""
-        if var not in ("t", "s"):
-            raise ConfigError(f"unknown parameter {var!r}")
+        i = GrassmannPoly._index(var)
         return ParamSuperMatrix._from_coefficients(self[0], {
-            (m, 0) if var == "t" else (0, m): (k, 1) for m, k in enumerate(self.components)
+            (0, m) if i else (m, 0): (k, 1) for m, k in enumerate(self.components)
         })
 
     def __repr__(self):
         return f"ComponentList(degree={self.degree}, shape=({self[0].p}|{self[0].q}))"
 
 
-def _as_components(components) -> ComponentList:
-    if isinstance(components, ComponentList):
-        return components
-    return ComponentList(components)
-
-
 def components_of(family: ParamSuperMatrix) -> ComponentList:
     """Coefficient extraction per power of t for a single-parameter family."""
-    if "s" in family.variables():
-        raise ConfigError("component extraction expects a family in t only")
+    _family_arg(family)
     degree = max(x.degree("t") for row in family.rows for x in row)
     return ComponentList(
         [family._map(lambda x: x.coefficient(t=m), SuperMatrix) for m in range(degree + 1)]
@@ -114,7 +100,7 @@ def band_component_system_check(components) -> ComponentSystemReport:
     """K0^2 = K0; Ki^2 = Z, Ki K0 = Ki, K0 Ki = Z for i >= 1; Ki Kj = Z for
     distinct i, j >= 1.  Together these are exactly the band law
     K(t)K(s) = K(t) read off per power of t and s."""
-    c = _as_components(components)
+    c = ComponentList(components)
     k = c.components
     zero = SuperMatrix.zero(c.ctx, k[0].p, k[0].q)
     failures = []
@@ -148,7 +134,7 @@ class FunctionalReport(
 
 
 def n_functional_residual(components) -> FunctionalReport:
-    c = _as_components(components)
+    c = ComponentList(components)
     residual = functional_residual(c.family("t"))
     n = c.degree
     taylor = ParamSuperMatrix._from_coefficients(c[0], {
@@ -160,14 +146,14 @@ def n_functional_residual(components) -> FunctionalReport:
 def n_differential_defect(components) -> ParamSuperMatrix:
     """K'(t) - K1 K(t); for component lists passing the band system this is
     the derivative tail sum_{m=2..n} m Km t^(m-1) (zero in degree one)."""
-    c = _as_components(components)
+    c = ComponentList(components)
     fam = c.family("t")
     return fam.derivative("t") - ParamSuperMatrix.from_supermatrix(c.generator()) @ fam
 
 
 def derivative_tail(components) -> ParamSuperMatrix:
     """sum_{m=2..n} m Km t^(m-1), the part of K' beyond the generator term."""
-    c = _as_components(components)
+    c = ComponentList(components)
     return ParamSuperMatrix._from_coefficients(
         c[0], {(m - 1, 0): (c[m], m) for m in range(2, len(c.components))}
     )
@@ -242,7 +228,7 @@ def equivalence_report(family: ParamSuperMatrix) -> EquivalenceReport:
     For degree-one families the three truth values provably coincide.
     ``EquivalenceReport.from_sides(equivalence_sides(family))`` inspects a
     higher-degree family anyway (the values then need not agree)."""
-    degree = max(x.degree("t") for row in family.rows for x in row)
+    degree = components_of(family).degree
     if degree > 1:
         raise ShapeError(f"degree-one family required, got degree {degree}")
     return EquivalenceReport.from_sides(equivalence_sides(family))

@@ -6,7 +6,13 @@ usage-level problems (ConfigError, ParseError) to exit code 2.
 
 A refused graded argument (``algebra._graded_arg``) is a ConfigError if it is
 no GrassmannElement, a ContextError if it is of another algebra and a
-ParityError if it has the wrong parity; each message names the argument.
+ParityError if it has the wrong parity.  A refused container argument
+(``supermatrix._container_arg``: a matrix, vector, family or component list)
+is a ConfigError if it is no graded matrix or vector at all, a ShapeError if
+it is one of another class, shape or block sizes, and a ContextError if it
+is of another algebra.  A parameter name outside its kind's variables
+(``poly.SparsePoly._index``) is a ConfigError.  Each message names the
+argument.
 """
 
 from __future__ import annotations

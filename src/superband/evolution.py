@@ -13,10 +13,11 @@ identities term by term.
 from math import factorial
 
 from .algebra import ODD, GrassmannElement, _graded_arg
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .families import ParamSuperMatrix, ParamSuperVector, generator_of, product_and_shift
+from .families import _family_arg
 from .poly import LaurentScalar
-from .supermatrix import GradedMatrix, SuperMatrix, SuperVector
+from .supermatrix import GradedMatrix, SuperMatrix, SuperVector, _container_arg
 
 
 class LaurentMatrix(GradedMatrix):
@@ -34,11 +35,8 @@ class LaurentMatrix(GradedMatrix):
 
 def orbit(family: ParamSuperMatrix, x0: SuperVector) -> ParamSuperVector:
     """X(t) = F(t) X0 for a (1|1) family and constant initial vector."""
-    if (family.p, family.q) != (1, 1):
-        raise ShapeError(f"orbits are defined for (1|1) families, got ({family.p}|{family.q})")
-    if not isinstance(x0, SuperVector):
-        raise ConfigError(f"x0 must be a SuperVector, got {type(x0).__name__}")
-    return family.apply(x0)
+    _container_arg(family, ParamSuperMatrix, "family", shape=(1, 1))
+    return family.apply(_container_arg(x0, SuperVector, "x0"))
 
 
 def cauchy_defect(family: ParamSuperMatrix, x0: SuperVector) -> ParamSuperVector:
@@ -70,10 +68,7 @@ def commutativity_obstruction(x0: SuperVector, alpha: GrassmannElement):
     The odd orbit coordinate kappa(t) = alpha x0_even + kappa0 is constant,
     and the commutator of the generator with the family annihilates the
     orbit exactly when this product vanishes."""
-    if not isinstance(x0, SuperVector):
-        raise ConfigError(f"x0 must be a SuperVector, got {type(x0).__name__}")
-    if (x0.p, x0.q) != (1, 1):
-        raise ShapeError(f"expected a (1|1) vector, got ({x0.p}|{x0.q})")
+    _container_arg(x0, SuperVector, "x0", shape=(1, 1))
     _graded_arg(alpha, x0.ctx, ODD, "direction alpha")
     return alpha * (alpha * x0.even[0] + x0.odd[0])
 
@@ -83,9 +78,7 @@ def commutativity_obstruction(x0: SuperVector, alpha: GrassmannElement):
 
 def laplace(family: ParamSuperMatrix) -> LaurentMatrix:
     """Formal Laplace image: every entry c t^m becomes c m!/z^(m+1)."""
-    if "s" in family.variables():
-        raise ConfigError("the transform expects a family in t only")
-    ctx = family.ctx
+    ctx = _family_arg(family).ctx
 
     def image(poly):
         return LaurentScalar(
@@ -102,6 +95,7 @@ def resolvent_defect(r: LaurentMatrix) -> LaurentMatrix:
     renaming.  The standard resolvent identity makes this vanish; families
     obeying the band law instead leave a tail proportional to the generator.
     """
+    _container_arg(r, LaurentMatrix, "resolvent")
     if any(iw != 0 for row in r.rows for x in row for (_, iw) in x.terms):
         raise ConfigError("the resolvent must be given in z only")
     rw = r.rename("z", "w")
@@ -114,6 +108,7 @@ def resolvent_defect(r: LaurentMatrix) -> LaurentMatrix:
 def resolvent_tail(generator: SuperMatrix) -> LaurentMatrix:
     """(1/(zw) - 1/w^2) A: the resolvent defect of a band-law family whose
     generator is A, where the standard resolvent identity leaves zero."""
+    _container_arg(generator, SuperMatrix, "generator")
     one = generator.ctx.one()
     factor = LaurentScalar(generator.ctx, {(1, 1): one, (0, 2): -one})
     return LaurentMatrix.from_supermatrix(generator).scale(factor)

@@ -31,7 +31,7 @@ from .algebra import EVEN, ODD, GrassmannElement, _graded_arg, _Rational, _unche
 from .config import FAMILY_KINDS
 from .errors import ConfigError
 from .poly import MAX_VAR_DEGREE, GrassmannPoly
-from .supermatrix import GradedMatrix, GradedVector, SuperMatrix
+from .supermatrix import GradedMatrix, GradedVector, SuperMatrix, _container_arg
 
 
 class ParamSuperVector(GradedVector):
@@ -85,9 +85,8 @@ class ParamSuperMatrix(GradedMatrix):
 
     def substitute(self, var: str, replacement: GrassmannPoly):
         """Each entry's ``substitute``, sharing one table of replacement powers."""
-        first = self.rows[0][0]
-        i = first.VARS.index(var)
-        powers = first._powers(replacement)
+        i = GrassmannPoly._index(var)
+        powers = self.rows[0][0]._powers(replacement)
         m = self._map(lambda x: x._substituted(i, powers))
         # an odd replacement can break the grading, so that result is checked
         return m if powers[1].is_even() else type(self)(m.p, m.q, m.rows)
@@ -133,10 +132,16 @@ def make_family(kind: str, alpha: GrassmannElement) -> ParamSuperMatrix:
     return ParamSuperMatrix._graded(1, 1, rows)
 
 
+def _family_arg(family):
+    """family, once it is a ParamSuperMatrix in t only (else ConfigError)."""
+    _container_arg(family, ParamSuperMatrix, "family")
+    if "s" in family.variables():
+        raise ConfigError("family must be in t only, got one in s")
+    return family
+
+
 def in_var(family: ParamSuperMatrix, var: str) -> ParamSuperMatrix:
     """The same family written in another parameter (t -> s renaming)."""
-    if var == "t":
-        return family
     return family.rename("t", var)
 
 
@@ -168,6 +173,7 @@ def commutator(f: ParamSuperMatrix, g: ParamSuperMatrix) -> ParamSuperMatrix:
 
 def generator_of(family: ParamSuperMatrix) -> SuperMatrix:
     """d/dt at t = 0 (and s = 0), as a constant supermatrix."""
+    _container_arg(family, ParamSuperMatrix, "family")
     return family.derivative("t").eval_at({"t": 0, "s": 0})
 
 
@@ -177,8 +183,7 @@ def product_and_shift(family: ParamSuperMatrix):
     The band law compares the product with F(t), the exponential law with
     F(t+s); every law of the family's two-parameter product starts here.
     """
-    if "s" in family.variables():
-        raise ConfigError("expected a family in t only")
+    _family_arg(family)
     t_plus_s = GrassmannPoly.variable(family.ctx, "t") + GrassmannPoly.variable(
         family.ctx, "s"
     )
@@ -203,6 +208,8 @@ def nilpotent_time_commute_check(
     true exactly when tau * alpha == 0, which is what the callers assert.
     """
     alpha = _family_alpha(alpha)
+    _container_arg(f, ParamSuperMatrix, "f")
+    _container_arg(g, ParamSuperMatrix, "g", like=f)
     if isinstance(tau, _Rational):
         tau = f.ctx.scalar(tau)
     _graded_arg(tau, f.ctx, EVEN, "time tau")
@@ -212,6 +219,7 @@ def nilpotent_time_commute_check(
 
 def matrix_exp_nilpotent(m: SuperMatrix) -> ParamSuperMatrix:
     """exp(M t) as a terminating series; M^MAX_VAR_DEGREE must vanish."""
+    _container_arg(m, SuperMatrix, "matrix")
     coeffs = {}
     power = SuperMatrix.identity(m.ctx, m.p, m.q)
     for k in range(MAX_VAR_DEGREE + 1):
@@ -224,9 +232,7 @@ def matrix_exp_nilpotent(m: SuperMatrix) -> ParamSuperMatrix:
 
 def smoothing(family: ParamSuperMatrix) -> ParamSuperMatrix:
     """Entrywise integral from 0 to t."""
-    if "s" in family.variables():
-        raise ConfigError("expected a family in t only")
-    return family._map(lambda x: x.integrate("t"))
+    return _family_arg(family)._map(lambda x: x.integrate("t"))
 
 
 def differential_sequence(alpha: GrassmannElement, nmax: int):

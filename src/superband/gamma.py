@@ -17,10 +17,10 @@ from collections import namedtuple
 
 from . import linalg
 from .algebra import EVEN, ODD, _graded_arg, annihilator_odd, odd_span_contains
-from .errors import ConfigError, ContextError, NotInvertible, ShapeError
+from .errors import ConfigError, NotInvertible, ShapeError
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
-from .supermatrix import SuperMatrix, _grid_mul, berezinian, det_even
+from .supermatrix import SuperMatrix, _container_arg, _grid_mul, berezinian, det_even
 
 CLOSURE_MENU = ("t", "s", "t+s", "t*s")
 
@@ -91,11 +91,8 @@ def gamma_membership(m: SuperMatrix, g: GammaSet, side: str = "left") -> bool:
     """Whether the (1|1) antitriangle matrix [[0, u], [l, b]] belongs to the
     left family (u in the span, l annihilating it) or the mirrored right
     family (l in the span, u annihilating it)."""
-    if (m.p, m.q) != (1, 1):
-        raise ShapeError(f"membership is defined for (1|1) matrices, got ({m.p}|{m.q})")
+    _container_arg(m, SuperMatrix, "matrix", shape=(1, 1), ctx=g.ctx)
     _require_antitriangle(m, "membership")
-    if m.ctx != g.ctx:
-        raise ContextError("matrix and span from different algebras")
     upper = m.rows[0][1]
     lower = m.rows[1][0]
     if side == "left":
@@ -122,18 +119,8 @@ def strong_gamma_check(family) -> StrongGammaReport:
     """Check G_i D_j = 0 and D_i G_j = 0 for all ordered pairs, self-pairs
     included.  An empty family is vacuously strong."""
     mats = list(family)
-    if not mats:
-        return StrongGammaReport(True, (), ())
-    first = mats[0]
-    for m in mats:
-        if not isinstance(m, SuperMatrix):
-            raise ShapeError("expected SuperMatrices")
-        if not m.same_shape(first):
-            raise ShapeError(
-                f"mixed shapes ({m.p}|{m.q}) and ({first.p}|{first.q}) in one family"
-            )
-        if m.ctx != first.ctx:
-            raise ContextError("family members from different algebras")
+    for i, m in enumerate(mats):
+        _container_arg(m, SuperMatrix, f"family member {i}", like=mats[0])
         _require_antitriangle(m, "strongness")
     gammas = [m.block_gamma() for m in mats]
     deltas = [m.block_delta() for m in mats]
@@ -168,7 +155,8 @@ def band_pair_check(m: SuperMatrix, n: SuperMatrix) -> str:
 def antitriangle_product_blocks(m: SuperMatrix, n: SuperMatrix):
     """The four blocks of MN for antitriangle factors of one shape:
     G1 D2, G1 B2, B1 D2 and B1 B2 + D1 G2, in ``from_blocks`` order."""
-    m._check_peer(n)
+    _container_arg(m, SuperMatrix, "left factor")
+    _container_arg(n, SuperMatrix, "right factor", like=m)
     _require_antitriangle(m, "the block product")
     _require_antitriangle(n, "the block product")
     g1, d1, b1 = m.block_gamma(), m.block_delta(), m.block_b()
@@ -203,6 +191,7 @@ def band_pair_components(m: SuperMatrix, n: SuperMatrix) -> dict:
 def idempotent_strong_check(m: SuperMatrix) -> bool:
     """GB = G, BD = D and B^2 = B; for matrices whose odd blocks are
     orthogonal both ways this is exactly MM = M."""
+    _container_arg(m, SuperMatrix, "matrix")
     _require_antitriangle(m, "idempotency check")
     g, d, b = m.block_gamma(), m.block_delta(), m.block_b()
     return (
@@ -222,8 +211,11 @@ class ChainReport(
 
     ``product`` and ``closed_form`` are SuperMatrices.  ``ber`` is the
     berezinian of the product, ``ber_formula`` the ratio
-    -det(G1 W Dn) / det(B1 W Bn); either is None when the needed inverse
-    does not exist, and ``ber_matches`` is None whenever one side is.
+    det(-G1 W Dn) / det(B1 W Bn) = (-1)^p det(G1 W Dn) / det(B1 W Bn);
+    either is None when the needed inverse does not exist, and
+    ``ber_matches`` is None whenever one side is.  On a pairwise-strong
+    chain G1 W Dn vanishes entrywise (G1 holds combinations of span vectors,
+    Dn of their annihilator), so ``ber_matches`` compares 0 with 0.
     """
 
     __slots__ = ()
@@ -236,15 +228,16 @@ def chain_product_verify(family) -> ChainReport:
 
     where W is the empty product (identity) for chains of length two.  The
     berezinian of the product is compared with the determinant ratio
-    -det(G1 W Dn)/det(B1 W Bn).  Pairwise-strong chains are expected to
-    match on both counts; the function itself only reports.
+    (-1)^p det(G1 W Dn)/det(B1 W Bn), the Berezinian of the closed form when
+    B1, W and Bn are invertible, and 0 on pairwise-strong chains (see
+    ``ChainReport``).  Pairwise-strong chains are expected to match on both
+    counts; the function itself only reports.
     """
     mats = list(family)
     if len(mats) < 2:
         raise ConfigError("a chain needs at least two matrices")
-    for m in mats:
-        if not isinstance(m, SuperMatrix):
-            raise ShapeError("expected SuperMatrices")
+    for i, m in enumerate(mats):
+        _container_arg(m, SuperMatrix, f"matrix {i} of a chain of SuperMatrices", like=mats[0])
         _require_antitriangle(m, "chain product")
     product = mats[0]
     for m in mats[1:]:
@@ -271,7 +264,8 @@ def chain_product_verify(family) -> ChainReport:
     try:
         numerator = det_even(_grid_mul(gamma_word, last.block_delta()))
         denominator = det_even(_grid_mul(b_word, last.block_b()))
-        ber_formula = -(numerator * denominator.inverse())
+        ratio = numerator * denominator.inverse()
+        ber_formula = -ratio if first.p % 2 else ratio
     except NotInvertible:
         ber_formula = None
     ber_matches = None if ber is None or ber_formula is None else ber == ber_formula

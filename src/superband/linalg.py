@@ -20,8 +20,10 @@ SIAM 2006): ``holders`` maps each column to the keys of the pivot rows that
 have held an entry there, recorded on insertion and for each fill-in; a
 holder whose entry has since cancelled is skipped.
 
-Rows are combined by ``_merge`` on the int numerator and denominator pairs
-of their Fractions, the rule by which ``algebra`` sums term dicts as well.
+Rows are combined by ``_merge``, scaled and negated through ``_ratio``, on
+the int numerator and denominator pairs of their Fractions: the rule by
+which ``algebra`` sums term dicts as well, so elimination calls none of
+``Fraction``'s Python-level operators.
 """
 
 from __future__ import annotations
@@ -96,9 +98,11 @@ def echelon(rows) -> dict:
         if not new:
             continue
         key = min(new)
-        inv = ONE / new[key]
-        if inv != 1:
-            new = {col: v * inv for col, v in new.items()}
+        n, d = new[key]._numerator, new[key]._denominator
+        if n != d:  # divide the row by its pivot n/d, keeping denominators positive
+            if n < 0:
+                n, d = -n, -d
+            new = {col: _ratio(v._numerator * d, v._denominator * n) for col, v in new.items()}
         # clear the new pivot column from the rows holding it; each has its
         # own pivot left of it, so they stay in echelon form
         for k in holders.pop(key, ()):
@@ -131,5 +135,5 @@ def kernel_basis(pivots, columns):
     for key, prow in pivots.items():
         for col, v in prow.items():
             if col != key:
-                basis[col][key] = -v
+                basis[col][key] = _ratio(-v._numerator, v._denominator)
     return list(basis.values()), free

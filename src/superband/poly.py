@@ -76,6 +76,13 @@ class SparsePoly(_Sparse):
             )
 
     @classmethod
+    def _index(cls, var):
+        """The position of the parameter ``var`` in VARS, else ConfigError."""
+        if var not in cls.VARS:
+            raise ConfigError(f"unknown parameter {var!r}, expected one of {cls.VARS}")
+        return cls.VARS.index(var)
+
+    @classmethod
     def _key(cls, exponents, named):
         """The exponent pair given to ``term`` or ``coefficient``: up to two
         exponents by position or by the names in KEYWORDS, 0 when left out."""
@@ -242,9 +249,7 @@ class GrassmannPoly(SparsePoly):
 
     @classmethod
     def variable(cls, ctx, var: str):
-        if var not in cls.VARS:
-            raise ConfigError(f"unknown parameter {var!r}, expected one of {cls.VARS}")
-        key = (1, 0) if var == "t" else (0, 1)
+        key = (0, 1) if cls._index(var) else (1, 0)
         return _unchecked(cls, ctx, {key: ctx.one()})
 
     def variables(self):
@@ -257,13 +262,13 @@ class GrassmannPoly(SparsePoly):
         return used
 
     def degree(self, var: str) -> int:
-        i = self.VARS.index(var)
+        i = self._index(var)
         return max((k[i] for k in self.terms), default=0)
 
     # -- calculus and substitution ------------------------------------
 
     def derivative(self, var: str = "t") -> "GrassmannPoly":
-        i = self.VARS.index(var)
+        i = self._index(var)
         terms = {}
         for key, c in self.terms.items():
             e = key[i]
@@ -276,7 +281,7 @@ class GrassmannPoly(SparsePoly):
 
     def integrate(self, var: str = "t") -> "GrassmannPoly":
         """Antiderivative with zero constant term (integral from 0)."""
-        i = self.VARS.index(var)
+        i = self._index(var)
         terms = {}
         for key, c in self.terms.items():
             new = list(key)
@@ -287,7 +292,7 @@ class GrassmannPoly(SparsePoly):
 
     def substitute(self, var: str, replacement: "GrassmannPoly") -> "GrassmannPoly":
         """Replace ``var`` by a polynomial (e.g. t -> t+s or t -> t/2)."""
-        i = self.VARS.index(var)
+        i = self._index(var)
         return self._substituted(i, self._powers(replacement))
 
     def _powers(self, replacement):
@@ -312,13 +317,11 @@ class GrassmannPoly(SparsePoly):
 
     def rename(self, src: str, dst: str) -> "GrassmannPoly":
         """Swap-free renaming: ``dst`` must not already occur."""
-        if src == dst:
+        i, j = self._index(src), self._index(dst)
+        if i == j:
             return self
         if dst in self.variables():
             raise ConfigError(f"cannot rename {src}->{dst}: {dst} already occurs")
-        if dst not in self.VARS:
-            raise ConfigError(f"unknown parameter {dst!r}, expected one of {self.VARS}")
-        i = self.VARS.index(src)
         # dst does not occur, so every exponent of src moves onto dst as is
         if i == 0:
             terms = {(0, key[0]): c for key, c in self.terms.items()}
@@ -338,8 +341,7 @@ class GrassmannPoly(SparsePoly):
                 raise ConfigError(f"no value supplied for parameter {var!r}")
         powers = {}
         for var, raw in assignment.items():
-            if var not in self.VARS:
-                raise ConfigError(f"unknown parameter {var!r}")
+            self._index(var)
             value = self.ctx.scalar(raw) if isinstance(raw, _Rational) else raw
             powers[var, 1] = _graded_arg(value, self.ctx, EVEN, f"parameter {var}")
         return powers
@@ -378,12 +380,11 @@ class LaurentScalar(SparsePoly):
 
     def rename(self, src: str = "z", dst: str = "w") -> "LaurentScalar":
         """Move every power of src onto dst (exponents merge)."""
-        if src not in self.VARS or dst not in self.VARS:
-            raise ConfigError(f"variables are {self.VARS}")
-        if src == dst:
+        i, j = self._index(src), self._index(dst)
+        if i == j:
             return self
         out = {}
         for (iz, iw), c in self.terms.items():
-            key = (0, iz + iw) if dst == "w" else (iz + iw, 0)
+            key = (0, iz + iw) if j else (iz + iw, 0)
             out[key] = out.get(key, self.ctx.zero()) + c
         return LaurentScalar(self.ctx, out)

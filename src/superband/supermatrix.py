@@ -20,6 +20,13 @@ matrices of one class, so the kinds never mix.  A GradedVector holds p even
 coordinates followed by q odd ones, matching what these matrices act on:
 SuperVector for constants, ParamSuperVector for polynomials.
 
+Every function taking a graded matrix, vector, family or component list
+checks it by one rule, ``_container_arg``: a value that is no graded matrix
+or vector at all is a ConfigError, one of another class (another entry ring,
+or a matrix where a vector belongs) a ShapeError, one of another shape or
+block sizes a ShapeError and one of another algebra a ContextError; each
+message names the argument.
+
 The Berezinian is computed from the Schur complement,
 Ber M = det(A - Gamma B^-1 Delta) / det B, which needs the body of det B to
 be nonzero.  Determinants of even blocks are ordinary cofactor determinants:
@@ -29,7 +36,7 @@ even elements are central, so the classical formulas apply verbatim.
 from __future__ import annotations
 
 from .algebra import EVEN, AlgebraContext, GrassmannElement, _graded_arg, _Rational
-from .errors import ContextError, ParityError, ShapeError
+from .errors import ConfigError, ContextError, ParityError, ShapeError
 
 DET_SIZE_CAP = 6
 
@@ -72,6 +79,26 @@ def _check_blocks(p, q):
 
 def _grid_sub(x, y):
     return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def _container_arg(x, cls, what, like=None, shape=None, ctx=None):
+    """x, once it is a ``cls`` (a class or a tuple of them), of the shape and
+    algebra of the container ``like``, of block sizes ``shape`` = (p, q) and
+    of the algebra ``ctx``, each when given; errors as the module docstring
+    states, each naming the argument ``what``."""
+    if not isinstance(x, cls):
+        error = ShapeError if isinstance(x, (GradedMatrix, GradedVector)) else ConfigError
+        kinds = dict.fromkeys(c.__name__ for c in (cls if type(cls) is tuple else (cls,)))
+        raise error(f"{what} must be a {' or '.join(kinds)}, got {type(x).__name__}")
+    if like is not None:
+        if x.p != like.p or x.q != like.q:
+            raise ShapeError(f"{what} has shape ({x.p}|{x.q}), expected ({like.p}|{like.q})")
+        ctx = like.ctx
+    if shape is not None and (x.p, x.q) != shape:
+        raise ShapeError(f"{what} must be ({shape[0]}|{shape[1]}), got ({x.p}|{x.q})")
+    if ctx is not None and x.ctx is not ctx:
+        raise ContextError(f"{what} from a different algebra")
+    return x
 
 
 def _check_entries(owner, ctx, entries, even, where):
@@ -124,10 +151,7 @@ class GradedVector:
         return all(x.is_zero() for x in self.even + self.odd)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            raise ShapeError(f"expected a {type(self).__name__}")
-        if self.p != other.p or self.q != other.q:
-            raise ShapeError("shape mismatch")
+        _container_arg(other, type(self), "right operand", like=self)
         return type(self)(
             [a - b for a, b in zip(self.even, other.even)],
             [a - b for a, b in zip(self.odd, other.odd)],
@@ -259,26 +283,13 @@ class GradedMatrix:
     def block_b(self):
         return [list(r[self.p :]) for r in self.rows[self.p :]]
 
-    def same_shape(self, other) -> bool:
-        return self.p == other.p and self.q == other.q
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_peer(self, other):
-        if type(other) is not type(self):
-            raise ShapeError(f"expected a {type(self).__name__}")
-        if not self.same_shape(other):
-            raise ShapeError(
-                f"shape ({self.p}|{self.q}) does not match ({other.p}|{other.q})"
-            )
-        if self.ctx != other.ctx:
-            raise ContextError("matrices from different algebras")
-
     def __add__(self, other):
-        self._check_peer(other)
+        _container_arg(other, type(self), "right operand", like=self)
         return self._graded(
             self.p,
             self.q,
@@ -286,7 +297,7 @@ class GradedMatrix:
         )
 
     def __sub__(self, other):
-        self._check_peer(other)
+        _container_arg(other, type(self), "right operand", like=self)
         return self._graded(
             self.p,
             self.q,
@@ -297,7 +308,7 @@ class GradedMatrix:
         return self._map(lambda a: -a)
 
     def __matmul__(self, other):
-        self._check_peer(other)
+        _container_arg(other, type(self), "right operand", like=self)
         return self._graded(self.p, self.q, _grid_mul(self.rows, other.rows))
 
     def scale(self, factor):
@@ -324,21 +335,16 @@ class GradedMatrix:
 
     def apply(self, vec: GradedVector) -> GradedVector:
         """Matrix action on a supervector, of constants or of this ring."""
-        if self._vector is None or not isinstance(vec, GradedVector):
-            raise ShapeError(
-                f"a {type(self).__name__} does not act on a {type(vec).__name__}"
-            )
-        if vec.p != self.p or vec.q != self.q:
-            raise ShapeError("vector shape does not match matrix shape")
-        if vec.ctx != self.ctx:
-            raise ContextError("vector from a different algebra")
+        if self._vector is None:
+            raise ShapeError(f"a {type(self).__name__} acts on no vector")
+        _container_arg(vec, (self._vector, SuperVector), "vector", like=self)
         out = [c for c, in _grid_mul(self.rows, [[c] for c in vec.even + vec.odd])]
         return self._vector(out[: self.p], out[self.p :])
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and self.same_shape(other)
+            and self.p == other.p
             and self.rows == other.rows
         )
 
@@ -356,6 +362,10 @@ class SuperMatrix(GradedMatrix):
 
     _entry = GrassmannElement
     _vector = SuperVector
+
+    def rename(self, src: str, dst: str):
+        """A constant matrix has no parameter to rename."""
+        raise ConfigError(f"unknown parameter {src!r}: a SuperMatrix has no parameters")
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +437,7 @@ def even_inverse(rows):
 
 def supertrace(m: SuperMatrix) -> GrassmannElement:
     """str M = tr A - tr B."""
+    _container_arg(m, SuperMatrix, "matrix")
     acc = m.ctx.zero()
     for i in range(m.p):
         acc = acc + m.rows[i][i]
@@ -437,6 +448,7 @@ def supertrace(m: SuperMatrix) -> GrassmannElement:
 
 def berezinian(m: SuperMatrix) -> GrassmannElement:
     """Ber M = det(A - Gamma B^-1 Delta) / det B (Schur-complement form)."""
+    _container_arg(m, SuperMatrix, "matrix")
     b = m.block_b()
     b_inv = even_inverse(b)
     schur = _grid_sub(m.block_a(), _grid_mul(_grid_mul(m.block_gamma(), b_inv), m.block_delta()))
@@ -449,8 +461,7 @@ def ber_parts(m: SuperMatrix):
     The two summands are the Berezinians of the matrix's even-reduced and
     odd-reduced parts; their sum is Ber M.
     """
-    if m.p != 1 or m.q != 1:
-        raise ShapeError("ber_parts is defined for (1|1) matrices")
+    _container_arg(m, SuperMatrix, "matrix", shape=(1, 1))
     a, alpha = m.rows[0]
     beta, b = m.rows[1]
     b_inv = b.inverse()
@@ -460,6 +471,7 @@ def ber_parts(m: SuperMatrix):
 def classify_reduction(m: SuperMatrix) -> str:
     """"odd_reduced" when A == 0, else "even_reduced" when Delta == 0,
     else "general".  A matrix with both zero reports odd_reduced."""
+    _container_arg(m, SuperMatrix, "matrix")
     a_zero = all(x.is_zero() for row in m.block_a() for x in row)
     if a_zero:
         return ODD_REDUCED

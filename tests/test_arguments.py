@@ -1,25 +1,59 @@
-"""Every graded argument is refused with a SuperbandError that names it.
+"""Every graded, container and parameter-name argument is refused with a
+SuperbandError that names it.
 
 Each entry point that takes a Grassmann element at a graded position checks
 it in one order: a GrassmannElement (else ConfigError), of the expected
 algebra (else ContextError), of the expected parity (else ParityError).
-The table below gives each site a non-element, an element of another
-algebra and an element of the wrong parity.
+The first table gives each site a non-element, an element of another
+algebra and an element of the wrong parity; the tables after it do the same
+for matrices, vectors, families, component lists and parameter names.
 """
 
 import pytest
 
 from superband.algebra import annihilator_odd, create_algebra
-from superband.errors import ConfigError, ContextError, ParityError
-from superband.evolution import commutativity_obstruction, orbit
+from superband.analysis import ComponentList, components_of, equivalence_report
+from superband.errors import ConfigError, ContextError, ParityError, ShapeError
+from superband.evolution import (
+    cauchy_defect,
+    commutativity_obstruction,
+    laplace,
+    moving_time_check,
+    orbit,
+    resolvent_defect,
+    resolvent_tail,
+)
 from superband.families import (
+    ParamSuperMatrix,
+    ParamSuperVector,
+    functional_residual,
+    generator_of,
+    in_var,
     intertwiner_check,
     make_family,
+    matrix_exp_nilpotent,
     nilpotent_time_commute_check,
+    smoothing,
 )
-from superband.gamma import GammaSet
-from superband.poly import GrassmannPoly
-from superband.supermatrix import SuperVector, det_even
+from superband.gamma import (
+    GammaSet,
+    antitriangle_product_blocks,
+    chain_product_verify,
+    closure_check,
+    gamma_membership,
+    idempotent_strong_check,
+    strong_gamma_check,
+)
+from superband.poly import GrassmannPoly, LaurentScalar
+from superband.supermatrix import (
+    SuperMatrix,
+    SuperVector,
+    ber_parts,
+    berezinian,
+    classify_reduction,
+    det_even,
+    supertrace,
+)
 
 CTX = create_algebra(3)
 OTHER = create_algebra(4)
@@ -110,3 +144,125 @@ def test_non_element_is_a_config_error(call):
 def test_x0_must_be_a_supervector(call):
     with pytest.raises(ConfigError, match="^x0 must be a SuperVector, got tuple$"):
         call()
+
+
+# -- containers and parameter names ---------------------------------------
+#
+# Each entry point that takes a graded matrix, vector, family or component
+# list checks it by one rule: no graded container at all is a ConfigError,
+# one of another class (another entry ring) a ShapeError, one of another
+# shape or block sizes a ShapeError and one of another algebra a
+# ContextError.  A parameter name outside the kind's variables is a
+# ConfigError.  Every message names the argument.
+
+M = P.eval_at({"t": 0})  # [[0, 0], [xi1, 1]], antitriangle
+M12 = SuperMatrix.zero(CTX, 1, 2)
+M_OTHER = SuperMatrix.zero(OTHER, 1, 1)
+P12 = ParamSuperMatrix.zero(CTX, 1, 2)
+P_OTHER = make_family("P", OTHER.gen(1))
+X0_21 = SuperVector([CTX.one(), CTX.one()], [CTX.gen(2)])
+X0_OTHER = SuperVector([OTHER.one()], [OTHER.gen(2)])
+PX0 = ParamSuperVector([GrassmannPoly.constant(CTX.one())], [GrassmannPoly.constant(CTX.gen(2))])
+SPAN = GammaSet([ODD])
+
+#: (id, call taking the argument, name in the message, a container of another
+#:  ring, one of another shape or None, one of another algebra or None)
+CONTAINER_SITES = [
+    ("berezinian", berezinian, "matrix", P, None, None),
+    ("supertrace", supertrace, "matrix", P, None, None),
+    ("ber_parts", ber_parts, "matrix", P, M12, None),
+    ("classify_reduction", classify_reduction, "matrix", P, None, None),
+    ("idempotent_strong_check", idempotent_strong_check, "matrix", P, None, None),
+    ("matrix_exp_nilpotent", matrix_exp_nilpotent, "matrix", P, None, None),
+    ("resolvent_tail", resolvent_tail, "generator", P, None, None),
+    ("resolvent_defect", resolvent_defect, "resolvent", P, None, None),
+    ("generator_of", generator_of, "family", M, None, None),
+    ("smoothing", smoothing, "family", M, None, None),
+    ("functional_residual", functional_residual, "family", M, None, None),
+    ("laplace", laplace, "family", M, None, None),
+    ("moving_time_check", moving_time_check, "family", M, None, None),
+    ("components_of", components_of, "family", M, None, None),
+    ("equivalence_report", equivalence_report, "family", M, None, None),
+    ("closure_check", closure_check, "family", M, None, None),
+    ("orbit_family", lambda x: orbit(x, X0), "family", M, P12, None),
+    ("cauchy_defect", lambda x: cauchy_defect(x, X0), "family", M, P12, None),
+    ("orbit_x0", lambda x: orbit(P, x), "x0", PX0, None, None),
+    ("obstruction_x0", lambda x: commutativity_obstruction(x, ODD), "x0", PX0, X0_21, None),
+    ("time_f", lambda x: nilpotent_time_commute_check(x, T, 0, ODD), "f", M, None, None),
+    ("time_g", lambda x: nilpotent_time_commute_check(P, x, 0, ODD), "g", M, P12, P_OTHER),
+    ("component_list", lambda x: ComponentList([M, x]), "component K1", P, M12, M_OTHER),
+    ("strong_gamma_check", lambda x: strong_gamma_check([M, x]), "family member 1",
+     P, M12, M_OTHER),
+    ("chain", lambda x: chain_product_verify([M, x]), "matrix 1 of a chain",
+     P, M12, M_OTHER),
+    ("membership", lambda x: gamma_membership(x, SPAN), "matrix", P, M12, M_OTHER),
+    ("blocks_left", lambda x: antitriangle_product_blocks(x, M), "left factor",
+     P, None, None),
+    ("blocks_right", lambda x: antitriangle_product_blocks(M, x), "right factor",
+     P, M12, M_OTHER),
+    ("add", lambda x: M + x, "right operand", P, M12, M_OTHER),
+    ("sub", lambda x: M - x, "right operand", P, M12, M_OTHER),
+    ("matmul", lambda x: M @ x, "right operand", P, M12, M_OTHER),
+    ("vector_sub", lambda x: X0 - x, "right operand", PX0, X0_21, X0_OTHER),
+    ("apply", M.apply, "vector", PX0, X0_21, X0_OTHER),
+]
+
+
+def _container_cases():
+    for site, call, name, ring, shape, algebra in CONTAINER_SITES:
+        bad = [("non_container", 5, ConfigError), ("other_ring", ring, ShapeError)]
+        if shape is not None:
+            bad.append(("other_shape", shape, ShapeError))
+        if algebra is not None:
+            bad.append(("other_algebra", algebra, ContextError))
+        for label, arg, error in bad:
+            yield pytest.param(call, arg, error, name, id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("call, arg, error, name", list(_container_cases()))
+def test_container_argument_is_refused_by_name(call, arg, error, name):
+    with pytest.raises(error) as info:
+        call(arg)
+    assert name in str(info.value)
+
+
+def test_family_in_s_is_refused_by_name():
+    """A family that must be in t only refuses one in s."""
+    family_in_s = P.rename("t", "s")
+    for call in (smoothing, functional_residual, laplace, moving_time_check,
+                 components_of, equivalence_report, closure_check):
+        with pytest.raises(ConfigError, match="^family must be in t only"):
+            call(family_in_s)
+
+
+ENTRY = P.rows[0][1]  # xi1*t
+LAURENT = LaurentScalar.term(CTX.one(), iz=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda u: GrassmannPoly.variable(CTX, u), id="variable"),
+        pytest.param(lambda u: ENTRY.degree(u), id="degree"),
+        pytest.param(lambda u: ENTRY.derivative(u), id="derivative"),
+        pytest.param(lambda u: ENTRY.integrate(u), id="integrate"),
+        pytest.param(lambda u: ENTRY.substitute(u, ENTRY), id="substitute"),
+        pytest.param(lambda u: ENTRY.rename(u, "s"), id="rename_src"),
+        pytest.param(lambda u: ENTRY.rename("t", u), id="rename_dst"),
+        pytest.param(lambda u: ENTRY.eval_at({"t": 0, u: 0}), id="eval_at"),
+        pytest.param(lambda u: LAURENT.rename(u, "w"), id="laurent_rename_src"),
+        pytest.param(lambda u: LAURENT.rename("z", u), id="laurent_rename_dst"),
+        pytest.param(lambda u: P.derivative(u), id="matrix_derivative"),
+        pytest.param(lambda u: P.substitute(u, ENTRY), id="matrix_substitute"),
+        pytest.param(lambda u: P.rename(u, "s"), id="matrix_rename"),
+        pytest.param(lambda u: P.eval_at({"t": 0, u: 0}), id="matrix_eval_at"),
+        pytest.param(lambda u: in_var(P, u), id="in_var"),
+        pytest.param(lambda u: ParamSuperVector([ENTRY * ODD], [ENTRY]).derivative(u),
+                     id="vector_derivative"),
+        pytest.param(lambda u: ComponentList([M]).family(u), id="component_family"),
+        pytest.param(lambda u: M.rename(u, "s"), id="constant_matrix_rename"),
+    ],
+)
+def test_unknown_parameter_is_refused_by_name(call):
+    with pytest.raises(ConfigError, match="unknown parameter 'u'"):
+        call("u")

@@ -22,7 +22,8 @@ from superband.gamma import (
     strong_gamma_check,
 )
 from superband.poly import GrassmannPoly
-from superband.supermatrix import SuperMatrix
+from superband.randgen import random_invertible_even_grid
+from superband.supermatrix import SuperMatrix, berezinian
 
 
 def _m11(ctx, upper, lower, corner):
@@ -321,6 +322,48 @@ class TestChains:
         assert report.ber is None and report.ber_formula is None
         assert report.ber_matches is None
         assert report.product.rows[0][1] == ctx.monomial((1, 2, 3))
+
+    def test_ber_ratio_has_the_sign_of_det_minus_g(self):
+        """At p = 2 the Berezinian of [[0, G1], [Dn, 1]] is det(-G1 Dn),
+        which equals +det(G1 Dn): G1 = (xi1, xi2), Dn = (xi3 xi4), B = 1."""
+        ctx = create_algebra(4)
+        zero, one = ctx.zero(), ctx.one()
+        first = SuperMatrix(2, 1, [[zero, zero, ctx.gen(1)], [zero, zero, ctx.gen(2)],
+                                   [zero, zero, one]])
+        last = SuperMatrix(2, 1, [[zero, zero, zero], [zero, zero, zero],
+                                  [ctx.gen(3), ctx.gen(4), one]])
+        report = chain_product_verify([first, last])
+        want = ctx.monomial((1, 2, 3, 4)) * -2
+        assert berezinian(report.closed_form) == want
+        assert report.ber_formula == want
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_ber_ratio_is_the_berezinian_of_the_closed_form(self, p):
+        """On chains that are not strong, with degree-one odd entries, the
+        ratio is the Berezinian of the closed form and can be nonzero."""
+        rng = random.Random(f"chain-ber:{p}")
+        ctx = create_algebra(2 * p)
+
+        def odd():
+            return sum((ctx.gen(i) * rng.randint(-3, 3) for i in range(1, ctx.n + 1)),
+                       ctx.zero())
+
+        nonzero = 0
+        for q in (1, 2):
+            for length in (2, 3):
+                chain = [
+                    SuperMatrix._antitriangle(
+                        [[odd() for _ in range(q)] for _ in range(p)],
+                        [[odd() for _ in range(p)] for _ in range(q)],
+                        random_invertible_even_grid(rng, ctx, q),
+                    )
+                    for _ in range(length)
+                ]
+                report = chain_product_verify(chain)
+                assert report.ber_formula is not None
+                assert berezinian(report.closed_form) == report.ber_formula
+                nonzero += not report.ber_formula.is_zero()
+        assert nonzero
 
     def test_chain_needs_two_matrices(self):
         ctx = create_algebra(2)
