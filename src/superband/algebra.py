@@ -180,12 +180,16 @@ class AlgebraContext:
         return GrassmannElement(self, terms)
 
     def _check_index(self, indices):
-        """``indices`` as a tuple, once it is a monomial of this algebra."""
+        """``indices`` as a tuple, once it is a monomial of this algebra: integers
+        in 1..n, each above the one before (else ConfigError at the first that is not)."""
         idx = tuple(indices)
-        if not all(type(i) is int and 1 <= i <= self.n for i in idx):
-            raise ConfigError(f"monomial {idx!r} outside generator range 1..{self.n}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ConfigError(f"monomial indices must be strictly increasing, got {idx!r}")
+        last = 0
+        for i in idx:
+            if type(i) is not int or not 1 <= i <= self.n:
+                raise ConfigError(f"monomial {idx!r} outside generator range 1..{self.n}")
+            if i <= last:
+                raise ConfigError(f"monomial indices must be strictly increasing, got {idx!r}")
+            last = i
         return idx
 
     # -- monomial enumeration -----------------------------------------

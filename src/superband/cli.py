@@ -362,20 +362,17 @@ def _cmd_resolvent(args):
         for j, entry in enumerate(row):
             lines.append(f"  [{i}][{j}] {entry!r}")
     lines.append(f"defect zero: {_flag(defect.is_zero())}")
-    code = 0
+    if args.check is None:
+        return obj, "\n".join(lines), 0
     if args.check == "rrt":
         ok = defect.is_zero()
-        obj["check"] = {"label": "rrt", "passed": ok}
-        lines.append(f"rrt: {'pass' if ok else 'FAIL'}")
-        code = 0 if ok else 1
-    elif args.check == "rra":
+    else:
         tail = resolvent_tail(generator_of(fam))
         ok = defect == tail
-        obj["check"] = {"label": "rra", "passed": ok}
         obj["expected_tail"] = to_obj(tail)
-        lines.append(f"rra: {'pass' if ok else 'FAIL'}")
-        code = 0 if ok else 1
-    return obj, "\n".join(lines), code
+    obj["check"] = {"label": args.check, "passed": ok}
+    lines.append(f"{args.check}: {'pass' if ok else 'FAIL'}")
+    return obj, "\n".join(lines), 0 if ok else 1
 
 
 # -- orbit -------------------------------------------------------------
@@ -478,6 +475,18 @@ def _add_alpha_flag(sub, required=False):
     )
 
 
+def _add_family_source_flags(sub):
+    """--family, --alpha and --generators, which ``_family_from_arg`` reads."""
+    sub.add_argument(
+        "--family",
+        required=True,
+        metavar="NAME|PATH",
+        help=f"named kind ({', '.join(FAMILY_KINDS)}) or serialized family",
+    )
+    _add_alpha_flag(sub)
+    _add_generators_flag(sub)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superband",
@@ -540,14 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "resolvent", help="transform a family and test resolvent identities"
     )
-    p.add_argument(
-        "--family",
-        required=True,
-        metavar="NAME|PATH",
-        help=f"named kind ({', '.join(FAMILY_KINDS)}) or serialized family",
-    )
-    _add_alpha_flag(p)
-    _add_generators_flag(p)
+    _add_family_source_flags(p)
     p.add_argument(
         "--check",
         choices=RESOLVENT_CHECKS,
@@ -563,14 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="serialized initial supervector",
     )
-    p.add_argument(
-        "--family",
-        required=True,
-        metavar="NAME|PATH",
-        help=f"named kind ({', '.join(FAMILY_KINDS)}) or serialized family",
-    )
-    _add_alpha_flag(p)
-    _add_generators_flag(p)
+    _add_family_source_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("annihilator", help="odd annihilator basis of an element")

@@ -20,17 +20,15 @@ from .algebra import EVEN, ODD, _graded_arg, annihilator_odd, odd_span_contains
 from .errors import ConfigError, NotInvertible, ShapeError
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
-from .supermatrix import SuperMatrix, _container_arg, _grid_mul, berezinian, det_even
+from .supermatrix import (
+    SuperMatrix, _container_arg, _grid_is_zero, _grid_mul, berezinian, det_even,
+)
 
 CLOSURE_MENU = ("t", "s", "t+s", "t*s")
 
 
-def _grid_is_zero(grid):
-    return all(x.is_zero() for row in grid for x in row)
-
-
 def _require_antitriangle(m, what):
-    if any(not x.is_zero() for row in m.block_a() for x in row):
+    if not _grid_is_zero(m.block_a()):
         raise ShapeError(f"{what} needs antitriangle matrices (zero upper-left block)")
 
 

@@ -102,14 +102,8 @@ def _random_terms(rng, pool, max_terms):
         return {}
     terms = {}
     for m in _sample(bits, pool, count):
-        a = bits(4)  # the draws of _coeff, without a call per term
-        while a >= 9:
-            a = bits(4)
-        b = bits(2)
-        while b == 3:
-            b = bits(2)
-        if a != 4:  # a zero numerator drops the term
-            terms[m] = _COEFFS[a][b]
+        if c := _coeff(bits):  # a zero coefficient drops the term
+            terms[m] = c
     return terms
 
 

@@ -136,24 +136,6 @@ def dump_element(x: GrassmannElement) -> dict:
     }
 
 
-def _monomial(raw, n):
-    """The index tuple of a JSON index list: integers in 1..n, strictly
-    increasing."""
-    last = 0
-    for i in raw:
-        if type(i) is not int or i <= last:
-            break
-        last = i
-    else:
-        if last <= n:
-            return tuple(raw)
-    # not plainly valid: check entry by entry to report the first fault
-    idx = tuple(_int(i, "monomial index", minimum=1, maximum=n) for i in raw)
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ParseError(f"monomial indices must be strictly increasing: {list(idx)}")
-    return idx
-
-
 def load_element(obj) -> GrassmannElement:
     _require_keys(obj, ("n", "terms"), "element")
     ctx = _context(obj, "element")
@@ -161,7 +143,10 @@ def load_element(obj) -> GrassmannElement:
     previous = None
     for entry in _list(obj["terms"], "element terms"):
         _require_keys(entry, ("c", "idx"), "element term")
-        idx = _monomial(_list(entry["idx"], "monomial index list"), ctx.n)
+        try:
+            idx = ctx._check_index(_list(entry["idx"], "monomial index list"))
+        except ConfigError as exc:
+            raise ParseError(str(exc)) from None
         if previous is not None and idx <= previous:
             raise ParseError(
                 f"element terms must be strictly ascending; {list(idx)} repeats or"

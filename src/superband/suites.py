@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .algebra import annihilator_odd, create_algebra
 from .analysis import (
+    ComponentList,
     band_component_system_check,
     derivative_tail,
     equivalence_report,
@@ -308,7 +309,7 @@ def _analysis(ctx, cfg, rng):
         }
         k0 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
         k1 = random_supermatrix(rng, ctx, p, q, invertible_b=False)
-        linear = ParamSuperMatrix._from_coefficients(k0, {(0, 0): (k0, 1), (1, 0): (k1, 1)})
+        linear = ComponentList([k0, k1]).family("t")
         yield linear, {"equiv": equivalence_report(linear).agree}
         band_linear = random_band_components(rng, ctx, p, q, degree=1).family("t")
         yield band_linear, {"equiv": equivalence_report(band_linear).agree}

@@ -77,6 +77,10 @@ def _check_blocks(p, q):
         raise ShapeError(f"block sizes must be at least 1, got ({p}|{q})")
 
 
+def _grid_is_zero(grid):
+    return all(x.is_zero() for row in grid for x in row)
+
+
 def _grid_sub(x, y):
     return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
@@ -148,7 +152,7 @@ class GradedVector:
         return len(self.odd)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.even + self.odd)
+        return _grid_is_zero((self.even, self.odd))
 
     def __sub__(self, other):
         _container_arg(other, type(self), "right operand", like=self)
@@ -284,7 +288,7 @@ class GradedMatrix:
         return [list(r[self.p :]) for r in self.rows[self.p :]]
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
+        return _grid_is_zero(self.rows)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -472,10 +476,8 @@ def classify_reduction(m: SuperMatrix) -> str:
     """"odd_reduced" when A == 0, else "even_reduced" when Delta == 0,
     else "general".  A matrix with both zero reports odd_reduced."""
     _container_arg(m, SuperMatrix, "matrix")
-    a_zero = all(x.is_zero() for row in m.block_a() for x in row)
-    if a_zero:
+    if _grid_is_zero(m.block_a()):
         return ODD_REDUCED
-    delta_zero = all(x.is_zero() for row in m.block_delta() for x in row)
-    if delta_zero:
+    if _grid_is_zero(m.block_delta()):
         return EVEN_REDUCED
     return GENERAL
