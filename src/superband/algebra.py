@@ -577,7 +577,7 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     the whole odd subspace (an explicit ctx is then required for the empty
     list).
     """
-    gens = list(generators)
+    gens = _collection(generators, "annihilator generators")
     for g in gens:
         ctx = _graded_arg(g, ctx, ODD, "annihilator generator").ctx
     if ctx is None:
@@ -613,6 +613,15 @@ def odd_span_contains(ctx, rows, x) -> bool:
     the sum of x[key] * row leaves no residue.
     """
     return not linalg.residue(_graded_arg(x, ctx, ODD, "span member").terms, rows)
+
+
+def _collection(xs, what):
+    """``xs`` as a tuple, once it is iterable (else ConfigError naming ``what``)."""
+    try:
+        members = iter(xs)
+    except TypeError:
+        raise ConfigError(f"{what} must be a collection, got {type(xs).__name__}") from None
+    return tuple(members)
 
 
 def _graded_arg(x, ctx, parity, what):

@@ -17,7 +17,7 @@ from .errors import ConfigError, ShapeError
 from .families import ParamSuperMatrix, _family_arg, functional_residual, product_and_shift
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_nonzero_odd
-from .supermatrix import SuperMatrix, _container_arg
+from .supermatrix import SuperMatrix, _container_list
 
 MAX_COMPONENT_DEGREE = 8
 
@@ -29,13 +29,11 @@ class ComponentList:
     __slots__ = ("ctx", "components")
 
     def __init__(self, components):
-        mats = tuple(components)
+        mats = _container_list(components, SuperMatrix, "components", "component K{}")
         if not mats:
             raise ConfigError("a component list needs at least K0")
         if len(mats) - 1 > MAX_COMPONENT_DEGREE:
             raise ConfigError(f"component degree is capped at {MAX_COMPONENT_DEGREE}")
-        for i, m in enumerate(mats):
-            _container_arg(m, SuperMatrix, f"component K{i}", like=mats[0])
         self.ctx = mats[0].ctx
         self.components = mats
 

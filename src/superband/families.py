@@ -142,11 +142,11 @@ def _family_arg(family):
 
 def in_var(family: ParamSuperMatrix, var: str) -> ParamSuperMatrix:
     """The same family written in another parameter (t -> s renaming)."""
-    return family.rename("t", var)
+    return _container_arg(family, ParamSuperMatrix, "family").rename("t", var)
 
 
 def rectangular_band_element(alpha: GrassmannElement, top, bottom) -> ParamSuperMatrix:
-    """[[0, alpha*top], [alpha*bottom, 1]] for polynomial (or rational) args.
+    """[[0, alpha*top], [alpha*bottom, 1]] for polynomial, element or rational args.
 
     These arise as products P(top) Q(bottom) and multiply as a rectangular
     band: the left factor keeps its top argument, the right factor its bottom.
@@ -155,19 +155,16 @@ def rectangular_band_element(alpha: GrassmannElement, top, bottom) -> ParamSuper
     ctx = alpha.ctx
     zero = GrassmannPoly.zero(ctx)
     one = GrassmannPoly.constant(ctx.one())
-    if not isinstance(top, GrassmannPoly):
-        top = GrassmannPoly.constant(ctx.scalar(top))
-    if not isinstance(bottom, GrassmannPoly):
-        bottom = GrassmannPoly.constant(ctx.scalar(bottom))
     return ParamSuperMatrix(
         1,
         1,
-        [[zero, GrassmannPoly.constant(alpha) * top],
-         [GrassmannPoly.constant(alpha) * bottom, one]],
+        [[zero, alpha * one._arg(top, "top")], [alpha * one._arg(bottom, "bottom"), one]],
     )
 
 
 def commutator(f: ParamSuperMatrix, g: ParamSuperMatrix) -> ParamSuperMatrix:
+    _container_arg(f, ParamSuperMatrix, "f")
+    _container_arg(g, ParamSuperMatrix, "g", like=f)
     return f @ g - g @ f
 
 
@@ -208,13 +205,11 @@ def nilpotent_time_commute_check(
     true exactly when tau * alpha == 0, which is what the callers assert.
     """
     alpha = _family_alpha(alpha)
-    _container_arg(f, ParamSuperMatrix, "f")
-    _container_arg(g, ParamSuperMatrix, "g", like=f)
+    frozen = commutator(f, g)
     if isinstance(tau, _Rational):
         tau = f.ctx.scalar(tau)
     _graded_arg(tau, f.ctx, EVEN, "time tau")
-    frozen = commutator(f, g).eval_at({"t": tau, "s": tau})
-    return frozen.is_zero()
+    return frozen.eval_at({"t": tau, "s": tau}).is_zero()
 
 
 def matrix_exp_nilpotent(m: SuperMatrix) -> ParamSuperMatrix:
@@ -241,19 +236,16 @@ def differential_sequence(alpha: GrassmannElement, nmax: int):
     The sequence forms an antiderivative chain: d/dt S_k = S_{k-1},
     d/dt S_0 = A, and S_1 is the smoothing of P.
     """
-    if not isinstance(nmax, int) or not 1 <= nmax <= 8:
+    if type(nmax) is not int or not 1 <= nmax <= 8:
         raise ConfigError(f"nmax must be in 1..8, got {nmax!r}")
     alpha = _family_alpha(alpha)
     ctx = alpha.ctx
     p_family = make_family("P", alpha)
     out = []
-    k_factorial = 1
     for k in range(nmax + 1):
-        if k:
-            k_factorial *= k
         scaled_time = GrassmannPoly.term(ctx.scalar(Fraction(1, k + 1)), t=1)
         member = p_family.substitute("t", scaled_time)
-        tk = GrassmannPoly.term(ctx.scalar(Fraction(1, k_factorial)), t=k)
+        tk = GrassmannPoly.term(ctx.scalar(Fraction(1, factorial(k))), t=k)
         out.append(member.scale(tk))
     return out
 

@@ -16,12 +16,12 @@ one-parameter antitriangle families under multiplication.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import EVEN, ODD, _graded_arg, annihilator_odd, odd_span_contains
+from .algebra import EVEN, ODD, _collection, _graded_arg, annihilator_odd, odd_span_contains
 from .errors import ConfigError, NotInvertible, ShapeError
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
 from .supermatrix import (
-    SuperMatrix, _container_arg, _grid_is_zero, _grid_mul, berezinian, det_even,
+    SuperMatrix, _container_arg, _container_list, _grid_is_zero, _grid_mul, berezinian, det_even,
 )
 
 CLOSURE_MENU = ("t", "s", "t+s", "t*s")
@@ -46,7 +46,7 @@ class GammaSet:
     __slots__ = ("ctx", "span", "stabilizing_evens", "_ann", "_rows")
 
     def __init__(self, span, stabilizing_evens=(), ctx=None):
-        vectors = tuple(span)
+        vectors = _collection(span, "span")
         for v in vectors:
             ctx = _graded_arg(v, ctx, ODD, "span vector").ctx
         if ctx is None:
@@ -54,7 +54,8 @@ class GammaSet:
         rows = linalg.echelon(v.terms for v in vectors)
         if len(rows) != len(vectors):
             raise ConfigError("span vectors must be linearly independent")
-        evens = tuple(_graded_arg(b, ctx, EVEN, "stabilizer") for b in stabilizing_evens)
+        evens = tuple(_graded_arg(b, ctx, EVEN, "stabilizer")
+                      for b in _collection(stabilizing_evens, "stabilizing_evens"))
         self.ctx = ctx
         self.span = vectors
         self.stabilizing_evens = evens
@@ -89,6 +90,8 @@ def gamma_membership(m: SuperMatrix, g: GammaSet, side: str = "left") -> bool:
     """Whether the (1|1) antitriangle matrix [[0, u], [l, b]] belongs to the
     left family (u in the span, l annihilating it) or the mirrored right
     family (l in the span, u annihilating it)."""
+    if not isinstance(g, GammaSet):
+        raise ConfigError(f"span must be a GammaSet, got {type(g).__name__}")
     _container_arg(m, SuperMatrix, "matrix", shape=(1, 1), ctx=g.ctx)
     _require_antitriangle(m, "membership")
     upper = m.rows[0][1]
@@ -116,9 +119,8 @@ class StrongGammaReport(
 def strong_gamma_check(family) -> StrongGammaReport:
     """Check G_i D_j = 0 and D_i G_j = 0 for all ordered pairs, self-pairs
     included.  An empty family is vacuously strong."""
-    mats = list(family)
-    for i, m in enumerate(mats):
-        _container_arg(m, SuperMatrix, f"family member {i}", like=mats[0])
+    mats = _container_list(family, SuperMatrix, "family", "family member {}")
+    for m in mats:
         _require_antitriangle(m, "strongness")
     gammas = [m.block_gamma() for m in mats]
     deltas = [m.block_delta() for m in mats]
@@ -138,7 +140,7 @@ def band_pair_check(m: SuperMatrix, n: SuperMatrix) -> str:
     """Classify the ordered pair by direct multiplication: ``left_zero`` when
     MN = M, ``right_zero`` when MN = N, ``both`` when MN = M = N, else
     ``neither``."""
-    prod = m @ n
+    prod = _container_arg(m, SuperMatrix, "left operand") @ n
     left = prod == m
     right = prod == n
     if left and right:
@@ -231,11 +233,10 @@ def chain_product_verify(family) -> ChainReport:
     ``ChainReport``).  Pairwise-strong chains are expected to match on both
     counts; the function itself only reports.
     """
-    mats = list(family)
+    mats = _container_list(family, SuperMatrix, "chain", "matrix {} of a chain of SuperMatrices")
     if len(mats) < 2:
         raise ConfigError("a chain needs at least two matrices")
-    for i, m in enumerate(mats):
-        _container_arg(m, SuperMatrix, f"matrix {i} of a chain of SuperMatrices", like=mats[0])
+    for m in mats:
         _require_antitriangle(m, "chain product")
     product = mats[0]
     for m in mats[1:]:

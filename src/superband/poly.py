@@ -194,6 +194,15 @@ class SparsePoly(_Sparse):
                     del terms[key]
         return _unchecked(type(self), self.ctx, terms)
 
+    def _arg(self, other, what):
+        """``_coerce(other)``, refusing an unknown type with ConfigError naming ``what``."""
+        x = self._coerce(other)
+        if x is None:
+            raise ConfigError(
+                f"{what} must be a {type(self).__name__} or a scalar, got {type(other).__name__}"
+            )
+        return x
+
     def _is_constant(self):
         return not self.terms.keys() - {_CONSTANT}
 
@@ -298,10 +307,7 @@ class GrassmannPoly(SparsePoly):
     def _powers(self, replacement):
         """{0: 1, 1: replacement}, which ``_substituted`` extends with each
         power it uses, so that the entries of one matrix can share it."""
-        r = self._coerce(replacement)
-        if r is None:
-            raise TypeError(f"cannot substitute a {type(replacement).__name__}")
-        return {0: self.constant(self.ctx.one()), 1: r}
+        return {0: self.constant(self.ctx.one()), 1: self._arg(replacement, "replacement")}
 
     def _substituted(self, i, powers):
         out = _unchecked(type(self), self.ctx, {})
@@ -336,6 +342,8 @@ class GrassmannPoly(SparsePoly):
     def _value_powers(self, assignment, used):
         """{(var, 1): value} for the checked ``assignment``, which ``_evaluated``
         extends with each power it uses; ``used`` names the required parameters."""
+        if not isinstance(assignment, dict):
+            raise ConfigError(f"assignment must be a dict, got {type(assignment).__name__}")
         for var in self.VARS:  # in order, so the message names the first
             if var in used and var not in assignment:
                 raise ConfigError(f"no value supplied for parameter {var!r}")

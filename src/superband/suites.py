@@ -224,8 +224,11 @@ def _gamma(ctx, cfg, rng):
             "mmn": report.matches_closed_form,
             "bmn": report.ber_matches is not False,
         }
+        # G D = 0 and D G = 0 on a strong head, so [[0, G], [D, I]] is idempotent
         head = fam[0]
-        yield head, {"idem": idempotent_strong_check(head) == (head @ head == head)}
+        eye = SuperMatrix.identity(ctx, p, q).block_b()
+        for m in (head, SuperMatrix._antitriangle(head.block_gamma(), head.block_delta(), eye)):
+            yield m, {"idem": idempotent_strong_check(m) == (m @ m == m)}
 
 
 @_suite

@@ -35,7 +35,7 @@ even elements are central, so the classical formulas apply verbatim.
 
 from __future__ import annotations
 
-from .algebra import EVEN, AlgebraContext, GrassmannElement, _graded_arg, _Rational
+from .algebra import EVEN, AlgebraContext, GrassmannElement, _collection, _graded_arg, _Rational
 from .errors import ConfigError, ContextError, ParityError, ShapeError
 
 DET_SIZE_CAP = 6
@@ -103,6 +103,15 @@ def _container_arg(x, cls, what, like=None, shape=None, ctx=None):
     if ctx is not None and x.ctx is not ctx:
         raise ContextError(f"{what} from a different algebra")
     return x
+
+
+def _container_list(xs, cls, what, member):
+    """The members of the collection ``xs`` (named ``what``) as a tuple, each a ``cls``
+    of the shape and algebra of the first; ``member.format(i)`` names member i."""
+    mats = _collection(xs, what)
+    for i, m in enumerate(mats):
+        _container_arg(m, cls, member.format(i), like=mats[0])
+    return mats
 
 
 def _check_entries(owner, ctx, entries, even, where):

@@ -6,13 +6,22 @@ it in one order: a GrassmannElement (else ConfigError), of the expected
 algebra (else ContextError), of the expected parity (else ParityError).
 The first table gives each site a non-element, an element of another
 algebra and an element of the wrong parity; the tables after it do the same
-for matrices, vectors, families, component lists and parameter names.
+for matrices, vectors, families, component lists, parameter names,
+collections and the remaining value arguments.
 """
 
 import pytest
 
 from superband.algebra import annihilator_odd, create_algebra
-from superband.analysis import ComponentList, components_of, equivalence_report
+from superband.analysis import (
+    ComponentList,
+    band_component_system_check,
+    components_of,
+    derivative_tail,
+    equivalence_report,
+    n_differential_defect,
+    n_functional_residual,
+)
 from superband.errors import ConfigError, ContextError, ParityError, ShapeError
 from superband.evolution import (
     cauchy_defect,
@@ -26,6 +35,8 @@ from superband.evolution import (
 from superband.families import (
     ParamSuperMatrix,
     ParamSuperVector,
+    commutator,
+    differential_sequence,
     functional_residual,
     generator_of,
     in_var,
@@ -33,11 +44,13 @@ from superband.families import (
     make_family,
     matrix_exp_nilpotent,
     nilpotent_time_commute_check,
+    rectangular_band_element,
     smoothing,
 )
 from superband.gamma import (
     GammaSet,
     antitriangle_product_blocks,
+    band_pair_check,
     chain_product_verify,
     closure_check,
     gamma_membership,
@@ -205,6 +218,10 @@ CONTAINER_SITES = [
     ("matmul", lambda x: M @ x, "right operand", P, M12, M_OTHER),
     ("vector_sub", lambda x: X0 - x, "right operand", PX0, X0_21, X0_OTHER),
     ("apply", M.apply, "vector", PX0, X0_21, X0_OTHER),
+    ("band_pair_left", lambda x: band_pair_check(x, M), "left operand", P, None, None),
+    ("commutator_f", lambda x: commutator(x, P), "f", M, None, None),
+    ("commutator_g", lambda x: commutator(P, x), "g", M, P12, P_OTHER),
+    ("in_var", lambda x: in_var(x, "s"), "family", M, None, None),
 ]
 
 
@@ -224,6 +241,55 @@ def test_container_argument_is_refused_by_name(call, arg, error, name):
     with pytest.raises(error) as info:
         call(arg)
     assert name in str(info.value)
+
+
+#: (id, call taking the collection, name in the message); a collection
+#: argument that is not iterable is a ConfigError
+COLLECTION_SITES = [
+    ("strong_gamma_check", strong_gamma_check, "family"),
+    ("chain", chain_product_verify, "chain"),
+    ("component_list", ComponentList, "components"),
+    ("n_functional_residual", n_functional_residual, "components"),
+    ("band_component_system_check", band_component_system_check, "components"),
+    ("n_differential_defect", n_differential_defect, "components"),
+    ("derivative_tail", derivative_tail, "components"),
+    ("gamma_span", GammaSet, "span"),
+    ("gamma_stabilizers", lambda x: GammaSet([ODD], stabilizing_evens=x),
+     "stabilizing_evens"),
+    ("annihilator_odd", annihilator_odd, "annihilator generators"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name", [pytest.param(c, n, id=i) for i, c, n in COLLECTION_SITES]
+)
+def test_non_iterable_collection_is_refused_by_name(call, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be a collection, got int$"):
+        call(5)
+
+
+@pytest.mark.parametrize(
+    "call, error, name",
+    [
+        pytest.param(lambda: P.eval_at(5), ConfigError, "assignment", id="eval_at"),
+        pytest.param(lambda: P.substitute("t", "x"), ConfigError, "replacement",
+                     id="matrix_substitute"),
+        pytest.param(lambda: P.rows[0][1].substitute("t", "x"), ConfigError,
+                     "replacement", id="substitute"),
+        pytest.param(lambda: rectangular_band_element(ODD, "x", 1), ConfigError, "top",
+                     id="band_element_top"),
+        pytest.param(lambda: rectangular_band_element(ODD, 1, "x"), ConfigError,
+                     "bottom", id="band_element_bottom"),
+        pytest.param(lambda: gamma_membership(M, 5), ConfigError, "span",
+                     id="membership_span"),
+        pytest.param(lambda: differential_sequence(ODD, True), ConfigError, "nmax",
+                     id="sequence_bool"),
+    ],
+)
+def test_value_argument_is_refused_by_name(call, error, name):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(name)
 
 
 def test_family_in_s_is_refused_by_name():

@@ -116,3 +116,17 @@ def test_label_without_a_witness_reports_no_counterexample(monkeypatch):
 
     (entry,) = [c for c in suite["checks"] if c["label"] == "strong"]
     assert entry == {"label": "strong", "passed": False}
+
+
+def test_idem_turns_red_when_the_strong_check_always_fails(monkeypatch):
+    """``idem`` also checks the idempotent companion [[0, G], [D, I]] of each
+    strong head, so a check that always says "not idempotent" is caught."""
+    cfg = SuiteConfig(generators=4, seed=0, suite="gamma", samples=200)
+    monkeypatch.setattr(suites, "idempotent_strong_check", lambda m: False)
+    report = suites.run_suite(cfg).report
+
+    (suite,) = report["suites"]
+    (entry,) = [c for c in suite["checks"] if c["label"] == "idem"]
+    assert entry["passed"] is False
+    witness = load_value(entry["counterexample"])
+    assert witness @ witness == witness
