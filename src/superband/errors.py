@@ -10,9 +10,10 @@ ParityError if it has the wrong parity.  A refused container argument
 (``supermatrix._container_arg``: a matrix, vector, family or component list)
 is a ConfigError if it is no graded matrix or vector at all, a ShapeError if
 it is one of another class, shape or block sizes, and a ContextError if it
-is of another algebra.  A parameter name outside its kind's variables
-(``poly.SparsePoly._index``) is a ConfigError.  Each message names the
-argument.
+is of another algebra.  A collection argument that is not iterable
+(``algebra._collection``) and a parameter name outside its kind's variables
+(``poly.SparsePoly._index``) are ConfigErrors; a collection's members are
+checked by their kind's rule.  Each message names the argument.
 """
 
 from __future__ import annotations

@@ -21,11 +21,8 @@ coordinates followed by q odd ones, matching what these matrices act on:
 SuperVector for constants, ParamSuperVector for polynomials.
 
 Every function taking a graded matrix, vector, family or component list
-checks it by one rule, ``_container_arg``: a value that is no graded matrix
-or vector at all is a ConfigError, one of another class (another entry ring,
-or a matrix where a vector belongs) a ShapeError, one of another shape or
-block sizes a ShapeError and one of another algebra a ContextError; each
-message names the argument.
+checks it by one rule, ``_container_arg``, and a list of them by
+``_container_list``; the ``errors`` module docstring states the rule.
 
 The Berezinian is computed from the Schur complement,
 Ber M = det(A - Gamma B^-1 Delta) / det B, which needs the body of det B to
