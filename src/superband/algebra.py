@@ -129,10 +129,7 @@ class AlgebraContext:
     __slots__ = ("n", "_zero", "_one")
 
     def __new__(cls, n: int):
-        if not isinstance(n, int) or not 1 <= n <= MAX_GENERATORS:
-            raise ConfigError(
-                f"number of generators must be an integer in 1..{MAX_GENERATORS}, got {n!r}"
-            )
+        _int_arg(n, "number of generators", 1, MAX_GENERATORS)
         ctx = _CONTEXTS.get(n)
         if ctx is None:
             ctx = object.__new__(cls)
@@ -168,9 +165,8 @@ class AlgebraContext:
 
     def gen(self, i: int) -> "GrassmannElement":
         """The i-th generator xi_i, 1-based."""
-        if type(i) is not int or not 1 <= i <= self.n:
-            raise ConfigError(f"generator index {i!r} outside 1..{self.n}")
-        return _unchecked(GrassmannElement, self, {1 << (i - 1): Fraction(1)})
+        mask = 1 << (_int_arg(i, "generator index", 1, self.n) - 1)
+        return _unchecked(GrassmannElement, self, {mask: Fraction(1)})
 
     def monomial(self, indices, coeff=1) -> "GrassmannElement":
         return GrassmannElement(self, {tuple(indices): coeff})
@@ -260,10 +256,8 @@ class _Sparse:
         return other * self
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ConfigError(f"powers must be nonnegative integers, got {k!r}")
         acc = self._coerce(self.ctx.one())
-        for _ in range(k):
+        for _ in range(_int_arg(k, "power", 0)):
             acc = acc * self
             if not acc:
                 break
@@ -622,6 +616,15 @@ def _collection(xs, what):
     except TypeError:
         raise ConfigError(f"{what} must be a collection, got {type(xs).__name__}") from None
     return tuple(members)
+
+
+def _int_arg(x, what, lo=None, hi=None):
+    """x, once it is an int (a bool is not) of at least ``lo`` and at most
+    ``hi``, each bound when given (else ConfigError naming ``what``)."""
+    if type(x) is not int or lo is not None and x < lo or hi is not None and x > hi:
+        rule = f" in {lo}..{hi}" if hi is not None else "" if lo is None else f" >= {lo}"
+        raise ConfigError(f"{what} must be an integer{rule}, got {x!r}")
+    return x
 
 
 def _graded_arg(x, ctx, parity, what):

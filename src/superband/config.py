@@ -7,7 +7,7 @@ can offer these choices without loading those modules.
 
 from collections import namedtuple
 
-from .algebra import AlgebraContext
+from .algebra import AlgebraContext, _int_arg
 from .errors import ConfigError
 
 SUITES = ("algebra", "supermatrix", "gamma", "families", "analysis", "resolvent")
@@ -26,12 +26,10 @@ class SuiteConfig(
 
     def validate(self):
         AlgebraContext(self.generators)
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _int_arg(self.seed, "seed", 0)
         if self.suite != "all" and self.suite not in SUITES:
             raise ConfigError(
                 f"unknown suite {self.suite!r}; expected one of {('all',) + SUITES}"
             )
-        if not isinstance(self.samples, int) or self.samples < 1:
-            raise ConfigError(f"samples must be at least 1, got {self.samples!r}")
+        _int_arg(self.samples, "samples", 1)
         return self

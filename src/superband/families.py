@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .algebra import EVEN, ODD, GrassmannElement, _graded_arg, _Rational, _unchecked
+from .algebra import EVEN, ODD, GrassmannElement, _graded_arg, _int_arg, _Rational, _unchecked
 from .config import FAMILY_KINDS
 from .errors import ConfigError
 from .poly import MAX_VAR_DEGREE, GrassmannPoly
@@ -236,8 +236,7 @@ def differential_sequence(alpha: GrassmannElement, nmax: int):
     The sequence forms an antiderivative chain: d/dt S_k = S_{k-1},
     d/dt S_0 = A, and S_1 is the smoothing of P.
     """
-    if type(nmax) is not int or not 1 <= nmax <= 8:
-        raise ConfigError(f"nmax must be in 1..8, got {nmax!r}")
+    _int_arg(nmax, "nmax", 1, 8)
     alpha = _family_alpha(alpha)
     ctx = alpha.ctx
     p_family = make_family("P", alpha)

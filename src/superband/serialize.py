@@ -38,7 +38,10 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import GrassmannElement, _coefficient_str, _mask, _unchecked, create_algebra
+from .algebra import (
+    MAX_GENERATORS, GrassmannElement, _coefficient_str, _int_arg, _mask, _unchecked,
+    create_algebra,
+)
 from .errors import ConfigError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -66,13 +69,10 @@ def _require_keys(obj, keys, what):
 
 
 def _int(value, what, minimum=None, maximum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ParseError(f"{what} must be at least {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ParseError(f"{what} must be at most {maximum}, got {value}")
-    return value
+    try:
+        return _int_arg(value, what, minimum, maximum)
+    except ConfigError as exc:
+        raise ParseError(str(exc)) from None
 
 
 #: the only rational form dumps writes; Fraction() alone would also take
@@ -115,11 +115,7 @@ def _grid(obj, what):
 
 
 def _context(obj, what):
-    n = _int(obj["n"], f"{what} generator count")
-    try:
-        return create_algebra(n)
-    except ConfigError as exc:
-        raise ParseError(str(exc)) from None
+    return create_algebra(_int(obj["n"], f"{what} generator count", 1, MAX_GENERATORS))
 
 
 # ---------------------------------------------------------------------------

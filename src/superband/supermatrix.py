@@ -32,7 +32,9 @@ even elements are central, so the classical formulas apply verbatim.
 
 from __future__ import annotations
 
-from .algebra import EVEN, AlgebraContext, GrassmannElement, _collection, _graded_arg, _Rational
+from .algebra import (
+    EVEN, AlgebraContext, GrassmannElement, _collection, _graded_arg, _int_arg, _Rational,
+)
 from .errors import ConfigError, ContextError, ParityError, ShapeError
 
 DET_SIZE_CAP = 6
@@ -70,7 +72,7 @@ def _block_rows(a, gamma, delta, b):
 
 
 def _check_blocks(p, q):
-    if p < 1 or q < 1:
+    if min(_int_arg(p, "block size p"), _int_arg(q, "block size q")) < 1:
         raise ShapeError(f"block sizes must be at least 1, got ({p}|{q})")
 
 
