@@ -160,7 +160,7 @@ class AlgebraContext:
         if type(value) is int:
             value = _ratio(value, 1)
         elif type(value) is not Fraction:
-            value = Fraction(value)
+            value = _rational_arg(value, "scalar")
         return _unchecked(GrassmannElement, self, {0: value} if value else {})
 
     def gen(self, i: int) -> "GrassmannElement":
@@ -169,7 +169,7 @@ class AlgebraContext:
         return _unchecked(GrassmannElement, self, {mask: Fraction(1)})
 
     def monomial(self, indices, coeff=1) -> "GrassmannElement":
-        return GrassmannElement(self, {tuple(indices): coeff})
+        return GrassmannElement(self, {_collection(indices, "monomial indices"): coeff})
 
     def element(self, terms) -> "GrassmannElement":
         """Element from a {index_tuple: coefficient} mapping (zeros dropped)."""
@@ -297,11 +297,11 @@ class GrassmannElement(_Sparse):
         """The element of ``ctx`` with the {index_tuple: coefficient} terms, each
         tuple increasing in 1..n and none twice (else ConfigError), zeros dropped."""
         canon = {}
-        for idx, coeff in terms.items():
+        for idx, coeff in _dict_arg(terms, "terms").items():
             mask = _mask(ctx._check_index(idx))
             if mask in canon:
                 raise ConfigError(f"duplicate monomial {tuple(idx)!r}")
-            canon[mask] = Fraction(coeff)
+            canon[mask] = _rational_arg(coeff, "coefficient")
         super().__init__(ctx, {m: c for m, c in canon.items() if c})
 
     # -- basics -------------------------------------------------------
@@ -625,6 +625,21 @@ def _int_arg(x, what, lo=None, hi=None):
         rule = f" in {lo}..{hi}" if hi is not None else "" if lo is None else f" >= {lo}"
         raise ConfigError(f"{what} must be an integer{rule}, got {x!r}")
     return x
+
+
+def _dict_arg(x, what):
+    """x, once it is a dict (else ConfigError naming ``what``)."""
+    if not isinstance(x, dict):
+        raise ConfigError(f"{what} must be a dict, got {type(x).__name__}")
+    return x
+
+
+def _rational_arg(x, what):
+    """Fraction(x), once that is a rational (else ConfigError naming ``what``)."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{what} must be a rational, got {x!r}") from None
 
 
 def _graded_arg(x, ctx, parity, what):

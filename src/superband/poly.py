@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import inf
 
 from .algebra import (
-    EVEN, AlgebraContext, GrassmannElement, _graded_arg, _Rational, _Sparse, _unchecked,
+    EVEN, AlgebraContext, GrassmannElement, _dict_arg, _graded_arg, _Rational, _Sparse, _unchecked,
 )
 from .errors import ConfigError, ContextError
 
@@ -54,7 +54,7 @@ class SparsePoly(_Sparse):
 
     def __init__(self, ctx: AlgebraContext, terms: dict):
         clean = {}
-        for key, c in terms.items():
+        for key, c in _dict_arg(terms, "terms").items():
             self._check_key(key)
             if _graded_arg(c, ctx, None, "coefficient").terms:
                 clean[key] = c
@@ -203,6 +203,19 @@ class SparsePoly(_Sparse):
             )
         return x
 
+    def rename(self, src: str, dst: str):
+        """Move every power of ``src`` onto ``dst``: exponents add, and terms
+        that land on one key add."""
+        i, j = self._index(src), self._index(dst)
+        if i == j:
+            return self
+        out = {}
+        for (a, b), c in self.terms.items():
+            key = (0, a + b) if j else (a + b, 0)
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+        return _unchecked(type(self), self.ctx, {k: c for k, c in out.items() if c.terms})
+
     def _is_constant(self):
         return not self.terms.keys() - {_CONSTANT}
 
@@ -323,17 +336,9 @@ class GrassmannPoly(SparsePoly):
 
     def rename(self, src: str, dst: str) -> "GrassmannPoly":
         """Swap-free renaming: ``dst`` must not already occur."""
-        i, j = self._index(src), self._index(dst)
-        if i == j:
-            return self
-        if dst in self.variables():
+        if self._index(src) != self._index(dst) and dst in self.variables():
             raise ConfigError(f"cannot rename {src}->{dst}: {dst} already occurs")
-        # dst does not occur, so every exponent of src moves onto dst as is
-        if i == 0:
-            terms = {(0, key[0]): c for key, c in self.terms.items()}
-        else:
-            terms = {(key[1], 0): c for key, c in self.terms.items()}
-        return _unchecked(type(self), self.ctx, terms)
+        return super().rename(src, dst)
 
     def eval_at(self, assignment: dict) -> GrassmannElement:
         """Evaluate with even (or rational) values for every occurring parameter."""
@@ -342,8 +347,7 @@ class GrassmannPoly(SparsePoly):
     def _value_powers(self, assignment, used):
         """{(var, 1): value} for the checked ``assignment``, which ``_evaluated``
         extends with each power it uses; ``used`` names the required parameters."""
-        if not isinstance(assignment, dict):
-            raise ConfigError(f"assignment must be a dict, got {type(assignment).__name__}")
+        _dict_arg(assignment, "assignment")
         for var in self.VARS:  # in order, so the message names the first
             if var in used and var not in assignment:
                 raise ConfigError(f"no value supplied for parameter {var!r}")
@@ -385,14 +389,3 @@ class LaurentScalar(SparsePoly):
     @staticmethod
     def _power(name, i):
         return _raised("/", name, i) if i > 0 else _raised("*", name, -i)
-
-    def rename(self, src: str = "z", dst: str = "w") -> "LaurentScalar":
-        """Move every power of src onto dst (exponents merge)."""
-        i, j = self._index(src), self._index(dst)
-        if i == j:
-            return self
-        out = {}
-        for (iz, iw), c in self.terms.items():
-            key = (0, iz + iw) if j else (iz + iw, 0)
-            out[key] = out.get(key, self.ctx.zero()) + c
-        return LaurentScalar(self.ctx, out)

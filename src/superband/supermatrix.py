@@ -47,6 +47,13 @@ def _as_grid(rows):
     return tuple(map(tuple, rows))
 
 
+def _grid_arg(rows, what):
+    """``rows`` as a tuple of row tuples, once it and each of its rows are
+    collections (else ConfigError naming ``what``)."""
+    row = f"a row of {what}"
+    return tuple(_collection(r, row) for r in _collection(rows, what))
+
+
 def _grid_mul(x, y):
     """The grid product x y, summing only the pairs of nonzero entries; an
     entry with no such pair is row[0] * col[0], a zero of the product's kind."""
@@ -139,8 +146,8 @@ class GradedVector:
     _entry = None
 
     def __init__(self, even, odd):
-        even = tuple(even)
-        odd = tuple(odd)
+        even = _collection(even, "even")
+        odd = _collection(odd, "odd")
         if not even or not odd:
             raise ShapeError("a supervector needs at least one even and one odd slot")
         # a foreign first entry has no ctx and fails the type check
@@ -207,7 +214,7 @@ class GradedMatrix:
 
     def __init__(self, p: int, q: int, rows):
         _check_blocks(p, q)
-        grid = _as_grid(rows)
+        grid = _grid_arg(rows, "rows")
         d = p + q
         if len(grid) != d or any(len(r) != d for r in grid):
             raise ShapeError(f"expected a {d}x{d} grid for shape ({p}|{q})")
@@ -252,6 +259,8 @@ class GradedMatrix:
 
     @classmethod
     def from_blocks(cls, a, gamma, delta, b):
+        a, gamma, delta, b = (_grid_arg(x, f"block {name}") for x, name in
+                              zip((a, gamma, delta, b), ("A", "Gamma", "Delta", "B")))
         return cls(len(a), len(b), _block_rows(a, gamma, delta, b))
 
     @classmethod
@@ -385,7 +394,7 @@ class SuperMatrix(GradedMatrix):
 # ---------------------------------------------------------------------------
 
 def _check_even_square(rows):
-    grid = _as_grid(rows)
+    grid = _grid_arg(rows, "rows")
     size = len(grid)
     if size == 0 or any(len(r) != size for r in grid):
         raise ShapeError("expected a nonempty square grid")
