@@ -1,5 +1,5 @@
-"""Every graded, container and parameter-name argument is refused with a
-SuperbandError that names it.
+"""Every graded, container, parameter-name, integer and value argument is
+refused with a SuperbandError that names it.
 
 Each entry point that takes a Grassmann element at a graded position checks
 it in one order: a GrassmannElement (else ConfigError), of the expected
@@ -7,8 +7,11 @@ algebra (else ContextError), of the expected parity (else ParityError).
 The first table gives each site a non-element, an element of another
 algebra and an element of the wrong parity; the tables after it do the same
 for matrices, vectors, families, component lists, parameter names,
-collections and the remaining value arguments.
+collections, integers and the remaining value arguments.
 """
+
+import json
+import random
 
 import pytest
 
@@ -22,7 +25,8 @@ from superband.analysis import (
     n_differential_defect,
     n_functional_residual,
 )
-from superband.errors import ConfigError, ContextError, ParityError, ShapeError
+from superband.config import SuiteConfig
+from superband.errors import ConfigError, ContextError, ParityError, ParseError, ShapeError
 from superband.evolution import (
     cauchy_defect,
     commutativity_obstruction,
@@ -58,6 +62,8 @@ from superband.gamma import (
     strong_gamma_check,
 )
 from superband.poly import GrassmannPoly, LaurentScalar
+from superband.randgen import random_supervector
+from superband.serialize import dump_element, dumps, loads
 from superband.supermatrix import (
     SuperMatrix,
     SuperVector,
@@ -65,6 +71,7 @@ from superband.supermatrix import (
     berezinian,
     classify_reduction,
     det_even,
+    even_inverse,
     supertrace,
 )
 
@@ -284,12 +291,90 @@ def test_non_iterable_collection_is_refused_by_name(call, name):
                      id="membership_span"),
         pytest.param(lambda: differential_sequence(ODD, True), ConfigError, "nmax",
                      id="sequence_bool"),
+        pytest.param(lambda: SuperVector(5, 5), ConfigError, "even", id="vector_even"),
+        pytest.param(lambda: SuperVector([CTX.one()], 5), ConfigError, "odd", id="vector_odd"),
+        pytest.param(lambda: SuperMatrix(1, 1, 5), ConfigError, "rows", id="matrix_rows"),
+        pytest.param(lambda: SuperMatrix(1, 1, [[CTX.one(), CTX.zero()], 5]), ConfigError,
+                     "a row of rows", id="matrix_row"),
+        pytest.param(lambda: det_even(5), ConfigError, "rows", id="det_even"),
+        pytest.param(lambda: even_inverse(5), ConfigError, "rows", id="even_inverse"),
+        pytest.param(lambda: SuperMatrix.from_blocks(5, 5, 5, 5), ConfigError, "block A",
+                     id="from_blocks"),
+        pytest.param(lambda: SuperMatrix.from_blocks([[CTX.one()]], 5, [[ODD]], [[CTX.one()]]),
+                     ConfigError, "block Gamma", id="from_blocks_gamma"),
+        pytest.param(lambda: SuperMatrix.from_blocks([[CTX.one()]], [[ODD]], 5, [[CTX.one()]]),
+                     ConfigError, "block Delta", id="from_blocks_delta"),
+        pytest.param(lambda: SuperMatrix.from_blocks([[CTX.one()]], [[ODD]], [[ODD]], [5]),
+                     ConfigError, "a row of block B", id="from_blocks_b_row"),
+        pytest.param(lambda: CTX.monomial(5), ConfigError, "monomial indices", id="monomial"),
+        pytest.param(lambda: CTX.monomial((1,), "x"), ConfigError, "coefficient",
+                     id="monomial_coefficient"),
+        pytest.param(lambda: CTX.element(5), ConfigError, "terms", id="element"),
+        pytest.param(lambda: CTX.element({(1,): None}), ConfigError, "coefficient",
+                     id="element_coefficient"),
+        pytest.param(lambda: GrassmannPoly(CTX, 5), ConfigError, "terms", id="poly"),
+        pytest.param(lambda: LaurentScalar(CTX, 5), ConfigError, "terms", id="laurent"),
+        pytest.param(lambda: CTX.scalar("x"), ConfigError, "scalar", id="scalar_text"),
+        pytest.param(lambda: CTX.scalar(float("inf")), ConfigError, "scalar",
+                     id="scalar_infinite"),
     ],
 )
 def test_value_argument_is_refused_by_name(call, error, name):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(name)
+
+
+def _json_with(value, key, x):
+    """loads of the JSON form of ``value`` with ``key`` replaced by x."""
+    obj = json.loads(dumps(value))
+    obj[key] = x
+    return loads(json.dumps(obj))
+
+
+def _poly_term_with(t):
+    return loads(json.dumps({"n": 3, "poly": [{"c": dump_element(ODD), "s": 0, "t": t}]}))
+
+
+#: (id, call taking the integer, name in the message, error of a non-integer,
+#:  an out-of-range integer, its error); True is no integer
+INT_SITES = [
+    ("create_algebra", create_algebra, "number of generators", ConfigError, 17, ConfigError),
+    ("gen", CTX.gen, "generator index", ConfigError, 4, ConfigError),
+    ("power", lambda k: ODD ** k, "power", ConfigError, -1, ConfigError),
+    ("seed", lambda x: SuiteConfig(seed=x).validate(), "seed", ConfigError, -1, ConfigError),
+    ("samples", lambda x: SuiteConfig(samples=x).validate(), "samples", ConfigError, 0,
+     ConfigError),
+    ("nmax", lambda x: differential_sequence(ODD, x), "nmax", ConfigError, 9, ConfigError),
+    ("matrix_p", lambda x: SuperMatrix(x, 1, M.rows), "block size p", ConfigError, 0,
+     ShapeError),
+    ("identity_p", lambda x: SuperMatrix.identity(CTX, x, 1), "block size p", ConfigError, 0,
+     ShapeError),
+    ("identity_q", lambda x: SuperMatrix.identity(CTX, 1, x), "block size q", ConfigError, 0,
+     ShapeError),
+    ("supervector_p", lambda x: random_supervector(random.Random(0), CTX, x, 1),
+     "block size p", ConfigError, 0, ShapeError),
+    ("json_n", lambda x: _json_with(ODD, "n", x), "element generator count", ParseError, 17,
+     ParseError),
+    ("json_p", lambda x: _json_with(M, "p", x), "p", ParseError, 0, ParseError),
+    ("json_exponent", _poly_term_with, "t exponent", ParseError, 10, ParseError),
+]
+
+
+def _int_cases():
+    for site, call, name, error, out_of_range, range_error in INT_SITES:
+        for label, arg, err in [("bool", True, error), ("text", "1", error),
+                                ("out_of_range", out_of_range, range_error)]:
+            yield pytest.param(call, arg, err, name, id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("call, arg, error, name", list(_int_cases()))
+def test_integer_argument_is_refused_by_name(call, arg, error, name):
+    with pytest.raises(error) as info:
+        call(arg)
+    message = str(info.value)
+    # a block size below 1 is a ShapeError that names both sizes
+    assert message.startswith("block sizes" if error is ShapeError else name)
 
 
 def test_family_in_s_is_refused_by_name():

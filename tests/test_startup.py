@@ -114,6 +114,24 @@ def test_algebra_import_precomputes_no_masks():
     )
 
 
+def test_refused_generator_count_leaves_no_context_behind():
+    # contexts are cached per process, so only a fresh one shows a refused
+    # request that would be the first for n = 1
+    out = run_python(
+        "from superband.algebra import create_algebra\n"
+        "from superband.errors import ConfigError\n"
+        "from superband.serialize import dumps\n"
+        "try:\n"
+        "    create_algebra(True)\n"
+        "except ConfigError as exc:\n"
+        "    print(exc)\n"
+        "print(dumps(create_algebra(1).gen(1)))"
+    )
+    refused, dumped = out.splitlines()
+    assert refused == "number of generators must be an integer in 1..16, got True"
+    assert dumped.startswith('{"n":1,')
+
+
 def test_every_export_resolves():
     out = run_python(
         "import superband\n"
