@@ -532,7 +532,33 @@ def _coefficient_str(c) -> str:
         ) from None
 
 
-class AnnihilatorBasis:
+class _OddSpan:
+    """The span of the odd elements ``basis`` of one algebra, the base of
+    AnnihilatorBasis and gamma.GammaSet.  ``_rows`` holds its pivot rows as
+    ``linalg.residue`` takes them, so x is a member iff it leaves no residue.
+    Each subclass names ``contains`` itself: perfbench traces the methods
+    a class defines."""
+
+    __slots__ = ("ctx", "basis", "_rows")
+
+    def __init__(self, ctx, basis, rows):
+        self.ctx = ctx
+        self.basis = tuple(basis)
+        self._rows = rows
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, x: GrassmannElement) -> bool:
+        """Whether the odd element x of this algebra lies in the span."""
+        return not linalg.residue(_graded_arg(x, self.ctx, ODD, "span member").terms, self._rows)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, n={self.ctx.n})"
+
+
+class AnnihilatorBasis(_OddSpan):
     """A canonical basis of the odd annihilator of a set of odd elements.
 
     ``basis`` spans {gamma in odd part : gamma * a == 0 for every input a};
@@ -543,23 +569,13 @@ class AnnihilatorBasis:
     those monomials as masks.
     """
 
-    __slots__ = ("ctx", "basis", "free", "_rows")
+    __slots__ = ("free",)
+    contains = _OddSpan.contains
 
     def __init__(self, ctx, basis, free):
-        self.ctx = ctx
-        self.basis = tuple(basis)
-        self._rows = dict(zip(free, (b.terms for b in self.basis)))
+        basis = tuple(basis)
+        super().__init__(ctx, basis, dict(zip(free, (b.terms for b in basis))))
         self.free = tuple(map(_indices, self._rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, x: GrassmannElement) -> bool:
-        return odd_span_contains(self.ctx, self._rows, x)
-
-    def __repr__(self):
-        return f"AnnihilatorBasis(dim={self.dim}, n={self.ctx.n})"
 
 
 def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> AnnihilatorBasis:
@@ -571,12 +587,7 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     the whole odd subspace (an explicit ctx is then required for the empty
     list).
     """
-    gens = _collection(generators, "annihilator generators")
-    for g in gens:
-        ctx = _graded_arg(g, ctx, ODD, "annihilator generator").ctx
-    if ctx is None:
-        raise ConfigError("empty generator list needs an explicit ctx")
-
+    gens, ctx = _odd_args(generators, ctx, "annihilator generators", "annihilator generator")
     odd = _masks(ctx.n, 1)
     # constraint rows: for each generator a and each monomial that occurs in
     # some odd_j * a, the coefficient of (sum_j c_j * odd_j) * a must vanish.
@@ -599,14 +610,15 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     return AnnihilatorBasis(ctx, vectors, [odd[j] for j in free])
 
 
-def odd_span_contains(ctx, rows, x) -> bool:
-    """Whether the odd element x of ``ctx`` lies in the span of ``rows``.
-
-    ``rows`` maps monomials to term dicts, each 1 at its own monomial and 0
-    at every other key, as in ``linalg.residue``: x is a member iff x minus
-    the sum of x[key] * row leaves no residue.
-    """
-    return not linalg.residue(_graded_arg(x, ctx, ODD, "span member").terms, rows)
+def _odd_args(xs, ctx, what, member):
+    """The collection ``xs`` (named ``what``) of odd-or-zero elements (each a
+    ``member``) of one algebra as a tuple, and ``ctx``, else their context."""
+    xs = _collection(xs, what)
+    for x in xs:
+        ctx = _graded_arg(x, ctx, ODD, member).ctx
+    if ctx is None:
+        raise ConfigError(f"with no {member} an explicit ctx is needed")
+    return xs, ctx
 
 
 def _collection(xs, what):

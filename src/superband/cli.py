@@ -63,17 +63,10 @@ def parse_alpha(text: str, ctx: AlgebraContext):
     total = ctx.zero()
     term = None
     sign = 1
-
-    def close_term():
-        nonlocal total, term, sign
-        total = total + term if sign > 0 else total - term
-        term = None
-        sign = 1
-
     for tok in tokens:
         if tok in "+-":
             if term is not None:
-                close_term()
+                total, term, sign = total + term * sign, None, 1
             if tok == "-":
                 sign = -sign
         elif tok.startswith("xi"):
@@ -95,8 +88,7 @@ def parse_alpha(text: str, ctx: AlgebraContext):
             term = factor if term is None else term * factor
     if term is None:
         raise ParseError("alpha expression ends with a dangling sign")
-    close_term()
-    return total
+    return total + term * sign
 
 
 # -- shared input helpers ----------------------------------------------

@@ -265,20 +265,18 @@ _ARGUMENTS = (
 
 
 def _canonical_forms(alpha: GrassmannElement):
-    """Deterministically ordered menu of named (1|1) forms built from alpha."""
+    """Deterministically ordered menu {label: form} of named (1|1) forms built
+    from alpha; it holds the seven table operands."""
     ctx = alpha.ctx
-    forms = []
-    z = make_family("Z", alpha)
     a_fam = make_family("A", alpha)
-    forms.append(("Z", z))
-    forms.append(("A", a_fam))
-    forms.append(("A*t", a_fam.scale(GrassmannPoly.variable(ctx, "t"))))
-    forms.append(("A*s", a_fam.scale(GrassmannPoly.variable(ctx, "s"))))
-    forms.append(("E", make_family("E", alpha)))
+    forms = {"Z": make_family("Z", alpha), "A": a_fam}
+    for var in ("t", "s"):
+        forms[f"A*{var}"] = a_fam.scale(GrassmannPoly.variable(ctx, var))
+    forms["E"] = make_family("E", alpha)
     for kind in ("P", "Y", "T"):
         base = make_family(kind, alpha)
         for name, build in _ARGUMENTS:
-            forms.append((f"{kind}({name})", base.substitute("t", build(ctx))))
+            forms[f"{kind}({name})"] = base.substitute("t", build(ctx))
     return forms
 
 
@@ -290,7 +288,7 @@ def match_named_form(value: ParamSuperMatrix, alpha: GrassmannElement, forms=Non
     """
     if forms is None:
         forms = _canonical_forms(alpha)
-    for label, form in forms:
+    for label, form in forms.items():
         if value == form:
             return label
     return None
@@ -348,25 +346,14 @@ class CayleyReport(
 
 def standard_operands(alpha: GrassmannElement):
     """The seven table operands, each in its own display parameter."""
-    p = make_family("P", alpha)
-    y = make_family("Y", alpha)
-    t_fam = make_family("T", alpha)
-    return {
-        "P(t)": p,
-        "P(s)": in_var(p, "s"),
-        "A": make_family("A", alpha),
-        "Z": make_family("Z", alpha),
-        "Y(t)": y,
-        "T(t)": t_fam,
-        "T(s)": in_var(t_fam, "s"),
-    }
+    forms = _canonical_forms(_family_alpha(alpha))
+    return {label: forms[label] for label in OPERAND_LABELS}
 
 
 def cayley_table_verify(alpha: GrassmannElement) -> CayleyReport:
     """Multiply all 49 operand pairs, name each product, and compare with the
     reference rows."""
     alpha = _family_alpha(alpha)
-    operands = standard_operands(alpha)
     forms = _canonical_forms(alpha)
     computed = {}
     products = {}
@@ -374,7 +361,7 @@ def cayley_table_verify(alpha: GrassmannElement) -> CayleyReport:
     unmatched = []
     for row_label in OPERAND_LABELS:
         for idx, col_label in enumerate(OPERAND_LABELS):
-            product = operands[row_label] @ operands[col_label]
+            product = forms[row_label] @ forms[col_label]
             label = match_named_form(product, alpha, forms)
             products[(row_label, col_label)] = product
             computed[(row_label, col_label)] = label

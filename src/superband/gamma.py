@@ -16,7 +16,7 @@ one-parameter antitriangle families under multiplication.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import EVEN, ODD, _collection, _graded_arg, annihilator_odd, odd_span_contains
+from .algebra import EVEN, _collection, _graded_arg, _odd_args, _OddSpan, annihilator_odd
 from .errors import ConfigError, NotInvertible, ShapeError
 from .poly import GrassmannPoly
 from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
@@ -32,7 +32,7 @@ def _require_antitriangle(m, what):
         raise ShapeError(f"{what} needs antitriangle matrices (zero upper-left block)")
 
 
-class GammaSet:
+class GammaSet(_OddSpan):
     """A rational span of odd elements with optional even stabilizers.
 
     ``span`` lists a basis of the controlling odd subspace; the vectors must
@@ -43,31 +43,22 @@ class GammaSet:
     checked by :meth:`stabilizes`.
     """
 
-    __slots__ = ("ctx", "span", "stabilizing_evens", "_ann", "_rows")
+    __slots__ = ("stabilizing_evens", "_ann")
+    contains = _OddSpan.contains
 
     def __init__(self, span, stabilizing_evens=(), ctx=None):
-        vectors = _collection(span, "span")
-        for v in vectors:
-            ctx = _graded_arg(v, ctx, ODD, "span vector").ctx
-        if ctx is None:
-            raise ConfigError("an empty span needs an explicit ctx")
+        vectors, ctx = _odd_args(span, ctx, "span", "span vector")
         rows = linalg.echelon(v.terms for v in vectors)
         if len(rows) != len(vectors):
             raise ConfigError("span vectors must be linearly independent")
-        evens = tuple(_graded_arg(b, ctx, EVEN, "stabilizer")
-                      for b in _collection(stabilizing_evens, "stabilizing_evens"))
-        self.ctx = ctx
-        self.span = vectors
-        self.stabilizing_evens = evens
+        super().__init__(ctx, vectors, rows)
+        evens = _collection(stabilizing_evens, "stabilizing_evens")
+        self.stabilizing_evens = tuple(_graded_arg(b, ctx, EVEN, "stabilizer") for b in evens)
         self._ann = None
-        self._rows = rows
 
     @property
-    def dim(self) -> int:
-        return len(self.span)
-
-    def contains(self, x) -> bool:
-        return odd_span_contains(self.ctx, self._rows, x)
+    def span(self):
+        return self.basis
 
     def annihilator(self):
         """Basis of the odd elements annihilating every span vector (cached)."""
@@ -81,9 +72,6 @@ class GammaSet:
         return all(
             self.contains(v * b) for b in self.stabilizing_evens for v in self.span
         )
-
-    def __repr__(self):
-        return f"GammaSet(dim={self.dim}, n={self.ctx.n})"
 
 
 def gamma_membership(m: SuperMatrix, g: GammaSet, side: str = "left") -> bool:

@@ -39,6 +39,16 @@ def _raised(op, name, e):
     return f"{op}{name}" if e == 1 else f"{op}{name}^{e}"
 
 
+def _add_at(terms, key, c):
+    """Add the element c to ``terms[key]``, dropping the key if the sum is zero."""
+    acc = terms.get(key)
+    total = c if acc is None else acc + c
+    if total.terms:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
+
+
 class SparsePoly(_Sparse):
     """A canonical sparse sum of c * monomial over one Grassmann algebra,
     keyed by exponent pairs; see the module docstring for the kinds."""
@@ -150,12 +160,7 @@ class SparsePoly(_Sparse):
             return other
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            acc = terms.get(key)
-            total = c if acc is None else acc + c
-            if total.terms:
-                terms[key] = total
-            else:
-                del terms[key]
+            _add_at(terms, key, c)
         return _unchecked(type(self), self.ctx, terms)
 
     __radd__ = __add__
@@ -183,15 +188,7 @@ class SparsePoly(_Sparse):
                 key = e, f = ea + eb, fa + fb
                 if not (lo <= e <= hi and lo <= f <= hi):
                     self._check_key(key)
-                c = ca * cb
-                if not c.terms:
-                    continue
-                acc = terms.get(key)
-                total = c if acc is None else acc + c
-                if total.terms:
-                    terms[key] = total
-                else:
-                    del terms[key]
+                _add_at(terms, key, ca * cb)
         return _unchecked(type(self), self.ctx, terms)
 
     def _arg(self, other, what):
@@ -211,10 +208,8 @@ class SparsePoly(_Sparse):
             return self
         out = {}
         for (a, b), c in self.terms.items():
-            key = (0, a + b) if j else (a + b, 0)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return _unchecked(type(self), self.ctx, {k: c for k, c in out.items() if c.terms})
+            _add_at(out, (0, a + b) if j else (a + b, 0), c)
+        return _unchecked(type(self), self.ctx, out)
 
     def _is_constant(self):
         return not self.terms.keys() - {_CONSTANT}
@@ -290,27 +285,23 @@ class GrassmannPoly(SparsePoly):
     # -- calculus and substitution ------------------------------------
 
     def derivative(self, var: str = "t") -> "GrassmannPoly":
+        return _unchecked(type(self), self.ctx, self._shifted(var, -1, lambda e: e))
+
+    def integrate(self, var: str = "t") -> "GrassmannPoly":
+        """Antiderivative with zero constant term (integral from 0)."""
+        # the checked constructor enforces the degree cap
+        return GrassmannPoly(self.ctx, self._shifted(var, 1, lambda e: Fraction(1, e + 1)))
+
+    def _shifted(self, var, step, scale):
+        """The terms with the exponent e of ``var`` moved to e + step >= 0
+        (the others dropped), each coefficient times ``scale(e)``."""
         i = self._index(var)
         terms = {}
         for key, c in self.terms.items():
             e = key[i]
-            if e == 0:
-                continue
-            new = list(key)
-            new[i] = e - 1
-            terms[tuple(new)] = c * e
-        return _unchecked(type(self), self.ctx, terms)
-
-    def integrate(self, var: str = "t") -> "GrassmannPoly":
-        """Antiderivative with zero constant term (integral from 0)."""
-        i = self._index(var)
-        terms = {}
-        for key, c in self.terms.items():
-            new = list(key)
-            new[i] = key[i] + 1
-            terms[tuple(new)] = c * Fraction(1, new[i])
-        # the constructor enforces the degree cap
-        return GrassmannPoly(self.ctx, terms)
+            if e + step >= 0:
+                terms[key[:i] + (e + step,) + key[i + 1:]] = c * scale(e)
+        return terms
 
     def substitute(self, var: str, replacement: "GrassmannPoly") -> "GrassmannPoly":
         """Replace ``var`` by a polynomial (e.g. t -> t+s or t -> t/2)."""

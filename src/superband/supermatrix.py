@@ -32,6 +32,8 @@ even elements are central, so the classical formulas apply verbatim.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .algebra import (
     EVEN, AlgebraContext, GrassmannElement, _collection, _graded_arg, _int_arg, _Rational,
 )
@@ -87,8 +89,9 @@ def _grid_is_zero(grid):
     return all(x.is_zero() for row in grid for x in row)
 
 
-def _grid_sub(x, y):
-    return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+def _entrywise(op, x, y):
+    """The grid of op(a, b) over the entries a of x and b of y, paired by place."""
+    return [[op(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
 def _container_arg(x, cls, what, like=None, shape=None, ctx=None):
@@ -171,10 +174,7 @@ class GradedVector:
 
     def __sub__(self, other):
         _container_arg(other, type(self), "right operand", like=self)
-        return type(self)(
-            [a - b for a, b in zip(self.even, other.even)],
-            [a - b for a, b in zip(self.odd, other.odd)],
-        )
+        return type(self)(*_entrywise(sub, (self.even, self.odd), (other.even, other.odd)))
 
     def __eq__(self, other):
         return (
@@ -311,19 +311,11 @@ class GradedMatrix:
 
     def __add__(self, other):
         _container_arg(other, type(self), "right operand", like=self)
-        return self._graded(
-            self.p,
-            self.q,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._graded(self.p, self.q, _entrywise(add, self.rows, other.rows))
 
     def __sub__(self, other):
         _container_arg(other, type(self), "right operand", like=self)
-        return self._graded(
-            self.p,
-            self.q,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._graded(self.p, self.q, _entrywise(sub, self.rows, other.rows))
 
     def __neg__(self):
         return self._map(lambda a: -a)
@@ -472,8 +464,10 @@ def berezinian(m: SuperMatrix) -> GrassmannElement:
     _container_arg(m, SuperMatrix, "matrix")
     b = m.block_b()
     b_inv = even_inverse(b)
-    schur = _grid_sub(m.block_a(), _grid_mul(_grid_mul(m.block_gamma(), b_inv), m.block_delta()))
-    return det_even(schur) * det_even(b_inv)
+    schur = _entrywise(sub, m.block_a(),
+                       _grid_mul(_grid_mul(m.block_gamma(), b_inv), m.block_delta()))
+    # det B^-1 = (det B)^-1; det_even caps p, the size of the Schur complement
+    return det_even(schur) * _det(b).inverse()
 
 
 def ber_parts(m: SuperMatrix):
