@@ -296,6 +296,7 @@ class GrassmannElement(_Sparse):
     def __init__(self, ctx: AlgebraContext, terms):
         """The element of ``ctx`` with the {index_tuple: coefficient} terms, each
         tuple increasing in 1..n and none twice (else ConfigError), zeros dropped."""
+        _context_arg(ctx)
         canon = {}
         for idx, coeff in _dict_arg(terms, "terms").items():
             mask = _mask(ctx._check_index(idx))
@@ -534,10 +535,9 @@ def _coefficient_str(c) -> str:
 
 class _OddSpan:
     """The span of the odd elements ``basis`` of one algebra, the base of
-    AnnihilatorBasis and gamma.GammaSet.  ``_rows`` holds its pivot rows as
-    ``linalg.residue`` takes them, so x is a member iff it leaves no residue.
-    Each subclass names ``contains`` itself: perfbench traces the methods
-    a class defines."""
+    AnnihilatorBasis and gamma.GammaSet, with its pivot rows ``_rows`` for
+    ``linalg.residue``.  Each subclass names ``contains`` itself, since
+    perfbench traces the methods a class defines."""
 
     __slots__ = ("ctx", "basis", "_rows")
 
@@ -614,6 +614,7 @@ def _odd_args(xs, ctx, what, member):
     """The collection ``xs`` (named ``what``) of odd-or-zero elements (each a
     ``member``) of one algebra as a tuple, and ``ctx``, else their context."""
     xs = _collection(xs, what)
+    ctx = None if ctx is None else _context_arg(ctx)
     for x in xs:
         ctx = _graded_arg(x, ctx, ODD, member).ctx
     if ctx is None:
@@ -628,6 +629,13 @@ def _collection(xs, what):
     except TypeError:
         raise ConfigError(f"{what} must be a collection, got {type(xs).__name__}") from None
     return tuple(members)
+
+
+def _context_arg(ctx):
+    """ctx, once it is an AlgebraContext (else ConfigError)."""
+    if type(ctx) is not AlgebraContext:
+        raise ConfigError(f"ctx must be an AlgebraContext, got {type(ctx).__name__}")
+    return ctx
 
 
 def _int_arg(x, what, lo=None, hi=None):

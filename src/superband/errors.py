@@ -13,11 +13,12 @@ it is one of another class, shape or block sizes, and a ContextError if it
 is of another algebra.  A collection argument that is not iterable
 (``algebra._collection``) and a parameter name outside its kind's variables
 (``poly.SparsePoly._index``) are ConfigErrors; a collection's members are
-checked by their kind's rule.  An integer argument (``algebra._int_arg``)
-that is no int, a bool included, or is out of range is a ConfigError, but a
-block size below 1 is a ShapeError.  A terms mapping or an assignment that
-is no dict (``_dict_arg``), a scalar or coefficient that ``Fraction`` refuses
-(``_rational_arg``) and a grid or a row of one that is not iterable
+checked by their kind's rule.  An integer argument (``algebra._int_arg``) that
+is no int, a bool included, or is out of range is a ConfigError, but a block
+size below 1 or a Gamma or Delta block of the wrong size is a ShapeError.  A ctx
+that is no AlgebraContext (``_context_arg``), a terms mapping or an assignment
+that is no dict (``_dict_arg``), a scalar or coefficient that ``Fraction``
+refuses (``_rational_arg``) and a grid or a row of one that is not iterable
 (``supermatrix._grid_arg``) are ConfigErrors.  Each message names the argument.
 """
 

@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import inf
 
 from .algebra import (
-    EVEN, AlgebraContext, GrassmannElement, _dict_arg, _graded_arg, _Rational, _Sparse, _unchecked,
+    EVEN, AlgebraContext, GrassmannElement, _context_arg, _dict_arg, _graded_arg, _Rational,
+    _Sparse, _unchecked,
 )
 from .errors import ConfigError, ContextError
 
@@ -63,6 +64,7 @@ class SparsePoly(_Sparse):
     BOUNDS = None
 
     def __init__(self, ctx: AlgebraContext, terms: dict):
+        _context_arg(ctx)
         clean = {}
         for key, c in _dict_arg(terms, "terms").items():
             self._check_key(key)
@@ -112,7 +114,7 @@ class SparsePoly(_Sparse):
 
     @classmethod
     def zero(cls, ctx):
-        return _unchecked(cls, ctx, {})
+        return _unchecked(cls, _context_arg(ctx), {})
 
     @classmethod
     def constant(cls, value: GrassmannElement):
@@ -267,7 +269,7 @@ class GrassmannPoly(SparsePoly):
     @classmethod
     def variable(cls, ctx, var: str):
         key = (0, 1) if cls._index(var) else (1, 0)
-        return _unchecked(cls, ctx, {key: ctx.one()})
+        return _unchecked(cls, ctx, {key: _context_arg(ctx).one()})
 
     def variables(self):
         used = set()

@@ -35,7 +35,8 @@ from __future__ import annotations
 from operator import add, sub
 
 from .algebra import (
-    EVEN, AlgebraContext, GrassmannElement, _collection, _graded_arg, _int_arg, _Rational,
+    EVEN, AlgebraContext, GrassmannElement, _collection, _context_arg, _graded_arg, _int_arg,
+    _Rational,
 )
 from .errors import ConfigError, ContextError, ParityError, ShapeError
 
@@ -261,7 +262,11 @@ class GradedMatrix:
     def from_blocks(cls, a, gamma, delta, b):
         a, gamma, delta, b = (_grid_arg(x, f"block {name}") for x, name in
                               zip((a, gamma, delta, b), ("A", "Gamma", "Delta", "B")))
-        return cls(len(a), len(b), _block_rows(a, gamma, delta, b))
+        p, q = len(a), len(b)
+        for grid, name, rows, cols in ((gamma, "Gamma", p, q), (delta, "Delta", q, p)):
+            if len(grid) != rows or any(len(r) != cols for r in grid):
+                raise ShapeError(f"block {name} must be {rows}x{cols} for shape ({p}|{q})")
+        return cls(p, q, _block_rows(a, gamma, delta, b))
 
     @classmethod
     def _antitriangle(cls, gamma, delta, b):
@@ -279,14 +284,14 @@ class GradedMatrix:
     @classmethod
     def zero(cls, ctx: AlgebraContext, p: int, q: int):
         _check_blocks(p, q)
-        z = cls._constant(ctx.zero())
+        z = cls._constant(_context_arg(ctx).zero())
         d = p + q
         return cls._graded(p, q, [[z] * d for _ in range(d)])
 
     @classmethod
     def identity(cls, ctx: AlgebraContext, p: int, q: int):
         _check_blocks(p, q)
-        z, one = cls._constant(ctx.zero()), cls._constant(ctx.one())
+        z, one = cls._constant(_context_arg(ctx).zero()), cls._constant(ctx.one())
         d = p + q
         return cls._graded(p, q, [[one if i == j else z for j in range(d)] for i in range(d)])
 

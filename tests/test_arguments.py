@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from superband.algebra import annihilator_odd, create_algebra
+from superband.algebra import GrassmannElement, annihilator_odd, create_algebra
 from superband.analysis import (
     ComponentList,
     band_component_system_check,
@@ -275,6 +275,20 @@ def test_non_iterable_collection_is_refused_by_name(call, name):
         call(5)
 
 
+#: (id, call passing the int 5 where an AlgebraContext belongs)
+NOT_A_CONTEXT = [
+    ("element", lambda: GrassmannElement(5, {})),
+    ("poly", lambda: GrassmannPoly(5, {})),
+    ("poly_zero", lambda: GrassmannPoly.zero(5)),
+    ("poly_variable", lambda: GrassmannPoly.variable(5, "t")),
+    ("matrix_zero", lambda: SuperMatrix.zero(5, 1, 1)),
+    ("matrix_identity", lambda: SuperMatrix.identity(5, 1, 1)),
+    ("annihilator_odd", lambda: annihilator_odd([], ctx=5)),
+    ("gamma_empty", lambda: GammaSet([], ctx=5)),
+    ("gamma", lambda: GammaSet([ODD], ctx=5)),
+]
+
+
 @pytest.mark.parametrize(
     "call, error, name",
     [
@@ -317,6 +331,16 @@ def test_non_iterable_collection_is_refused_by_name(call, name):
         pytest.param(lambda: CTX.scalar("x"), ConfigError, "scalar", id="scalar_text"),
         pytest.param(lambda: CTX.scalar(float("inf")), ConfigError, "scalar",
                      id="scalar_infinite"),
+        pytest.param(lambda: SuperMatrix.from_blocks([[CTX.one()]], [[ODD], [ODD]], [[ODD]],
+                                                     [[CTX.one()]]),
+                     ShapeError, "block Gamma must be 1x1 for shape (1|1)", id="gamma_rows"),
+        pytest.param(lambda: SuperMatrix.from_blocks([[CTX.one()]], [], [[ODD]], [[CTX.one()]]),
+                     ShapeError, "block Gamma must be 1x1", id="gamma_empty"),
+        pytest.param(lambda: SuperMatrix.from_blocks([[CTX.one()]], [[ODD]], [[ODD, ODD]],
+                                                     [[CTX.one()]]),
+                     ShapeError, "block Delta must be 1x1", id="delta_columns"),
+        *(pytest.param(call, ConfigError, "ctx must be an AlgebraContext, got int",
+                       id=f"ctx_{site}") for site, call in NOT_A_CONTEXT),
     ],
 )
 def test_value_argument_is_refused_by_name(call, error, name):

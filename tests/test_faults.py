@@ -1,0 +1,88 @@
+"""Each injected fault turns the ``verify`` labels that should catch it red.
+
+A label that no fault can turn red checks nothing, so each row names a
+fault, injected as ``tests/test_witnesses.py`` injects its faults (a name
+replaced in the module that looks it up), plus the suite, seed and sample
+count it runs at and the labels that must fail there.  The rows assert that
+those labels fail, not that the others pass: one fault can break several
+laws.  This is mutation testing (DeMillo, Lipton and Sayward, "Hints on Test
+Data Selection", IEEE Computer 1978).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from superband import families, suites
+from superband.algebra import AnnihilatorBasis, _mask
+from superband.config import SuiteConfig
+from superband.poly import GrassmannPoly
+from superband.supermatrix import det_even
+
+
+def _ber_times_det_b(real):
+    # det(Schur) * det B instead of det(Schur) / det B
+    return lambda m: real(m) * det_even(m.block_b()) ** 2
+
+
+def _drop_last_vector(real):
+    def broken(generators, ctx=None):
+        ann = real(generators, ctx)
+        return AnnihilatorBasis(ann.ctx, ann.basis[:-1], [_mask(f) for f in ann.free[:-1]])
+    return broken
+
+
+def _without_zero_argument(real):
+    return tuple(entry for entry in real if entry[0] != "0")
+
+
+def _integral_without_scale(real):
+    # c t^e -> c t^(e+1), without the 1/(e+1) of integrate
+    return lambda family: family.scale(GrassmannPoly.variable(family.ctx, "t"))
+
+
+def _derivatives_for_s1_to_s3(real):
+    def broken(alpha, nmax):
+        seq = real(alpha, nmax)
+        return seq[:1] + [s.derivative("t") for s in seq[1:4]] + seq[4:]
+    return broken
+
+
+def _renaming_nothing(real):
+    return lambda family, var: family
+
+
+#: (id, module, name replaced, fault from the real value, suite, seed,
+#:  samples, labels that must fail)
+FAULTS = [
+    ("ber_times_det_b", suites, "berezinian", _ber_times_det_b,
+     "supermatrix", 0, 20, {"7a", "ber11"}),
+    ("annihilator_drops_last", suites, "annihilator_odd", _drop_last_vector,
+     "algebra", 0, 40, {"ann_complete"}),
+    ("menu_without_y0", families, "_ARGUMENTS", _without_zero_argument,
+     "families", 0, 16, {"table"}),
+    ("smoothing_unscaled", suites, "smoothing", _integral_without_scale,
+     "families", 0, 16, {"v1", "v2", "pv"}),
+    ("sequence_differentiated", suites, "differential_sequence", _derivatives_for_s1_to_s3,
+     "families", 0, 16, {"ss2", "pv"}),
+    ("in_var_identity", suites, "in_var", _renaming_nothing,
+     "families", 0, 16, {"ptu", "pppa"}),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, suite, seed, samples, labels",
+    [pytest.param(*row[1:], id=row[0]) for row in FAULTS],
+)
+def test_fault_turns_its_labels_red(monkeypatch, module, name, fault, suite, seed,
+                                    samples, labels):
+    cfg = SuiteConfig(generators=4, seed=seed, suite=suite, samples=samples)
+    (clean,) = suites.run_suite(cfg).report["suites"]
+    assert all(c["passed"] for c in clean["checks"] if c["label"] in labels)
+
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    (report,) = suites.run_suite(cfg).report["suites"]
+
+    verdicts = {c["label"]: c["passed"] for c in report["checks"]}
+    assert labels <= verdicts.keys()
+    assert not any(verdicts[label] for label in labels)
