@@ -31,9 +31,11 @@ passes a coefficient's pair to ``_merge``, touch those slots, and a test
 pins their names.
 
 ``GrassmannElement`` and ``poly.SparsePoly`` both keep an immutable canonical
-``terms`` dict over one context, so the storage, the immutability guard and
-the arithmetic that follows from ``+``, unary ``-`` and ``*`` live once, in
-their base ``_Sparse``; ``_unchecked`` wraps terms canonical by construction.
+``terms`` dict over one context, so the storage, the immutability guard,
+operand coercion, ``+`` and the arithmetic that follows from ``+``, unary
+``-`` and ``*`` live once, in their base ``_Sparse``, and each kind supplies
+the hooks ``_lift`` and ``_merge_into``; ``_unchecked`` wraps terms
+canonical by construction.
 
 Usage:
 
@@ -210,10 +212,12 @@ class _Sparse:
     """An immutable canonical ``terms`` dict over one AlgebraContext: the base
     of GrassmannElement and poly.SparsePoly.
 
-    The constructor stores ``terms`` as given.  A subclass adds its checks,
-    ``_coerce`` (an operand as a value of its own kind and context, or None
-    for an unknown type), ``__add__``, ``__neg__``, ``__mul__``, equality,
-    hashing and printing; subtraction, reflected products and powers follow.
+    The constructor stores ``terms`` as given.  ``_coerce`` and ``+`` live
+    here; a subclass supplies two hooks for them, ``_lift`` (an element of
+    ``ctx`` as a value of its own kind) and ``_merge_into(terms, other)``
+    (adds the terms dict ``other`` into ``terms`` in place, dropping cancelled
+    keys), and adds its checks, ``__neg__``, ``__mul__``, equality, hashing
+    and printing; subtraction, reflected products and powers follow.
     """
 
     __slots__ = ("ctx", "terms")
@@ -236,6 +240,34 @@ class _Sparse:
 
     def sorted_terms(self):
         return sorted(self.terms.items())
+
+    def _coerce(self, other):
+        """other as a value of this kind over ``ctx``: as it is when it is one,
+        lifted when an element or a rational, None for an unknown type."""
+        if type(other) is not type(self):
+            if isinstance(other, _Rational):
+                return self._lift(self.ctx.scalar(other))
+            if not isinstance(other, GrassmannElement):
+                return None
+            other = self._lift(other)
+        if other.ctx is not self.ctx:
+            raise ContextError(f"mixing algebras with {self.ctx.n} and {other.ctx.n} generators")
+        return other
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        terms = dict(self.terms)
+        self._merge_into(terms, other.terms)
+        return _unchecked(type(self), self.ctx, terms)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -314,33 +346,15 @@ class GrassmannElement(_Sparse):
         """The (index tuple, coefficient) pairs in lexicographic order."""
         return sorted((_indices(m), c) for m, c in self.terms.items())
 
-    def _coerce(self, other):
-        if isinstance(other, GrassmannElement):
-            if other.ctx is not self.ctx:
-                raise ContextError(
-                    f"mixing algebras with {self.ctx.n} and {other.ctx.n} generators"
-                )
-            return other
-        if isinstance(other, _Rational):
-            return self.ctx.scalar(other)
-        return None
+    # the hooks of _Sparse._coerce and +: an element is its own lift, and
+    # _merge is bound with no frame of its own, since + is a hot path
+    _merge_into = staticmethod(_merge)
+
+    @staticmethod
+    def _lift(x):
+        return x
 
     # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if type(other) is not GrassmannElement or other.ctx is not self.ctx:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        terms = dict(self.terms)
-        _merge(terms, other.terms, 1, 1)
-        return _unchecked(GrassmannElement, self.ctx, terms)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return self._scaled(-1, 1)

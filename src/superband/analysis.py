@@ -16,7 +16,6 @@ from .algebra import annihilator_odd
 from .errors import ConfigError, ShapeError
 from .families import ParamSuperMatrix, _family_arg, functional_residual, product_and_shift
 from .poly import GrassmannPoly
-from .randgen import random_combination, random_nonzero_odd
 from .supermatrix import SuperMatrix, _container_list
 
 MAX_COMPONENT_DEGREE = 8
@@ -240,11 +239,11 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
     Gi from the same span then squares to zero, absorbs K0 from the right
     and is killed by it from the left.
     """
+    from .randgen import random_combination, random_nonzero_odd
+
+    # an odd seed squares to zero, so it lies in its own annihilator
     seeds = [random_nonzero_odd(rng, ctx)]
     ann = annihilator_odd(seeds, ctx)
-    if not ann.dim:
-        seeds = [ctx.gen(1)]
-        ann = annihilator_odd(seeds, ctx)
     zero_qp = [[ctx.zero()] * p for _ in range(q)]
     zero_qq = [[ctx.zero()] * q for _ in range(q)]
     eye = [[ctx.one() if i == j else ctx.zero() for j in range(q)] for i in range(q)]

@@ -13,8 +13,9 @@ Reports go to stdout (or ``--out PATH``) as text or canonical JSON.  The
 JSON form is deterministic: same inputs, same bytes.  Exit status is 0
 when every requested identity holds, 1 when a computed identity fails,
 and 2 for unusable input (bad flags, malformed files, shape or parity
-violations).  The ``SUPERBAND_SEED`` environment variable, when set,
-overrides ``--seed`` for ``verify``.
+violations).  ``verify`` takes its status from the ``"passed"`` of the
+report dict ``suites.run_suite`` returns.  The ``SUPERBAND_SEED``
+environment variable, when set, overrides ``--seed`` for ``verify``.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def _cmd_verify(args):
         suite=args.suite,
         samples=args.samples,
     )
-    result = run_suite(cfg)
-    return result.report, render_text(result.report), result.exit_code
+    report = run_suite(cfg)
+    return report, render_text(report), 0 if report["passed"] else 1
 
 
 # -- table -------------------------------------------------------------

@@ -18,8 +18,9 @@ is no int, a bool included, or is out of range is a ConfigError, but a block
 size below 1 or a Gamma or Delta block of the wrong size is a ShapeError.  A ctx
 that is no AlgebraContext (``_context_arg``), a terms mapping or an assignment
 that is no dict (``_dict_arg``), a scalar or coefficient that ``Fraction``
-refuses (``_rational_arg``) and a grid or a row of one that is not iterable
-(``supermatrix._grid_arg``) are ConfigErrors.  Each message names the argument.
+refuses (``_rational_arg``), a grid or a row of one that is not iterable
+(``supermatrix._grid_arg``) and a file path that is no str or os.PathLike
+(``serialize.read_json``) are ConfigErrors.  Each message names the argument.
 """
 
 from __future__ import annotations

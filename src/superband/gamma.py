@@ -18,8 +18,6 @@ from collections import namedtuple
 from . import linalg
 from .algebra import EVEN, _collection, _graded_arg, _odd_args, _OddSpan, annihilator_odd
 from .errors import ConfigError, NotInvertible, ShapeError
-from .poly import GrassmannPoly
-from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
 from .supermatrix import (
     SuperMatrix, _container_arg, _container_list, _grid_is_zero, _grid_mul, berezinian, det_even,
 )
@@ -262,8 +260,9 @@ def chain_product_verify(family) -> ChainReport:
 def closure_witness(family) -> str | None:
     """The first substitution phi from the menu (t, s, t+s, t*s) with
     family(t) family(s) == family(phi), or None when no candidate works."""
-    # imported here, so that check-band does not load the families module
+    # imported here, so that check-band loads neither families nor poly
     from .families import in_var, product_and_shift
+    from .poly import GrassmannPoly
 
     product, shifted = product_and_shift(family)
     t = GrassmannPoly.variable(family.ctx, "t")
@@ -293,6 +292,8 @@ def random_strong_family(rng, ctx, p=1, q=1, length=3):
     mixed product of odd blocks vanishes term by term; the lower-right
     blocks are kept invertible so chain berezinians stay defined.
     """
+    from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
+
     seeds, ann = [ctx.gen(1)], None
     for _ in range(24):
         trial = [random_nonzero_odd(rng, ctx) for _ in range(rng.randint(1, 2))]

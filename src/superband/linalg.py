@@ -36,7 +36,7 @@ ONE = Fraction(1)
 _new = object.__new__
 
 
-def _merge(terms, other, nc, dc):
+def _merge(terms, other, nc=1, dc=1):
     """terms += nc / dc * other in place, for rows of Fractions and
     nc / dc nonzero in lowest terms, dc > 0; a key whose sum cancels is
     deleted, and re-enters at the end if it returns."""

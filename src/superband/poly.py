@@ -3,10 +3,12 @@
 The variables commute with everything (they model real time values), so a
 value is just a dict mapping an exponent pair to a nonzero
 GrassmannElement.  SparsePoly derives from ``algebra._Sparse``, the base it
-shares with GrassmannElement, which holds the immutable storage and the
-arithmetic that follows from +, unary - and *.  SparsePoly holds the checks
-and the ring arithmetic of the kinds once, and each sibling subclass fixes
-the variables and the exponent policy:
+shares with GrassmannElement, which holds the immutable storage, operand
+coercion, + and the arithmetic that follows from +, unary - and *.
+SparsePoly supplies the two hooks of coercion and + (``_lift`` is
+``constant``; ``_merge_into`` adds term by term with ``_add_at``) and holds
+the checks and the rest of the ring arithmetic of the kinds once, and each
+sibling subclass fixes the variables and the exponent policy:
 
     GrassmannPoly   polynomials in t and s, exponents 0..MAX_VAR_DEGREE
     LaurentScalar   Laurent sums in z and w, any integer inverse exponent
@@ -26,7 +28,7 @@ from .algebra import (
     EVEN, AlgebraContext, GrassmannElement, _context_arg, _dict_arg, _graded_arg, _Rational,
     _Sparse, _unchecked,
 )
-from .errors import ConfigError, ContextError
+from .errors import ConfigError
 
 MAX_VAR_DEGREE = 9
 
@@ -118,12 +120,14 @@ class SparsePoly(_Sparse):
 
     @classmethod
     def constant(cls, value: GrassmannElement):
-        return _unchecked(cls, value.ctx, {_CONSTANT: value} if value.terms else {})
+        ctx = _graded_arg(value, None, None, "value").ctx
+        return _unchecked(cls, ctx, {_CONSTANT: value} if value.terms else {})
 
     @classmethod
     def term(cls, value: GrassmannElement, *exponents, **named):
         """value times the monomial with the given exponents."""
-        return cls(value.ctx, {cls._key(exponents, named): value})
+        return cls(_graded_arg(value, None, None, "value").ctx,
+                   {cls._key(exponents, named): value})
 
     # -- basics --------------------------------------------------------
 
@@ -136,36 +140,15 @@ class SparsePoly(_Sparse):
     def is_odd(self) -> bool:
         return all(c.is_odd() for c in self.terms.values())
 
-    def _coerce(self, other):
-        if type(other) is type(self):
-            if other.ctx is not self.ctx:
-                raise ContextError(f"{type(self).__name__} values over different algebras")
-            return other
-        if isinstance(other, GrassmannElement):
-            if other.ctx is not self.ctx:
-                raise ContextError("element from a different algebra")
-            return self.constant(other)
-        if isinstance(other, _Rational):
-            return self.constant(self.ctx.scalar(other))
-        return None
+    # the hooks of _Sparse._coerce and +
+    _lift = constant
+
+    @staticmethod
+    def _merge_into(terms, other):
+        for key, c in other.items():
+            _add_at(terms, key, c)
 
     # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if type(other) is not type(self) or other.ctx is not self.ctx:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_at(terms, key, c)
-        return _unchecked(type(self), self.ctx, terms)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return _unchecked(type(self), self.ctx, {k: -c for k, c in self.terms.items()})

@@ -34,6 +34,7 @@ then, so a process loads only the modules of the kinds it reads or makes.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -335,7 +336,10 @@ def load_json(text: str):
 
 
 def read_json(path):
-    """The JSON value in a file of UTF-8 text."""
+    """The JSON value in a file of UTF-8 text, named by a str or os.PathLike
+    (``open`` would take an int for a file descriptor, read it and close it)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

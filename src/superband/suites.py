@@ -4,7 +4,8 @@ Each suite is a generator that draws all of its random instances from one
 seeded generator (``random.Random(f"{seed}:{name}")``) and yields groups
 ``(witness, {label: verdict, ...})``: one group holds every label checked
 on the same witness, the value a failure is reported with (``None`` for
-none).  The report has one pass/fail line per label.  A label passes only if
+none).  ``run_suite`` returns the report, a dict with one pass/fail line
+per label and a ``"passed"`` that holds when every label did.  A label passes only if
 it held in every group; a failing label keeps the raw witness of its first
 failing group, serialized only when the report is assembled, in the same
 JSON form the command line accepts, so failures can be replayed through
@@ -26,7 +27,6 @@ import os
 import pickle
 import random
 import signal
-from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import annihilator_odd, create_algebra
@@ -392,18 +392,6 @@ def _resolvent(ctx, cfg, rng):
 # ---------------------------------------------------------------------------
 
 
-class ExitReport(namedtuple("ExitReport", "report")):
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.report["passed"]
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
-
-
 def _checks(cfg, name):
     return _SUITE_FUNCS[name](cfg, random.Random(f"{cfg.seed}:{name}"))
 
@@ -491,15 +479,16 @@ def _all_checks(cfg, names):
     return [done[i] if i in done else _checks(cfg, name) for i, name in enumerate(names)]
 
 
-def run_suite(cfg: SuiteConfig) -> ExitReport:
-    """Run the configured suite(s) and assemble the deterministic report."""
+def run_suite(cfg: SuiteConfig) -> dict:
+    """Run the configured suite(s) and return the deterministic report, whose
+    ``"passed"`` is True when every label held."""
     cfg.validate()
     names = SUITES if cfg.suite == "all" else (cfg.suite,)
     suites_out = [
         {"checks": checks, "name": name, "passed": all(c["passed"] for c in checks)}
         for name, checks in zip(names, _all_checks(cfg, names))
     ]
-    report = {
+    return {
         "config": {
             "generators": cfg.generators,
             "samples": cfg.samples,
@@ -509,7 +498,6 @@ def run_suite(cfg: SuiteConfig) -> ExitReport:
         "passed": all(s["passed"] for s in suites_out),
         "suites": suites_out,
     }
-    return ExitReport(report)
 
 
 def render_text(report: dict) -> str:

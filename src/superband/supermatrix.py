@@ -279,7 +279,7 @@ class GradedMatrix:
     @classmethod
     def from_supermatrix(cls, m: "SuperMatrix"):
         """The constant matrix m with its entries lifted into this ring."""
-        return m._map(cls._constant, cls)
+        return _container_arg(m, SuperMatrix, "matrix")._map(cls._constant, cls)
 
     @classmethod
     def zero(cls, ctx: AlgebraContext, p: int, q: int):

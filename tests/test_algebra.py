@@ -471,6 +471,14 @@ class TestAnnihilator:
                 span.contains(bad)
 
     @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_odd_element_lies_in_its_own_annihilator(self, data):
+        """An odd a squares to zero, so its annihilator is never empty."""
+        ctx = data.draw(contexts(max_n=8))
+        a = data.draw(elements(ctx, parity="odd").filter(bool))
+        assert annihilator_odd([a]).contains(a)
+
+    @given(st.data())
     @settings(max_examples=60)
     def test_gamma_span_agrees_with_rank_test(self, data):
         """A GammaSet accepts exactly the independent vector lists, and its

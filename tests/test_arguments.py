@@ -339,6 +339,12 @@ NOT_A_CONTEXT = [
         pytest.param(lambda: SuperMatrix.from_blocks([[CTX.one()]], [[ODD]], [[ODD, ODD]],
                                                      [[CTX.one()]]),
                      ShapeError, "block Delta must be 1x1", id="delta_columns"),
+        pytest.param(lambda: GrassmannPoly.term(5, t=1), ConfigError,
+                     "value must be a GrassmannElement, got int", id="poly_term"),
+        pytest.param(lambda: GrassmannPoly.constant(5), ConfigError,
+                     "value must be a GrassmannElement, got int", id="poly_constant"),
+        pytest.param(lambda: ParamSuperMatrix.from_supermatrix(5), ConfigError,
+                     "matrix must be a SuperMatrix, got int", id="from_supermatrix"),
         *(pytest.param(call, ConfigError, "ctx must be an AlgebraContext, got int",
                        id=f"ctx_{site}") for site, call in NOT_A_CONTEXT),
     ],

@@ -77,11 +77,11 @@ FAULTS = [
 def test_fault_turns_its_labels_red(monkeypatch, module, name, fault, suite, seed,
                                     samples, labels):
     cfg = SuiteConfig(generators=4, seed=seed, suite=suite, samples=samples)
-    (clean,) = suites.run_suite(cfg).report["suites"]
+    (clean,) = suites.run_suite(cfg)["suites"]
     assert all(c["passed"] for c in clean["checks"] if c["label"] in labels)
 
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    (report,) = suites.run_suite(cfg).report["suites"]
+    (report,) = suites.run_suite(cfg)["suites"]
 
     verdicts = {c["label"]: c["passed"] for c in report["checks"]}
     assert labels <= verdicts.keys()

@@ -4,6 +4,8 @@ import copy
 import json
 import pickle
 import random
+import subprocess
+import sys
 
 from fractions import Fraction
 
@@ -406,3 +408,21 @@ class TestDispatch:
         path = tmp_path / "family.json"
         path.write_text(dumps(fam), encoding="utf-8")
         assert parse_input(path) == fam
+
+    def test_a_path_that_is_no_name_is_refused_and_stdin_stays_open(self):
+        # open(0) would read this process's stdin and then close fd 0
+        code = (
+            "import os\n"
+            "from superband.errors import ConfigError\n"
+            "from superband.serialize import parse_input, read_json\n"
+            "for read in read_json, parse_input:\n"
+            "    try:\n"
+            "        read(0)\n"
+            "    except ConfigError as exc:\n"
+            "        print(exc)\n"
+            "os.fstat(0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["path must be a str or os.PathLike, got int"] * 2

@@ -18,7 +18,6 @@ from superband.config import SuiteConfig
 from superband.errors import ConfigError
 from superband.families import CayleyReport
 from superband.gamma import ChainReport, StrongGammaReport
-from superband.suites import ExitReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -76,6 +75,30 @@ def test_table_does_not_load_the_suites():
     loaded = loaded_after(code)
     assert "superband.suites" not in loaded
     assert "superband.evolution" not in loaded
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: a subcommand that reads its input from a file, and the sampler modules
+#: it must leave unimported
+READERS = {
+    "check-band": (["check-band", "--in", str(GOLDEN / "band_pair_n4.json")],
+                   ("poly", "randgen")),
+    "analyze": (["analyze", "--family", str(GOLDEN / "family_P_n4.json")], ("randgen",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_reader_does_not_load_the_samplers(command):
+    argv, unneeded = READERS[command]
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from superband.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    for name in unneeded:
+        assert f"superband.{name}" not in loaded
 
 
 _ONE = {"n": 2, "terms": [{"c": "1", "idx": []}]}
@@ -168,7 +191,6 @@ RECORDS = {
                         "k0_idempotent", "k0_orthogonal", "k1_square_zero",
                         "k1_absorbs"),
     SuiteConfig: ("generators", "seed", "suite", "samples"),
-    ExitReport: ("report",),
 }
 
 

@@ -19,7 +19,7 @@ CFG = SuiteConfig(generators=4, seed=3, suite="supermatrix", samples=20)
 
 
 def test_counterexample_is_the_first_failing_witness(monkeypatch):
-    clean = suites.run_suite(CFG).report
+    clean = suites.run_suite(CFG)
     real = suites.ber_parts
     calls, failed = [], []
 
@@ -34,7 +34,7 @@ def test_counterexample_is_the_first_failing_witness(monkeypatch):
         return even, odd
 
     monkeypatch.setattr(suites, "ber_parts", broken)
-    report = suites.run_suite(CFG).report
+    report = suites.run_suite(CFG)
 
     assert len(calls) == CFG.samples and len(failed) == 2
     (suite,) = report["suites"]
@@ -67,7 +67,7 @@ def test_component_label_witness_is_the_family_analyze_reads(monkeypatch):
         return report
 
     monkeypatch.setattr(suites, "band_component_system_check", broken)
-    report = suites.run_suite(cfg).report
+    report = suites.run_suite(cfg)
 
     assert len(calls) == cfg.samples // 8 and len(failed) == 1
     (suite,) = report["suites"]
@@ -94,7 +94,7 @@ def test_label_with_two_witnesses_per_sample_reports_the_failing_one(monkeypatch
         return report
 
     monkeypatch.setattr(suites, "equivalence_report", broken)
-    (suite,) = suites.run_suite(cfg).report["suites"]
+    (suite,) = suites.run_suite(cfg)["suites"]
 
     (entry,) = [c for c in suite["checks"] if c["label"] == "equiv"]
     assert entry["passed"] is False
@@ -112,7 +112,7 @@ def test_label_without_a_witness_reports_no_counterexample(monkeypatch):
         return real(family)._replace(is_strong=False)
 
     monkeypatch.setattr(suites, "strong_gamma_check", broken)
-    (suite,) = suites.run_suite(cfg).report["suites"]
+    (suite,) = suites.run_suite(cfg)["suites"]
 
     (entry,) = [c for c in suite["checks"] if c["label"] == "strong"]
     assert entry == {"label": "strong", "passed": False}
@@ -123,7 +123,7 @@ def test_idem_turns_red_when_the_strong_check_always_fails(monkeypatch):
     strong head, so a check that always says "not idempotent" is caught."""
     cfg = SuiteConfig(generators=4, seed=0, suite="gamma", samples=200)
     monkeypatch.setattr(suites, "idempotent_strong_check", lambda m: False)
-    report = suites.run_suite(cfg).report
+    report = suites.run_suite(cfg)
 
     (suite,) = report["suites"]
     (entry,) = [c for c in suite["checks"] if c["label"] == "idem"]
