@@ -17,7 +17,7 @@ and Mann (*Geometric Algebra for Computer Science*, 2007, ch. 19): monomials
 with ``ma & mb`` share a generator, so their product is zero; otherwise it
 is +-(ma | mb), negative when moving each generator of b left past those of
 a above it takes an odd number of swaps, that is when
-``(_above(ma) & mb).bit_count()`` is odd.
+``(_above(ma) & mb).bit_count()`` is odd, a rule only ``__mul__`` applies.
 
 Sums and products work on the int numerator/denominator pairs of the
 coefficients and build each output coefficient once, through ``_ratio``:
@@ -32,10 +32,11 @@ pins their names.
 
 ``GrassmannElement`` and ``poly.SparsePoly`` both keep an immutable canonical
 ``terms`` dict over one context, so the storage, the immutability guard,
-operand coercion, ``+`` and the arithmetic that follows from ``+``, unary
-``-`` and ``*`` live once, in their base ``_Sparse``, and each kind supplies
-the hooks ``_lift`` and ``_merge_into``; ``_unchecked`` wraps terms
-canonical by construction.
+operand coercion (``_coerce``, and ``_arg``, which refuses by name), ``+``
+and the arithmetic that follows from ``+``, unary ``-`` and ``*`` live once,
+in their base ``_Sparse``; each kind supplies the hooks ``_lift`` (which
+graded matrices lift entries through) and ``_merge_into``.  ``_unchecked``
+wraps terms canonical by construction.  ``/`` multiplies by the inverse.
 
 Usage:
 
@@ -254,6 +255,15 @@ class _Sparse:
             raise ContextError(f"mixing algebras with {self.ctx.n} and {other.ctx.n} generators")
         return other
 
+    def _arg(self, other, what):
+        """``_coerce(other)``, refusing an unknown type with ConfigError naming ``what``."""
+        x = self._coerce(other)
+        if x is None:
+            raise ConfigError(
+                f"{what} must be a {type(self).__name__} or a scalar, got {type(other).__name__}"
+            )
+        return x
+
     def __add__(self, other):
         if type(other) is not type(self) or other.ctx is not self.ctx:
             other = self._coerce(other)
@@ -424,13 +434,10 @@ class GrassmannElement(_Sparse):
         return self._scaled(r._numerator, r._denominator)
 
     def __truediv__(self, other):
-        if isinstance(other, _Rational):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, GrassmannElement):
-            return self * other.inverse()
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -578,18 +585,21 @@ class AnnihilatorBasis(_OddSpan):
     ``basis`` spans {gamma in odd part : gamma * a == 0 for every input a};
     vectors are linearly independent and ordered by the lexicographic odd
     monomial order, so equal inputs always produce the identical basis.
-    ``free`` holds each vector's free monomial: the vector has coefficient 1
-    there and 0 at every other vector's free monomial.  The constructor takes
-    those monomials as masks.
+    ``free`` holds each vector's free monomial, read off the pivot rows when
+    it is read: the vector has coefficient 1 there and 0 at every other
+    vector's free monomial.  The constructor takes those monomials as masks.
     """
 
-    __slots__ = ("free",)
+    __slots__ = ()
     contains = _OddSpan.contains
 
     def __init__(self, ctx, basis, free):
         basis = tuple(basis)
         super().__init__(ctx, basis, dict(zip(free, (b.terms for b in basis))))
-        self.free = tuple(map(_indices, self._rows))
+
+    @property
+    def free(self):
+        return tuple(map(_indices, self._rows))
 
 
 def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> AnnihilatorBasis:
@@ -603,20 +613,17 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     """
     gens, ctx = _odd_args(generators, ctx, "annihilator generators", "annihilator generator")
     odd = _masks(ctx.n, 1)
+    monomials = [_unchecked(GrassmannElement, ctx, {m: linalg.ONE}) for m in odd]
     # constraint rows: for each generator a and each monomial that occurs in
     # some odd_j * a, the coefficient of (sum_j c_j * odd_j) * a must vanish.
     # Column j is the position of odd_j in the lexicographic odd list, so
     # pivots and free columns come in that order.
     rows = []
     for a in gens:
-        signed = [(mb, c, _ratio(-c._numerator, c._denominator)) for mb, c in a.terms.items()]
         by_target = {}
-        for j, ma in enumerate(odd):
-            above = _above(ma)
-            for mb, c, neg in signed:
-                if not ma & mb:
-                    by_target.setdefault(ma | mb, {})[j] = (
-                        neg if (above & mb).bit_count() & 1 else c)
+        for j, monomial in enumerate(monomials):
+            for m, c in (monomial * a).terms.items():
+                by_target.setdefault(m, {})[j] = c
         rows.extend(by_target.values())
     basis, free = linalg.kernel_basis(linalg.echelon(rows), range(len(odd)))
     vectors = [_unchecked(GrassmannElement, ctx, {odd[j]: c for j, c in v.items()})

@@ -19,8 +19,12 @@ size below 1 or a Gamma or Delta block of the wrong size is a ShapeError.  A ctx
 that is no AlgebraContext (``_context_arg``), a terms mapping or an assignment
 that is no dict (``_dict_arg``), a scalar or coefficient that ``Fraction``
 refuses (``_rational_arg``), a grid or a row of one that is not iterable
-(``supermatrix._grid_arg``) and a file path that is no str or os.PathLike
-(``serialize.read_json``) are ConfigErrors.  Each message names the argument.
+(``supermatrix._grid_arg``), a file path that is no str or os.PathLike
+(``serialize.read_json``) or text no str or bytes (``load_json``), a cfg
+that is no SuiteConfig, an exponent key (``poly.SparsePoly._check_key``) and
+a value no ring lifts, such as a scale factor (``algebra._Sparse._arg``),
+are ConfigErrors.  Each message names the argument.  Division by an element
+whose body is zero, 0 included, raises NotInvertible.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class ShapeError(SuperbandError):
 
 
 class NotInvertible(SuperbandError):
-    """Inversion was requested for an element whose body vanishes."""
+    """Inversion of, or division by, an element whose body vanishes was requested."""
 
 
 class ParseError(SuperbandError):

@@ -27,7 +27,6 @@ class LaurentMatrix(GradedMatrix):
     __slots__ = ()
 
     _entry = LaurentScalar
-    _constant = staticmethod(LaurentScalar.constant)
 
 
 # -- orbits ------------------------------------------------------------

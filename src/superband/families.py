@@ -55,7 +55,6 @@ class ParamSuperMatrix(GradedMatrix):
 
     _entry = GrassmannPoly
     _vector = ParamSuperVector
-    _constant = staticmethod(GrassmannPoly.constant)
 
     @classmethod
     def _from_coefficients(cls, like, coeffs):

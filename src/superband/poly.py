@@ -78,7 +78,7 @@ class SparsePoly(_Sparse):
     def _check_key(cls, key):
         if not (
             type(key) is tuple and len(key) == 2
-            and all(type(e) is int for e in key)
+            and type(key[0]) is int and type(key[1]) is int
         ):
             raise ConfigError(f"exponent keys must be pairs of integers, got {key!r}")
         lo, hi = cls.BOUNDS
@@ -132,7 +132,10 @@ class SparsePoly(_Sparse):
     # -- basics --------------------------------------------------------
 
     def coefficient(self, *exponents, **named) -> GrassmannElement:
-        return self.terms.get(self._key(exponents, named), self.ctx.zero())
+        """The coefficient at the exponents ``term`` takes, refused as there."""
+        key = self._key(exponents, named)
+        self._check_key(key)
+        return self.terms.get(key, self.ctx.zero())
 
     def is_even(self) -> bool:
         return all(c.is_even() for c in self.terms.values())
@@ -175,15 +178,6 @@ class SparsePoly(_Sparse):
                     self._check_key(key)
                 _add_at(terms, key, ca * cb)
         return _unchecked(type(self), self.ctx, terms)
-
-    def _arg(self, other, what):
-        """``_coerce(other)``, refusing an unknown type with ConfigError naming ``what``."""
-        x = self._coerce(other)
-        if x is None:
-            raise ConfigError(
-                f"{what} must be a {type(self).__name__} or a scalar, got {type(other).__name__}"
-            )
-        return x
 
     def rename(self, src: str, dst: str):
         """Move every power of ``src`` onto ``dst``: exponents add, and terms

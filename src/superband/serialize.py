@@ -322,9 +322,11 @@ def load_value(obj):
 
 
 def load_json(text: str):
-    """json.loads with every refusal mapped to ParseError: a syntax error
-    carries its byte offset, and nesting too deep for the decoder or an
-    integer too long to convert is refused as well."""
+    """json.loads of str or bytes ``text`` (else ConfigError), each refusal a
+    ParseError: a syntax error carries its byte offset, and nesting too deep
+    for the decoder or an integer too long to convert is refused as well."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ConfigError(f"text must be a str, bytes or bytearray, got {type(text).__name__}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -40,6 +40,7 @@ from .analysis import (
     random_band_components,
 )
 from .config import SUITES, SuiteConfig
+from .errors import ConfigError
 from .evolution import (
     LaurentMatrix,
     cauchy_defect,
@@ -482,6 +483,8 @@ def _all_checks(cfg, names):
 def run_suite(cfg: SuiteConfig) -> dict:
     """Run the configured suite(s) and return the deterministic report, whose
     ``"passed"`` is True when every label held."""
+    if not isinstance(cfg, SuiteConfig):
+        raise ConfigError(f"cfg must be a SuiteConfig, got {type(cfg).__name__}")
     cfg.validate()
     names = SUITES if cfg.suite == "all" else (cfg.suite,)
     suites_out = [

@@ -15,10 +15,11 @@ the arithmetic once, and each sibling subclass fixes the entry ring:
     LaurentMatrix      evolution     LaurentScalar in z and w
 
 GrassmannPoly and LaurentScalar are the two kinds of poly.SparsePoly; such
-an entry is graded coefficientwise.  Arithmetic and equality need two
-matrices of one class, so the kinds never mix.  A GradedVector holds p even
-coordinates followed by q odd ones, matching what these matrices act on:
-SuperVector for constants, ParamSuperVector for polynomials.
+an entry is graded coefficientwise, and a constant element becomes one by
+``_entry._lift``.  Arithmetic and equality need two matrices of one class,
+so the kinds never mix.  A GradedVector holds p even coordinates followed
+by q odd ones, matching what these matrices act on: SuperVector for
+constants, ParamSuperVector for polynomials.
 
 Every function taking a graded matrix, vector, family or component list
 checks it by one rule, ``_container_arg``, and a list of them by
@@ -36,7 +37,6 @@ from operator import add, sub
 
 from .algebra import (
     EVEN, AlgebraContext, GrassmannElement, _collection, _context_arg, _graded_arg, _int_arg,
-    _Rational,
 )
 from .errors import ConfigError, ContextError, ParityError, ShapeError
 
@@ -208,11 +208,6 @@ class GradedMatrix:
     _entry = None
     _vector = None
 
-    @staticmethod
-    def _constant(x: GrassmannElement):
-        """The entry that is the constant element x."""
-        return x
-
     def __init__(self, p: int, q: int, rows):
         _check_blocks(p, q)
         grid = _grid_arg(rows, "rows")
@@ -273,25 +268,25 @@ class GradedMatrix:
         """[[0, gamma], [delta, b]], unchecked: gamma and delta must be odd and
         b even by construction."""
         p = len(gamma)
-        zero = cls._constant(b[0][0].ctx.zero())
+        zero = cls._entry._lift(b[0][0].ctx.zero())
         return cls._graded(p, len(b), _block_rows([[zero] * p] * p, gamma, delta, b))
 
     @classmethod
     def from_supermatrix(cls, m: "SuperMatrix"):
         """The constant matrix m with its entries lifted into this ring."""
-        return _container_arg(m, SuperMatrix, "matrix")._map(cls._constant, cls)
+        return _container_arg(m, SuperMatrix, "matrix")._map(cls._entry._lift, cls)
 
     @classmethod
     def zero(cls, ctx: AlgebraContext, p: int, q: int):
         _check_blocks(p, q)
-        z = cls._constant(_context_arg(ctx).zero())
+        z = cls._entry._lift(_context_arg(ctx).zero())
         d = p + q
         return cls._graded(p, q, [[z] * d for _ in range(d)])
 
     @classmethod
     def identity(cls, ctx: AlgebraContext, p: int, q: int):
         _check_blocks(p, q)
-        z, one = cls._constant(_context_arg(ctx).zero()), cls._constant(ctx.one())
+        z, one = cls._entry._lift(_context_arg(ctx).zero()), cls._entry._lift(ctx.one())
         d = p + q
         return cls._graded(p, q, [[one if i == j else z for j in range(d)] for i in range(d)])
 
@@ -331,20 +326,15 @@ class GradedMatrix:
 
     def scale(self, factor):
         """Multiply every entry by an even rational, element or entry."""
-        if isinstance(factor, _Rational):
-            factor = self.ctx.scalar(factor)
-        if isinstance(factor, GrassmannElement):
-            factor = self._constant(factor)
-        if not isinstance(factor, self._entry):
-            raise ShapeError(f"cannot scale a {type(self).__name__} by {factor!r}")
+        factor = self.rows[0][0]._arg(factor, "factor")
         if not factor.is_even():
             raise ParityError("matrix scaling needs an even (or zero) factor")
         return self._map(lambda a: factor * a)
 
     def __rmul__(self, factor):
-        if isinstance(factor, (self._entry, GrassmannElement) + _Rational):
-            return self.scale(factor)
-        return NotImplemented
+        if self.rows[0][0]._coerce(factor) is None:
+            return NotImplemented
+        return self.scale(factor)
 
     def rename(self, src: str, dst: str):
         """Rename variable ``src`` to ``dst`` in every polynomial or Laurent

@@ -639,6 +639,24 @@ class TestRationalOperands:
                     assert all(type(c) is Fraction for c in _terms(got).values())
 
 
+class TestDivision:
+    def test_division_is_the_product_with_the_inverse(self):
+        """``x / y`` is ``x * y.inverse()`` for a rational or element y, so a
+        divisor whose body is zero, 0 included, is NotInvertible, and one of
+        no ring type a TypeError."""
+        ctx = create_algebra(3)
+        x = ctx.gen(1) + ctx.monomial((2, 3), Fraction(5, 2))
+        y = 2 + ctx.monomial((1, 2))
+        assert x / 2 == x * Fraction(1, 2)
+        assert x / Fraction(1, 3) == x * 3
+        assert x / y == x * y.inverse()
+        for divisor in (0, Fraction(0), ctx.zero(), ctx.gen(2)):
+            with pytest.raises(NotInvertible):
+                x / divisor
+        with pytest.raises(TypeError):
+            x / "x"
+
+
 class TestHashAgreesWithEquality:
     def test_constants_hash_like_what_they_equal(self):
         ctx = create_algebra(3)

@@ -64,6 +64,7 @@ from superband.gamma import (
 from superband.poly import GrassmannPoly, LaurentScalar
 from superband.randgen import random_supervector
 from superband.serialize import dump_element, dumps, loads
+from superband.suites import run_suite
 from superband.supermatrix import (
     SuperMatrix,
     SuperVector,
@@ -275,6 +276,17 @@ def test_non_iterable_collection_is_refused_by_name(call, name):
         call(5)
 
 
+XI1_T = GrassmannPoly.term(ODD, t=1)
+
+#: (id, exponent of t given to ``XI1_T.coefficient``, start of the message):
+#: ``coefficient`` refuses exactly the keys that ``term`` refuses
+COEFFICIENT_KEYS = [
+    ("float", 1.0, "exponent keys must be pairs of integers"),
+    ("bool", True, "exponent keys must be pairs of integers"),
+    ("text", "x", "exponent keys must be pairs of integers"),
+    ("above_cap", 10, "exponents of GrassmannPoly must lie in 0..9"),
+]
+
 #: (id, call passing the int 5 where an AlgebraContext belongs)
 NOT_A_CONTEXT = [
     ("element", lambda: GrassmannElement(5, {})),
@@ -345,6 +357,15 @@ NOT_A_CONTEXT = [
                      "value must be a GrassmannElement, got int", id="poly_constant"),
         pytest.param(lambda: ParamSuperMatrix.from_supermatrix(5), ConfigError,
                      "matrix must be a SuperMatrix, got int", id="from_supermatrix"),
+        *(pytest.param(lambda x=x: P.scale(x), ConfigError,
+                       f"factor must be a GrassmannPoly or a scalar, got {type(x).__name__}",
+                       id=f"scale_{type(x).__name__}") for x in ("x", None, 1.5)),
+        *(pytest.param(lambda t=t: XI1_T.coefficient(t=t), ConfigError, name,
+                       id=f"coefficient_{site}") for site, t, name in COEFFICIENT_KEYS),
+        pytest.param(lambda: loads(5), ConfigError,
+                     "text must be a str, bytes or bytearray, got int", id="loads"),
+        pytest.param(lambda: run_suite(5), ConfigError, "cfg must be a SuiteConfig, got int",
+                     id="run_suite"),
         *(pytest.param(call, ConfigError, "ctx must be an AlgebraContext, got int",
                        id=f"ctx_{site}") for site, call in NOT_A_CONTEXT),
     ],

@@ -570,7 +570,7 @@ class TestEntrywiseOracle:
     def test_from_supermatrix(self, m):
         for cls in (SuperMatrix, ParamSuperMatrix, LaurentMatrix):
             got = cls.from_supermatrix(m)
-            assert got == _entrywise(cls, m, cls._constant) and got.ctx is m.ctx
+            assert got == _entrywise(cls, m, cls._entry._lift) and got.ctx is m.ctx
 
     @settings(max_examples=40)
     @given(_families(t_only=True))

@@ -2,7 +2,7 @@
 
 A label that no fault can turn red checks nothing, so each row names a
 fault, injected as ``tests/test_witnesses.py`` injects its faults (a name
-replaced in the module that looks it up), plus the suite, seed and sample
+replaced in the module or class that looks it up), plus the suite, seed and sample
 count it runs at and the labels that must fail there.  The rows assert that
 those labels fail, not that the others pass: one fault can break several
 laws.  This is mutation testing (DeMillo, Lipton and Sayward, "Hints on Test
@@ -13,11 +13,33 @@ from __future__ import annotations
 
 import pytest
 
-from superband import families, suites
-from superband.algebra import AnnihilatorBasis, _mask
+from superband import algebra, families, suites
+from superband.algebra import AnnihilatorBasis, GrassmannElement, _mask, _unchecked
 from superband.config import SuiteConfig
 from superband.poly import GrassmannPoly
 from superband.supermatrix import det_even
+
+
+def _no_swaps(real):
+    # every monomial product positive, as if the generators commuted
+    return lambda mask: 0
+
+
+def _all_swaps(real):
+    # each generator of the right monomial counted as passing one of the left
+    return lambda mask: -1
+
+
+def _drop_highest_term(real):
+    # a product of two terms or more loses the term of its highest mask
+    def broken(self, other):
+        out = real(self, other)
+        if out is NotImplemented or len(out.terms) < 2:
+            return out
+        terms = dict(out.terms)
+        del terms[max(terms)]
+        return _unchecked(GrassmannElement, out.ctx, terms)
+    return broken
 
 
 def _ber_times_det_b(real):
@@ -52,9 +74,15 @@ def _renaming_nothing(real):
     return lambda family, var: family
 
 
-#: (id, module, name replaced, fault from the real value, suite, seed,
-#:  samples, labels that must fail)
+#: (id, module or class, name replaced, fault from the real value, suite,
+#:  seed, samples, labels that must fail)
 FAULTS = [
+    ("sign_never_flips", algebra, "_above", _no_swaps,
+     "algebra", 0, 40, {"anticomm", "oddsq"}),
+    ("sign_always_flips", algebra, "_above", _all_swaps,
+     "algebra", 0, 40, {"anticomm", "assoc", "central", "inv", "oddsq"}),
+    ("product_drops_highest_term", GrassmannElement, "__mul__", _drop_highest_term,
+     "algebra", 0, 40, {"assoc", "distrib", "inv"}),
     ("ber_times_det_b", suites, "berezinian", _ber_times_det_b,
      "supermatrix", 0, 20, {"7a", "ber11"}),
     ("annihilator_drops_last", suites, "annihilator_odd", _drop_last_vector,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from superband import serialize
 from superband.algebra import create_algebra
-from superband.errors import ContextError, NotInvertible, ParityError, ShapeError
+from superband.errors import ConfigError, ContextError, NotInvertible, ParityError, ShapeError
 from superband.randgen import (
     random_element,
     random_supermatrix,
@@ -299,11 +299,23 @@ class TestKindsStayApart:
                 with pytest.raises(ShapeError):
                     a @ b
                 if type(b) is not SuperMatrix:
-                    # a constant element lifts into every ring; other entries do not
-                    with pytest.raises(ShapeError):
+                    # a constant element lifts into every ring; other entries do
+                    # not, and a factor is a value, so that is a ConfigError
+                    with pytest.raises(ConfigError):
                         a.scale(b.rows[0][0])
                 assert a != b
                 assert not a == b
+
+    def test_left_factor_of_no_ring_type_is_a_type_error(self):
+        """``*`` with a left factor of no ring type is Python's TypeError;
+        a rational or an element lifts into the entry ring and scales."""
+        ctx = create_algebra(2)
+        for m in self._kinds(ctx).values():
+            for x in ("x", None, 1.5):
+                with pytest.raises(TypeError):
+                    x * m
+            assert 2 * m == m.scale(2) == m + m
+            assert ctx.one() * m == m
 
     def test_foreign_entries_raise_shape_error(self):
         ctx = create_algebra(2)
