@@ -26,9 +26,7 @@ Fraction.  ``Fraction(n, d)`` gives the same value, but its Python-level
 constructor was the largest single cost left in products at n = 4, where
 most operands have one term.  ``_ratio`` and ``_merge`` (which adds a
 scaled term dict in place) live in ``linalg``, which eliminates with them.
-Only ``linalg``, this module and ``randgen.random_combination``, which
-passes a coefficient's pair to ``_merge``, touch those slots, and a test
-pins their names.
+Only ``linalg`` and this module touch those slots; a test pins their names.
 
 ``GrassmannElement`` and ``poly.SparsePoly`` both keep an immutable canonical
 ``terms`` dict over one context, so the storage, the immutability guard,
@@ -36,7 +34,8 @@ operand coercion (``_coerce``, and ``_arg``, which refuses by name), ``+``
 and the arithmetic that follows from ``+``, unary ``-`` and ``*`` live once,
 in their base ``_Sparse``; each kind supplies the hooks ``_lift`` (which
 graded matrices lift entries through) and ``_merge_into``.  ``_unchecked``
-wraps terms canonical by construction.  ``/`` multiplies by the inverse.
+wraps terms canonical by construction.  ``x / y`` is ``x * y.inverse()``,
+with an element or a rational on either side.
 
 Usage:
 
@@ -281,21 +280,15 @@ class _Sparse:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + (-self)
 
     def __rmul__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+        return NotImplemented if other is None else other * self
 
     def __pow__(self, k):
         acc = self._coerce(self.ctx.one())
@@ -435,9 +428,11 @@ class GrassmannElement(_Sparse):
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        return NotImplemented if other is None else self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -594,8 +589,8 @@ class AnnihilatorBasis(_OddSpan):
     contains = _OddSpan.contains
 
     def __init__(self, ctx, basis, free):
-        basis = tuple(basis)
-        super().__init__(ctx, basis, dict(zip(free, (b.terms for b in basis))))
+        basis = _collection(basis, "basis")
+        super().__init__(_context_arg(ctx), basis, dict(zip(free, (b.terms for b in basis))))
 
     @property
     def free(self):
@@ -613,7 +608,6 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     """
     gens, ctx = _odd_args(generators, ctx, "annihilator generators", "annihilator generator")
     odd = _masks(ctx.n, 1)
-    monomials = [_unchecked(GrassmannElement, ctx, {m: linalg.ONE}) for m in odd]
     # constraint rows: for each generator a and each monomial that occurs in
     # some odd_j * a, the coefficient of (sum_j c_j * odd_j) * a must vanish.
     # Column j is the position of odd_j in the lexicographic odd list, so
@@ -621,7 +615,7 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     rows = []
     for a in gens:
         by_target = {}
-        for j, monomial in enumerate(monomials):
+        for j, monomial in enumerate(_odd_elements(ctx)):
             for m, c in (monomial * a).terms.items():
                 by_target.setdefault(m, {})[j] = c
         rows.extend(by_target.values())
@@ -629,6 +623,21 @@ def annihilator_odd(generators, ctx: AlgebraContext | None = None) -> Annihilato
     vectors = [_unchecked(GrassmannElement, ctx, {odd[j]: c for j, c in v.items()})
                for v in basis]
     return AnnihilatorBasis(ctx, vectors, [odd[j] for j in free])
+
+
+@cache
+def _odd_elements(ctx):
+    """The odd monomials of ``ctx`` as elements, in lexicographic order."""
+    return tuple(_unchecked(GrassmannElement, ctx, {m: linalg.ONE}) for m in _masks(ctx.n, 1))
+
+
+def _combination(ctx, vectors, coeffs):
+    """Sum of ``v * c`` over ``vectors`` with ``c`` drawn lazily, in order, from ``coeffs``."""
+    terms = {}
+    for v, c in zip(vectors, coeffs):
+        if c:
+            _merge(terms, v.terms, c.numerator, c.denominator)
+    return _unchecked(GrassmannElement, ctx, terms)
 
 
 def _odd_args(xs, ctx, what, member):

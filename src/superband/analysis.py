@@ -12,7 +12,7 @@ differential equation with idempotent part orthogonal to the generator).
 from collections import namedtuple
 from math import comb
 
-from .algebra import annihilator_odd
+from .algebra import _context_arg, annihilator_odd
 from .errors import ConfigError, ShapeError
 from .families import ParamSuperMatrix, _family_arg, functional_residual, product_and_shift
 from .poly import GrassmannPoly
@@ -242,7 +242,7 @@ def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:
     from .randgen import random_combination, random_nonzero_odd
 
     # an odd seed squares to zero, so it lies in its own annihilator
-    seeds = [random_nonzero_odd(rng, ctx)]
+    seeds = [random_nonzero_odd(rng, _context_arg(ctx))]
     ann = annihilator_odd(seeds, ctx)
     zero_qp = [[ctx.zero()] * p for _ in range(q)]
     zero_qq = [[ctx.zero()] * q for _ in range(q)]

@@ -16,7 +16,9 @@ one-parameter antitriangle families under multiplication.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import EVEN, _collection, _graded_arg, _odd_args, _OddSpan, annihilator_odd
+from .algebra import (
+    EVEN, _collection, _context_arg, _graded_arg, _odd_args, _OddSpan, annihilator_odd,
+)
 from .errors import ConfigError, NotInvertible, ShapeError
 from .supermatrix import (
     SuperMatrix, _container_arg, _container_list, _grid_is_zero, _grid_mul, berezinian, det_even,
@@ -294,7 +296,7 @@ def random_strong_family(rng, ctx, p=1, q=1, length=3):
     """
     from .randgen import random_combination, random_invertible_even_grid, random_nonzero_odd
 
-    seeds, ann = [ctx.gen(1)], None
+    seeds, ann = [_context_arg(ctx).gen(1)], None
     for _ in range(24):
         trial = [random_nonzero_odd(rng, ctx) for _ in range(rng.randint(1, 2))]
         basis = annihilator_odd(trial, ctx)

@@ -10,16 +10,17 @@ while the result is at least ``n``) and a subset follows the two branches of
 ``Random.sample``.  Their stream is the one that ``randint`` and ``sample``
 would give, without their three Python frames per integer.  An invertible
 even block has no such mirror: ``random_invertible_even_grid`` draws it
-directly, rejecting only the entries' bodies.
+directly, rejecting only the entries' bodies.  ``random_combination`` is
+``algebra._combination`` over ``random_coeff`` draws.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import ceil, log
 
-from .algebra import AlgebraContext, GrassmannElement, _masks, _unchecked
-from .linalg import _merge
+from .algebra import AlgebraContext, GrassmannElement, _combination, _masks, _unchecked
 from .supermatrix import SuperMatrix, SuperVector, _check_blocks, _det
 
 #: every value random_coeff draws, as _COEFFS[a + 4][b - 1] for
@@ -45,12 +46,7 @@ def random_coeff(rng):
 
 def random_combination(rng, ctx, vectors):
     """The sum of ``v * random_coeff(rng)`` over the ``vectors`` of ``ctx``, in order."""
-    bits = rng.getrandbits
-    terms = {}
-    for v in vectors:
-        if c := _coeff(bits):
-            _merge(terms, v.terms, c._numerator, c._denominator)
-    return _unchecked(GrassmannElement, ctx, terms)
+    return _combination(ctx, vectors, map(_coeff, repeat(rng.getrandbits)))
 
 
 def _sample(bits, pool, k):

@@ -9,7 +9,9 @@ per label and a ``"passed"`` that holds when every label did.  A label passes on
 it held in every group; a failing label keeps the raw witness of its first
 failing group, serialized only when the report is assembled, in the same
 JSON form the command line accepts, so failures can be replayed through
-``parse_input``.  Each value a sample's checks share is computed once.  The
+``parse_input``.  Each value a sample's checks share is computed once; the
+sweeps over every odd monomial take them from ``algebra._odd_elements``, and
+the ``ann_complete`` combination is one ``algebra._combination``.  The
 random draws mirror ``random.Random`` (see ``randgen``).  Reports carry no
 timing, which keeps the JSON output byte-identical for identical
 configurations.
@@ -28,8 +30,9 @@ import pickle
 import random
 import signal
 from fractions import Fraction
+from itertools import repeat
 
-from .algebra import annihilator_odd, create_algebra
+from .algebra import _combination, _odd_elements, annihilator_odd, create_algebra
 from .analysis import (
     ComponentList,
     band_component_system_check,
@@ -174,14 +177,14 @@ def _algebra(ctx, cfg, rng):
         if i % ann_every == 0:
             alpha = random_nonzero_odd(rng, ctx)
             ann = annihilator_odd([alpha])
-            combo = sum((v * rng.randint(-3, 3) for v in ann.basis), ctx.zero())
+            combo = _combination(ctx, ann.basis, map(rng.randint, repeat(-3), repeat(3)))
             yield alpha, {
                 "ann_sound": all(
                     (alpha * v).is_zero() and (v * alpha).is_zero() for v in ann.basis
                 ),
                 "ann_complete": all(
                     ann.contains(m)
-                    for m in map(ctx.monomial, ctx.odd_monomials())
+                    for m in _odd_elements(ctx)
                     if (alpha * m).is_zero()
                 ) and ann.contains(combo),
             }
@@ -383,7 +386,7 @@ def _resolvent(ctx, cfg, rng):
             "apx": all(
                 commutativity_obstruction(SuperVector([ctx.one()], [m]), alpha).is_zero()
                 == (alpha * m).is_zero()
-                for m in map(ctx.monomial, ctx.odd_monomials())
+                for m in _odd_elements(ctx)
             ),
         }
 

@@ -461,8 +461,8 @@ def berezinian(m: SuperMatrix) -> GrassmannElement:
     b_inv = even_inverse(b)
     schur = _entrywise(sub, m.block_a(),
                        _grid_mul(_grid_mul(m.block_gamma(), b_inv), m.block_delta()))
-    # det B^-1 = (det B)^-1; det_even caps p, the size of the Schur complement
-    return det_even(schur) * _det(b).inverse()
+    # even entries commute, so det(B^-1) = (det B)^-1; det_even caps p, the Schur size
+    return det_even(schur) * _det(b_inv)
 
 
 def ber_parts(m: SuperMatrix):

@@ -21,6 +21,8 @@ from superband.algebra import (
     AlgebraContext,
     AnnihilatorBasis,
     GrassmannElement,
+    _combination,
+    _odd_elements,
     _ratio,
     annihilator_odd,
     create_algebra,
@@ -655,6 +657,40 @@ class TestDivision:
                 x / divisor
         with pytest.raises(TypeError):
             x / "x"
+
+    def test_reflected_division_is_the_product_with_the_inverse(self):
+        """``r / x`` for a rational r is ``r * x.inverse()``, by the same rule."""
+        ctx = create_algebra(3)
+        x = 2 + ctx.monomial((1, 2))
+        assert 2 / x == x.inverse() * 2
+        assert Fraction(1, 2) / x == x.inverse() * Fraction(1, 2)
+        assert 2 / ctx.scalar(4) == Fraction(1, 2)
+        for divisor in (ctx.zero(), ctx.gen(2), ctx.monomial((1, 2))):
+            with pytest.raises(NotInvertible):
+                2 / divisor
+        with pytest.raises(TypeError):
+            "x" / x
+
+
+class TestOddBuilders:
+    def test_odd_elements_are_the_odd_monomials_in_order(self):
+        for n in (1, 4, 7):
+            ctx = create_algebra(n)
+            assert _odd_elements(ctx) == tuple(map(ctx.monomial, ctx.odd_monomials()))
+            assert _odd_elements(ctx) is _odd_elements(ctx)
+
+    def test_combination_sums_and_draws_one_coefficient_per_vector(self):
+        ctx = create_algebra(4)
+        rng = random.Random(3)
+        vectors = [random_nonzero_odd(rng, ctx) for _ in range(6)]
+        coeffs = [2, 0, Fraction(-1, 3), 1, -3, Fraction(5, 2)]
+        drawn = iter(coeffs + [7])
+        combo = _combination(ctx, vectors, drawn)
+        assert combo == sum((v * c for v, c in zip(vectors, coeffs)), ctx.zero())
+        assert next(drawn) == 7
+        assert _combination(ctx, [], iter(coeffs)).is_zero()
+        # a sum that cancels leaves no zero coefficient behind
+        assert _combination(ctx, vectors[:1] * 2, [1, -1]).terms == {}
 
 
 class TestHashAgreesWithEquality:

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from superband.algebra import GrassmannElement, annihilator_odd, create_algebra
+from superband.algebra import AnnihilatorBasis, GrassmannElement, annihilator_odd, create_algebra
 from superband.analysis import (
     ComponentList,
     band_component_system_check,
@@ -24,6 +24,7 @@ from superband.analysis import (
     equivalence_report,
     n_differential_defect,
     n_functional_residual,
+    random_band_components,
 )
 from superband.config import SuiteConfig
 from superband.errors import ConfigError, ContextError, ParityError, ParseError, ShapeError
@@ -59,6 +60,7 @@ from superband.gamma import (
     closure_check,
     gamma_membership,
     idempotent_strong_check,
+    random_strong_family,
     strong_gamma_check,
 )
 from superband.poly import GrassmannPoly, LaurentScalar
@@ -298,6 +300,9 @@ NOT_A_CONTEXT = [
     ("annihilator_odd", lambda: annihilator_odd([], ctx=5)),
     ("gamma_empty", lambda: GammaSet([], ctx=5)),
     ("gamma", lambda: GammaSet([ODD], ctx=5)),
+    ("annihilator_basis", lambda: AnnihilatorBasis(5, [], [])),
+    ("random_strong_family", lambda: random_strong_family(5, 5)),
+    ("random_band_components", lambda: random_band_components(5, 5)),
 ]
 
 
@@ -366,6 +371,8 @@ NOT_A_CONTEXT = [
                      "text must be a str, bytes or bytearray, got int", id="loads"),
         pytest.param(lambda: run_suite(5), ConfigError, "cfg must be a SuiteConfig, got int",
                      id="run_suite"),
+        pytest.param(lambda: AnnihilatorBasis(5, 5, 5), ConfigError,
+                     "basis must be a collection, got int", id="annihilator_basis"),
         *(pytest.param(call, ConfigError, "ctx must be an AlgebraContext, got int",
                        id=f"ctx_{site}") for site, call in NOT_A_CONTEXT),
     ],

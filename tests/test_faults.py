@@ -47,6 +47,24 @@ def _ber_times_det_b(real):
     return lambda m: real(m) * det_even(m.block_b()) ** 2
 
 
+def _obstruction_of_the_even_part(real):
+    # alpha * x0.even[0] in place of the obstruction, which on x0 = (1, m) is alpha * m
+    return lambda x0, alpha: alpha * x0.even[0]
+
+
+def _ber_parts_plus_one(real):
+    # the odd-reduced part off by the scalar 1
+    def broken(m):
+        even, odd = real(m)
+        return even, odd + 1
+    return broken
+
+
+def _whole_odd_part(real):
+    # the annihilator of no element, so it holds every odd monomial
+    return lambda generators, ctx=None: real([], generators[0].ctx)
+
+
 def _drop_last_vector(real):
     def broken(generators, ctx=None):
         ann = real(generators, ctx)
@@ -87,6 +105,12 @@ FAULTS = [
      "supermatrix", 0, 20, {"7a", "ber11"}),
     ("annihilator_drops_last", suites, "annihilator_odd", _drop_last_vector,
      "algebra", 0, 40, {"ann_complete"}),
+    ("annihilator_of_nothing", suites, "annihilator_odd", _whole_odd_part,
+     "algebra", 0, 16, {"ann_sound"}),
+    ("ber_parts_plus_one", suites, "ber_parts", _ber_parts_plus_one,
+     "supermatrix", 0, 16, {"b0", "7a"}),
+    ("obstruction_of_the_even_part", suites, "commutativity_obstruction",
+     _obstruction_of_the_even_part, "resolvent", 0, 16, {"apx"}),
     ("menu_without_y0", families, "_ARGUMENTS", _without_zero_argument,
      "families", 0, 16, {"table"}),
     ("smoothing_unscaled", suites, "smoothing", _integral_without_scale,
