@@ -69,7 +69,7 @@ def commutativity_obstruction(x0: SuperVector, alpha: GrassmannElement):
     orbit exactly when this product vanishes."""
     _container_arg(x0, SuperVector, "x0", shape=(1, 1))
     _graded_arg(alpha, x0.ctx, ODD, "direction alpha")
-    return alpha * (alpha * x0.even[0] + x0.odd[0])
+    return alpha * (alpha * x0.rows[0][0] + x0.rows[1][0])
 
 
 # -- resolvents --------------------------------------------------------

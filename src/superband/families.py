@@ -42,10 +42,7 @@ class ParamSuperVector(GradedVector):
     _entry = GrassmannPoly
 
     def derivative(self, var: str = "t"):
-        return ParamSuperVector(
-            [x.derivative(var) for x in self.even],
-            [x.derivative(var) for x in self.odd],
-        )
+        return self._map(lambda x: x.derivative(var))
 
 
 class ParamSuperMatrix(GradedMatrix):

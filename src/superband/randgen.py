@@ -176,6 +176,6 @@ def random_supermatrix(rng, ctx, p=1, q=1, invertible_b=True):
 
 def random_supervector(rng, ctx, p=1, q=1):
     _check_blocks(p, q)
-    even = [random_element(rng, ctx, parity="even", max_terms=2) for _ in range(p)]
-    odd = [random_element(rng, ctx, parity="odd", max_terms=2) for _ in range(q)]
-    return SuperVector(even, odd)
+    rows = [[random_element(rng, ctx, parity="even" if i < p else "odd", max_terms=2)]
+            for i in range(p + q)]
+    return SuperVector._graded(p, q, rows)

@@ -352,7 +352,7 @@ def _expected_resolvents(ctx, alpha):
 
 @_suite
 def _resolvent(ctx, cfg, rng):
-    zero = ctx.zero()
+    zero, one = ctx.zero(), ctx.one()
     for _ in range(max(1, cfg.samples // 4)):
         alpha = random_nonzero_odd(rng, ctx)
         x0 = random_supervector(rng, ctx, 1, 1)
@@ -365,7 +365,7 @@ def _resolvent(ctx, cfg, rng):
         even0, odd0 = x0.even[0], x0.odd[0]
         xp = orbit(p_fam, x0)
         xt = orbit(t_fam, x0)
-        pinned = SuperVector([zero], [odd0])
+        pinned = SuperVector._graded(1, 1, [[zero], [odd0]])
         yield alpha, {
             "rz": rp == want_rp,
             "rz1": rt == want_rt,
@@ -384,7 +384,7 @@ def _resolvent(ctx, cfg, rng):
             "xxp": moving_time_check(p_fam) == "moving_time"
             and moving_time_check(t_fam) == "translational",
             "apx": all(
-                commutativity_obstruction(SuperVector([ctx.one()], [m]), alpha).is_zero()
+                commutativity_obstruction(SuperVector._graded(1, 1, [[one], [m]]), alpha).is_zero()
                 == (alpha * m).is_zero()
                 for m in _odd_elements(ctx)
             ),

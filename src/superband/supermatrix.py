@@ -17,9 +17,10 @@ the arithmetic once, and each sibling subclass fixes the entry ring:
 GrassmannPoly and LaurentScalar are the two kinds of poly.SparsePoly; such
 an entry is graded coefficientwise, and a constant element becomes one by
 ``_entry._lift``.  Arithmetic and equality need two matrices of one class,
-so the kinds never mix.  A GradedVector holds p even coordinates followed
-by q odd ones, matching what these matrices act on: SuperVector for
-constants, ParamSuperVector for polynomials.
+so the kinds never mix.  A GradedVector is the one-column grid such a
+matrix acts on, p even rows over q odd ones: SuperVector for constants,
+ParamSuperVector for polynomials.  Both kinds of grid share one base,
+``_Graded``, which holds ``_graded`` and its rule, ``_map``, ``is_zero``, ``-`` and ``==``.
 
 Every function taking a graded matrix, vector, family or component list
 checks it by one rule, ``_container_arg``, and a list of them by
@@ -101,7 +102,7 @@ def _container_arg(x, cls, what, like=None, shape=None, ctx=None):
     of the algebra ``ctx``, each when given; errors as the module docstring
     states, each naming the argument ``what``."""
     if not isinstance(x, cls):
-        error = ShapeError if isinstance(x, (GradedMatrix, GradedVector)) else ConfigError
+        error = ShapeError if isinstance(x, _Graded) else ConfigError
         kinds = dict.fromkeys(c.__name__ for c in (cls if type(cls) is tuple else (cls,)))
         raise error(f"{what} must be a {' or '.join(kinds)}, got {type(x).__name__}")
     if like is not None:
@@ -141,13 +142,64 @@ def _check_entries(owner, ctx, entries, even, where):
             raise ParityError(f"{where} holds a non-{parity} value {x}")
 
 
-class GradedVector:
+class _Graded:
+    """What graded matrices and vectors share: the algebra, the block sizes
+    (p|q) and the grid ``rows`` of entries, whose first p rows are the even
+    ones; a vector's grid is the one column a matrix multiplies."""
+
+    __slots__ = ("ctx", "p", "q", "rows")
+
+    #: the entry ring
+    _entry = None
+
+    @classmethod
+    def _graded(cls, p, q, rows):
+        """A value around ``rows`` without re-checking shape or grading.
+
+        Rows may skip the check only if they are graded by construction:
+        they come from arithmetic on graded values of one shape and algebra
+        (a matrix acting on a vector included), from ``_map``, from
+        ``_antitriangle``, or from literal rows of this class's entries over
+        one algebra, placed by parity: in a matrix, odd entries only off the
+        diagonal blocks and even ones only on them; in a vector, even entries
+        in the first p rows and odd ones in the last q.  Everything else goes
+        through the validating constructor.
+        """
+        m = object.__new__(cls)
+        m.rows = _as_grid(rows)
+        m.ctx = m.rows[0][0].ctx
+        m.p = p
+        m.q = q
+        return m
+
+    def _map(self, f, cls=None):
+        """The value of f(x) for every entry x, as ``cls`` (by default this
+        class), unchecked: f must keep the parity of every coefficient."""
+        return (cls or type(self))._graded(
+            self.p, self.q, [[f(x) for x in row] for row in self.rows]
+        )
+
+    def is_zero(self) -> bool:
+        return _grid_is_zero(self.rows)
+
+    def __sub__(self, other):
+        _container_arg(other, type(self), "right operand", like=self)
+        return self._graded(self.p, self.q, _entrywise(sub, self.rows, other.rows))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.p == other.p
+            and self.rows == other.rows
+        )
+
+
+class GradedVector(_Graded):
     """p even coordinates and q odd ones in the entry ring of a subclass,
+    held as the column grid ((e1,), ..., (ep,), (o1,), ..., (oq,)) and
     validated on construction."""
 
-    __slots__ = ("ctx", "even", "odd")
-
-    _entry = None
+    __slots__ = ()
 
     def __init__(self, even, odd):
         even = _collection(even, "even")
@@ -159,30 +211,17 @@ class GradedVector:
         _check_entries(self, ctx, even, True, "an even slot")
         _check_entries(self, ctx, odd, False, "an odd slot")
         self.ctx = ctx
-        self.even = even
-        self.odd = odd
+        self.p = len(even)
+        self.q = len(odd)
+        self.rows = tuple((x,) for x in even + odd)
 
     @property
-    def p(self):
-        return len(self.even)
+    def even(self):
+        return tuple(x for x, in self.rows[: self.p])
 
     @property
-    def q(self):
-        return len(self.odd)
-
-    def is_zero(self) -> bool:
-        return _grid_is_zero((self.even, self.odd))
-
-    def __sub__(self, other):
-        _container_arg(other, type(self), "right operand", like=self)
-        return type(self)(*_entrywise(sub, (self.even, self.odd), (other.even, other.odd)))
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.even == other.even
-            and self.odd == other.odd
-        )
+    def odd(self):
+        return tuple(x for x, in self.rows[self.p :])
 
     def __repr__(self):
         ev = ", ".join(str(x) for x in self.even)
@@ -198,14 +237,13 @@ class SuperVector(GradedVector):
     _entry = GrassmannElement
 
 
-class GradedMatrix:
+class GradedMatrix(_Graded):
     """An even (p|q) matrix over the entry ring of a subclass; see the module
     docstring for the grading."""
 
-    __slots__ = ("ctx", "p", "q", "rows")
+    __slots__ = ()
 
-    #: the entry ring and the GradedVector subclass the matrix acts on
-    _entry = None
+    #: the GradedVector subclass the matrix acts on
     _vector = None
 
     def __init__(self, p: int, q: int, rows):
@@ -225,31 +263,6 @@ class GradedMatrix:
         self.p = p
         self.q = q
         self.rows = grid
-
-    @classmethod
-    def _graded(cls, p, q, rows):
-        """A matrix around ``rows`` without re-checking shape or grading.
-
-        Rows may skip the check only if they are graded by construction:
-        they come from arithmetic on graded matrices of one shape and
-        algebra, from ``_map``, from ``_antitriangle``, or from literal rows
-        of this class's entries over one algebra, placed by parity: odd
-        entries only off the diagonal blocks, even ones only on them.
-        Everything else goes through the validating constructor.
-        """
-        m = object.__new__(cls)
-        m.rows = _as_grid(rows)
-        m.ctx = m.rows[0][0].ctx
-        m.p = p
-        m.q = q
-        return m
-
-    def _map(self, f, cls=None):
-        """The matrix of f(x) for every entry x, as ``cls`` (by default this
-        class), unchecked: f must keep the parity of every coefficient."""
-        return (cls or type(self))._graded(
-            self.p, self.q, [[f(x) for x in row] for row in self.rows]
-        )
 
     # -- constructors --------------------------------------------------
 
@@ -304,18 +317,11 @@ class GradedMatrix:
     def block_b(self):
         return [list(r[self.p :]) for r in self.rows[self.p :]]
 
-    def is_zero(self) -> bool:
-        return _grid_is_zero(self.rows)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         _container_arg(other, type(self), "right operand", like=self)
         return self._graded(self.p, self.q, _entrywise(add, self.rows, other.rows))
-
-    def __sub__(self, other):
-        _container_arg(other, type(self), "right operand", like=self)
-        return self._graded(self.p, self.q, _entrywise(sub, self.rows, other.rows))
 
     def __neg__(self):
         return self._map(lambda a: -a)
@@ -346,15 +352,7 @@ class GradedMatrix:
         if self._vector is None:
             raise ShapeError(f"a {type(self).__name__} acts on no vector")
         _container_arg(vec, (self._vector, SuperVector), "vector", like=self)
-        out = [c for c, in _grid_mul(self.rows, [[c] for c in vec.even + vec.odd])]
-        return self._vector(out[: self.p], out[self.p :])
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.p == other.p
-            and self.rows == other.rows
-        )
+        return self._vector._graded(self.p, self.q, _grid_mul(self.rows, vec.rows))
 
     def __repr__(self):
         body = "; ".join(
