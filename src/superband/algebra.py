@@ -590,7 +590,8 @@ class AnnihilatorBasis(_OddSpan):
 
     def __init__(self, ctx, basis, free):
         basis = _collection(basis, "basis")
-        super().__init__(_context_arg(ctx), basis, dict(zip(free, (b.terms for b in basis))))
+        rows = zip(_collection(free, "free"), (b.terms for b in basis))
+        super().__init__(_context_arg(ctx), basis, dict(rows))
 
     @property
     def free(self):

@@ -191,21 +191,21 @@ class EquivalenceReport(
         return self.band == self.functional == self.differential
 
 
-def equivalence_sides(family: ParamSuperMatrix) -> dict:
-    """``{relation: (left, right)}`` for the seven relations of
-    ``EquivalenceReport`` that have a field of their own.
+def equivalence_sides(family: ParamSuperMatrix):
+    """The family's ``components_of`` and ``{relation: (left, right)}`` for
+    the seven relations of ``EquivalenceReport`` that have a field of their own.
 
     Each relation states left == right; ``differential`` is not listed,
     since it is the conjunction of three listed ones.
     """
-    product, shifted = product_and_shift(family)
     c = components_of(family)
+    product, shifted = product_and_shift(family)
     k0 = c[0]
     k1 = c.generator()
     zero = SuperMatrix.zero(c.ctx, k0.p, k0.q)
     derivative = family.derivative("t")
     s = GrassmannPoly.variable(c.ctx, "s")
-    return {
+    return c, {
         "band": (product, family),
         "functional": (shifted, product + derivative.scale(s)),
         "differential_eq_only": (
@@ -223,12 +223,12 @@ def equivalence_report(family: ParamSuperMatrix) -> EquivalenceReport:
     correction, and the differential description on one degree-one family.
 
     For degree-one families the three truth values provably coincide.
-    ``EquivalenceReport.from_sides(equivalence_sides(family))`` inspects a
+    ``EquivalenceReport.from_sides(equivalence_sides(family)[1])`` inspects a
     higher-degree family anyway (the values then need not agree)."""
-    degree = components_of(family).degree
-    if degree > 1:
-        raise ShapeError(f"degree-one family required, got degree {degree}")
-    return EquivalenceReport.from_sides(equivalence_sides(family))
+    c, sides = equivalence_sides(family)
+    if c.degree > 1:
+        raise ShapeError(f"degree-one family required, got degree {c.degree}")
+    return EquivalenceReport.from_sides(sides)
 
 
 def random_band_components(rng, ctx, p=1, q=1, degree=1) -> ComponentList:

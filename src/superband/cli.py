@@ -277,11 +277,11 @@ def _cmd_analyze(args):
 
 
 def _analyze_equivalence(fam):
-    from .analysis import EquivalenceReport, components_of, equivalence_sides
+    from .analysis import EquivalenceReport, equivalence_sides
 
-    sides = equivalence_sides(fam)
+    components, sides = equivalence_sides(fam)
     rep = EquivalenceReport.from_sides(sides)
-    degree = components_of(fam).degree
+    degree = components.degree
     relations = rep._asdict()
     # a failing relation's counterexample is the difference of its sides
     counter = {

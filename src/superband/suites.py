@@ -92,6 +92,7 @@ from .supermatrix import (
 )
 
 _SHAPES = ((1, 1), (1, 2), (2, 2))
+_BODIES = (-3, -2, -1, 1, 2, 3)  # the bodies of drawn invertible elements
 
 _SUITE_FUNCS = {}  # suite name -> f(cfg, rng) returning the checks list
 
@@ -152,6 +153,7 @@ def _random_antitriangle(rng, ctx, p, q):
 @_suite
 def _algebra(ctx, cfg, rng):
     ann_every = max(1, cfg.samples // 10)
+    assoc_rng = random.Random(f"{cfg.seed}:algebra:assoc")  # leaves rng's draws as they were
     for i in range(cfg.samples):
         x = random_element(rng, ctx)
         y = random_element(rng, ctx)
@@ -159,7 +161,7 @@ def _algebra(ctx, cfg, rng):
         xo = random_element(rng, ctx, parity="odd")
         yo = random_element(rng, ctx, parity="odd")
         e = random_element(rng, ctx, parity="even")
-        u = random_element(rng, ctx, body=rng.choice([-3, -2, -1, 1, 2, 3]))
+        u = random_element(rng, ctx, body=rng.choice(_BODIES))
         yield x, {
             "assoc": (x * y) * z == x * (y * z),
             "distrib": x * (y + z) == x * y + x * z,
@@ -175,6 +177,10 @@ def _algebra(ctx, cfg, rng):
         inv = u.inverse()
         yield u, {"inv": u * inv == ctx.one() and inv * u == ctx.one()}
         if i % ann_every == 0:
+            # with nonzero bodies (a*b)*c is never 0, where a wrong product could hide
+            a, b, c = (random_element(assoc_rng, ctx, body=assoc_rng.choice(_BODIES))
+                       for _ in range(3))
+            yield a, {"assoc": (a * b) * c == a * (b * c)}
             alpha = random_nonzero_odd(rng, ctx)
             ann = annihilator_odd([alpha])
             combo = _combination(ctx, ann.basis, map(rng.randint, repeat(-3), repeat(3)))

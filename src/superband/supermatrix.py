@@ -187,11 +187,7 @@ class _Graded:
         return self._graded(self.p, self.q, _entrywise(sub, self.rows, other.rows))
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.p == other.p
-            and self.rows == other.rows
-        )
+        return type(other) is type(self) and self.p == other.p and self.rows == other.rows
 
 
 class GradedVector(_Graded):

@@ -234,7 +234,9 @@ class TestEquivalence:
         ctx = _ctx3()
         with pytest.raises(ShapeError):
             equivalence_report(_power_family(ctx))
-        report = EquivalenceReport.from_sides(equivalence_sides(_power_family(ctx)))
+        components, sides = equivalence_sides(_power_family(ctx))
+        assert components.degree == 2
+        report = EquivalenceReport.from_sides(sides)
         assert report.band and not report.functional
         assert not report.agree
 

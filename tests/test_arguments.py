@@ -373,6 +373,8 @@ NOT_A_CONTEXT = [
                      id="run_suite"),
         pytest.param(lambda: AnnihilatorBasis(5, 5, 5), ConfigError,
                      "basis must be a collection, got int", id="annihilator_basis"),
+        pytest.param(lambda: AnnihilatorBasis(CTX, [], 5), ConfigError,
+                     "free must be a collection, got int", id="annihilator_free"),
         *(pytest.param(call, ConfigError, "ctx must be an AlgebraContext, got int",
                        id=f"ctx_{site}") for site, call in NOT_A_CONTEXT),
     ],

@@ -261,6 +261,54 @@ class TestGradingClosure:
         assert SuperMatrix.identity(ctx, 1, 1).apply(v) == v
 
 
+class TestVectorsGradedByConstruction:
+    """Vectors that ``apply``, ``-``, ``derivative`` and ``random_supervector``
+    build skip the grading check; each equals its coordinates passed through
+    the validating constructor."""
+
+    @staticmethod
+    def _checked(v):
+        again = type(v)(v.even, v.odd)
+        assert again == v and again.rows == v.rows
+        return again
+
+    def test_built_vectors_pass_the_constructor(self):
+        rng = random.Random(30)
+        for _ in range(40):
+            ctx = create_algebra(rng.randint(2, 5))
+            p, q = rng.choice([(1, 1), (1, 2), (2, 2)])
+            m = random_supermatrix(rng, ctx, p, q, invertible_b=False)
+            lifted = ParamSuperMatrix.from_supermatrix(m)
+            fam = lifted.scale(GrassmannPoly.variable(ctx, "t")) + lifted
+            v = self._checked(random_supervector(rng, ctx, p, q))
+            w = random_supervector(rng, ctx, p, q)
+            orbit = self._checked(fam.apply(v))  # a constant vector
+            for built in (m.apply(v), v - w, fam.apply(orbit), orbit - fam.apply(w),
+                          orbit.derivative("t")):
+                self._checked(built)
+
+    def test_rows_are_the_column_grid(self):
+        ctx = create_algebra(3)
+        e1, e2, o1 = ctx.one(), ctx.monomial((1, 2)), ctx.gen(3)
+        v = SuperVector([e1, e2], [o1])
+        assert v.rows == ((e1,), (e2,), (o1,))
+        assert (v.p, v.q, v.even, v.odd) == (2, 1, (e1, e2), (o1,))
+        with pytest.raises(AttributeError):
+            v.even = (e1,)
+
+    @pytest.mark.parametrize("vec", [SuperVector, ParamSuperVector])
+    def test_refusals_keep_their_messages(self, vec):
+        ctx = create_algebra(2)
+        one, xi1, xi2 = (vec._entry._lift(x) for x in (ctx.one(), ctx.gen(1), ctx.gen(2)))
+        slots = "^a supervector needs at least one even and one odd slot$"
+        with pytest.raises(ShapeError, match=slots):
+            vec([], [xi1])
+        with pytest.raises(ParityError, match="^an even slot holds a non-even value "):
+            vec([xi1], [xi2])
+        with pytest.raises(ParityError, match="^an odd slot holds a non-odd value "):
+            vec([one], [one])
+
+
 class TestClassify:
     def test_shapes(self):
         ctx = create_algebra(2)
