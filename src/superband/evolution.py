@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .families import ParamSuperMatrix, ParamSuperVector, generator_of, product_and_shift
 from .families import _family_arg
 from .poly import LaurentScalar
-from .supermatrix import GradedMatrix, SuperMatrix, SuperVector, _container_arg
+from .supermatrix import GradedMatrix, SuperVector, _container_arg
 
 
 class LaurentMatrix(GradedMatrix):
@@ -92,7 +92,7 @@ def resolvent_defect(r: LaurentMatrix) -> LaurentMatrix:
 
     The input must be a function of z alone; the w-instance is obtained by
     renaming.  The standard resolvent identity makes this vanish; families
-    obeying the band law instead leave a tail proportional to the generator.
+    obeying the band law instead leave the tail of ``resolvent_tail``.
     """
     _container_arg(r, LaurentMatrix, "resolvent")
     if any(iw != 0 for row in r.rows for x in row for (_, iw) in x.terms):
@@ -104,10 +104,24 @@ def resolvent_defect(r: LaurentMatrix) -> LaurentMatrix:
     return (r - rw) - (r @ rw).scale(w_minus_z)
 
 
-def resolvent_tail(generator: SuperMatrix) -> LaurentMatrix:
-    """(1/(zw) - 1/w^2) A: the resolvent defect of a band-law family whose
-    generator is A, where the standard resolvent identity leaves zero."""
-    _container_arg(generator, SuperMatrix, "generator")
-    one = generator.ctx.one()
-    factor = LaurentScalar(generator.ctx, {(1, 1): one, (0, 2): -one})
-    return LaurentMatrix.from_supermatrix(generator).scale(factor)
+def resolvent_tail(family: ParamSuperMatrix) -> LaurentMatrix:
+    """The resolvent defect of a band-law family F(t) = sum t^j K_j:
+    sum over j >= 1 of j! K_j (1/(z^j w) - 1/w^(j+1)), entrywise.
+
+    For F(t)F(s) = F(t) the defect R(z) - R(w) - (w-z) R(z) R(w) equals
+    (z/w) R(z) - R(w), which is this sum; at degree one it is
+    (1/(zw) - 1/w^2) times the generator K_1.  The standard resolvent
+    identity leaves zero instead.
+    """
+    ctx = _family_arg(family).ctx
+
+    def tail(poly):
+        terms = {}
+        for (j, _), c in poly.terms.items():
+            if j:
+                c = c * factorial(j)
+                terms[(j, 1)] = c
+                terms[(0, j + 1)] = -c
+        return LaurentScalar(ctx, terms)
+
+    return family._map(tail, LaurentMatrix)

@@ -76,8 +76,7 @@ class ParamSuperMatrix(GradedMatrix):
                 used |= x.variables()
         return used
 
-    def derivative(self, var: str = "t"):
-        return self._map(lambda x: x.derivative(var))
+    derivative = ParamSuperVector.derivative
 
     def substitute(self, var: str, replacement: GrassmannPoly):
         """Each entry's ``substitute``, sharing one table of replacement powers."""

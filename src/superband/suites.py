@@ -52,7 +52,6 @@ from .evolution import (
     moving_time_check,
     orbit,
     resolvent_defect,
-    resolvent_tail,
 )
 from .families import (
     ParamSuperMatrix,
@@ -336,12 +335,14 @@ def _analysis(ctx, cfg, rng):
 
 
 def _expected_resolvents(ctx, alpha):
+    """The resolvents of P and T and the defect of P's, written from alpha."""
     one = ctx.one()
+    zero = LaurentScalar.zero(ctx)
     rp = LaurentMatrix._graded(
         1,
         1,
         [
-            [LaurentScalar.zero(ctx), LaurentScalar.term(alpha, iz=2)],
+            [zero, LaurentScalar.term(alpha, iz=2)],
             [LaurentScalar.term(alpha, iz=1), LaurentScalar.term(one, iz=1)],
         ],
     )
@@ -350,10 +351,14 @@ def _expected_resolvents(ctx, alpha):
         1,
         [
             [LaurentScalar.term(one, iz=1), LaurentScalar.term(alpha, iz=2)],
-            [LaurentScalar.zero(ctx), LaurentScalar.term(one, iz=1)],
+            [zero, LaurentScalar.term(one, iz=1)],
         ],
     )
-    return rp, rt
+    # (1/(zw) - 1/w^2) alpha in the corner where P holds alpha t
+    tail = LaurentMatrix._graded(
+        1, 1, [[zero, LaurentScalar(ctx, {(1, 1): alpha, (0, 2): -alpha})], [zero, zero]]
+    )
+    return rp, rt, tail
 
 
 @_suite
@@ -365,9 +370,7 @@ def _resolvent(ctx, cfg, rng):
         p_fam = make_family("P", alpha)
         t_fam = make_family("T", alpha)
         rp, rt = laplace(p_fam), laplace(t_fam)
-        want_rp, want_rt = _expected_resolvents(ctx, alpha)
-        # A is built from alpha here, not read off P by generator_of
-        gen = SuperMatrix._graded(1, 1, [[zero, alpha], [zero, zero]])
+        want_rp, want_rt, want_tail = _expected_resolvents(ctx, alpha)
         even0, odd0 = x0.even[0], x0.odd[0]
         xp = orbit(p_fam, x0)
         xt = orbit(t_fam, x0)
@@ -376,7 +379,7 @@ def _resolvent(ctx, cfg, rng):
             "rz": rp == want_rp,
             "rz1": rt == want_rt,
             "rrt": resolvent_defect(rt).is_zero(),
-            "rra": resolvent_defect(rp) == resolvent_tail(gen),
+            "rra": resolvent_defect(rp) == want_tail,
             "xx": xp.even[0] == GrassmannPoly.term(alpha * odd0, t=1)
             and xp.odd[0] == GrassmannPoly.constant(alpha * even0 + odd0),
             "xxt": xt.even[0]

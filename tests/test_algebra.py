@@ -555,6 +555,63 @@ class TestMonomialProducts:
                 assert _terms(x * y) == _oracle_mul(x, y)
 
 
+def _dense(rng, ctx, size, words=(), share=0.5):
+    """An element of ``size`` distinct monomials, ``words`` among them, the
+    others holding each generator with probability ``share``, with nonzero
+    coefficients."""
+    words = set(words)
+    while len(words) < size:
+        words.add(tuple(i for i in range(1, ctx.n + 1) if rng.random() < share))
+    return GrassmannElement(ctx, {
+        w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for w in words
+    })
+
+
+class TestDenseProducts:
+    """Products at n = 10-12 whose factors differ widely in length, against
+    the bubble-sort oracle, with each factor on either side: a long and a
+    short factor, a one-term factor, and an outer monomial whose free
+    generators have fewer subsets than the other factor has terms."""
+
+    def test_long_factor_on_either_side(self):
+        rng = random.Random(1210)
+        for n in (10, 11, 12):
+            ctx = create_algebra(n)
+            for _ in range(2):
+                long, short = _dense(rng, ctx, 160), _dense(rng, ctx, 4, share=0.15)
+                assert _terms(long * short) == _oracle_mul(long, short)
+                assert _terms(short * long) == _oracle_mul(short, long)
+
+    def test_one_term_factor_on_either_side(self):
+        rng = random.Random(1211)
+        for n in (10, 11, 12):
+            ctx = create_algebra(n)
+            for size in (1, 2, 160):
+                for _ in range(3):
+                    one, other = _dense(rng, ctx, 1, share=0.2), _dense(rng, ctx, size)
+                    assert _terms(one * other) == _oracle_mul(one, other)
+                    assert _terms(other * one) == _oracle_mul(other, one)
+
+    def test_outer_monomial_of_all_but_two_generators(self):
+        rng = random.Random(1212)
+        for n in (10, 11, 12):
+            ctx = create_algebra(n)
+            for _ in range(3):
+                free = sorted(rng.sample(range(1, n + 1), 2))
+                word = tuple(i for i in range(1, n + 1) if i not in free)
+                # every subset of the free pair, among more than four terms
+                inner = _dense(rng, ctx, 40, [(), (free[0],), (free[1],), tuple(free)])
+                assert len(inner.terms) > 2 ** len(free)
+                outer = GrassmannElement(ctx, {word: Fraction(rng.choice((-2, 1, 3)))})
+                # one term of n - 2 generators, one of n - 1, one of a single one
+                mixed = outer + _dense(rng, ctx, 1, [tuple(sorted(word + (free[1],)))])
+                mixed = mixed + ctx.gen(free[0])
+                for x in (outer, mixed):
+                    assert not (x * inner).is_zero()
+                    assert _terms(x * inner) == _oracle_mul(x, inner)
+                    assert _terms(inner * x) == _oracle_mul(inner, x)
+
+
 class TestRatio:
     """``_ratio`` builds coefficients by setting Fraction's slots; the public
     ``Fraction(n, d)`` constructor is its oracle."""

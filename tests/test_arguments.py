@@ -197,7 +197,7 @@ CONTAINER_SITES = [
     ("classify_reduction", classify_reduction, "matrix", P, None, None),
     ("idempotent_strong_check", idempotent_strong_check, "matrix", P, None, None),
     ("matrix_exp_nilpotent", matrix_exp_nilpotent, "matrix", P, None, None),
-    ("resolvent_tail", resolvent_tail, "generator", P, None, None),
+    ("resolvent_tail", resolvent_tail, "family", M, None, None),
     ("resolvent_defect", resolvent_defect, "resolvent", P, None, None),
     ("generator_of", generator_of, "family", M, None, None),
     ("smoothing", smoothing, "family", M, None, None),
@@ -440,8 +440,8 @@ def test_integer_argument_is_refused_by_name(call, arg, error, name):
 def test_family_in_s_is_refused_by_name():
     """A family that must be in t only refuses one in s."""
     family_in_s = P.rename("t", "s")
-    for call in (smoothing, functional_residual, laplace, moving_time_check,
-                 components_of, equivalence_report, closure_check):
+    for call in (smoothing, functional_residual, laplace, resolvent_tail,
+                 moving_time_check, components_of, equivalence_report, closure_check):
         with pytest.raises(ConfigError, match="^family must be in t only"):
             call(family_in_s)
 

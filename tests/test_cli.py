@@ -1,6 +1,7 @@
 """End-to-end tests for the ``superband`` command line tool."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from superband.algebra import create_algebra
+from superband.analysis import random_band_components
 from superband.cli import main, parse_alpha
 from superband.errors import ParseError
 from superband.evolution import laplace, orbit as orbit_of
@@ -464,6 +466,27 @@ class TestResolvent:
         )
         assert code == 0
         assert json.loads(out)["check"]["passed"] is True
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_rra_on_band_family_of_higher_degree(self, capsys, tmp_path, degree):
+        comps = random_band_components(random.Random(7), create_algebra(4), 1, 1,
+                                       degree=degree)
+        fam = comps.family("t")
+        assert max(x.degree("t") for row in fam.rows for x in row) == degree
+        path = write_json(tmp_path, "band.json", fam)
+        code, out, _ = run_cli(
+            capsys, "resolvent", "--family", path, "--check", "rra",
+            "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["check"] == {"label": "rra", "passed": True}
+        assert report["expected_tail"] == report["defect"]
+
+    def test_rra_fails_on_linear_family_without_band_law(self, capsys):
+        code, out, _ = run_cli(capsys, "resolvent", "--family", "T", "--check", "rra")
+        assert code == 1
+        assert "rra: FAIL" in out
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from superband.algebra import create_algebra
+from superband.analysis import random_band_components
 from superband.errors import ConfigError, ContextError, ParityError, ShapeError
 from superband.evolution import (
     LaurentMatrix,
@@ -16,6 +17,7 @@ from superband.evolution import (
     moving_time_check,
     orbit,
     resolvent_defect,
+    resolvent_tail,
 )
 from superband.families import ParamSuperMatrix, generator_of, make_family
 from superband.poly import GrassmannPoly
@@ -306,6 +308,21 @@ class TestResolventIdentities:
         r = laplace(make_family("P", ctx.gen(1)))
         with pytest.raises(ConfigError):
             resolvent_defect(r.rename("z", "w"))
+
+    def test_band_family_defect_is_the_tail_at_every_degree(self):
+        """sum j! K_j (1/(z^j w) - 1/w^(j+1)) is the defect of band families
+        of degree 1-4; at degree one it is P's tail, and T, which breaks the
+        band law, leaves another defect."""
+        rng = random.Random("superband-evolution-tail")
+        ctx = create_algebra(5)
+        for degree in (1, 2, 3, 4):
+            for p, q in ((1, 1), (2, 1), (1, 2)):
+                fam = random_band_components(rng, ctx, p, q, degree=degree).family("t")
+                assert resolvent_defect(laplace(fam)) == resolvent_tail(fam)
+        alpha = ctx.gen(1)
+        assert resolvent_tail(make_family("P", alpha)) == self._idempotent_tail(ctx, alpha)
+        t_fam = make_family("T", alpha)
+        assert resolvent_defect(laplace(t_fam)) != resolvent_tail(t_fam)
 
 
 class TestLaurentScalars:

@@ -128,6 +128,31 @@ def test_loads_imports_only_the_modules_of_its_kind(kind):
         assert f"superband.{name}" not in loaded
 
 
+def test_main_freezes_the_startup_heap():
+    # the objects alive when main starts live until exit; frozen, the
+    # collections at exit skip them
+    out = run_python(
+        "import contextlib, gc, io\n"
+        "from superband.cli import main\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['table', '--generators', '3']) == 0\n"
+        "print(gc.get_freeze_count())"
+    )
+    assert int(out) > 0
+
+
+def test_console_entry_verify_matches_golden():
+    # the console script's way in, with verify's forked helpers under a
+    # frozen heap
+    out = run_python(
+        "import sys; from superband.cli import main; sys.argv[1:] = "
+        "['verify', '--suite', 'all', '--generators', '4', '--seed', '42',"
+        " '--format', 'json']; sys.exit(main())"
+    )
+    assert out == (GOLDEN / "verify_all_n4_seed42.json").read_text()
+
+
 def test_algebra_import_precomputes_no_masks():
     # every one-shot process would pay for a table built at import
     run_python(
